@@ -1,28 +1,27 @@
 """Sub-mode conditioned flow matching laboratory on 2D Gaussian mixtures."""
 
-from .mixture import (ConditionFilter, LabeledSample, MixtureComponent,
-                      MixtureSpec, interpolate, oracle_velocity,
-                      oracle_velocity_batch, posterior_weights,
-                      sample_dataset, toy_spec)
+from .mixture import (ConditionFilter, Dataset, MixtureComponent,
+                      MixtureSpec, interpolate, oracle_velocity_batch,
+                      posterior_weights_batch, sample_dataset, toy_spec)
 from .net import NetConfig, VelocityNet
 from .objectives import TrainConfig, TrainState, cfg_dropout, cfm_loss, \
     meanflow_loss, train
 from .clustering import SubmodeTable, assign_submodes, empirical_prior, \
     random_assignment
-from .sampler import GenerationBatch, SampleRequest, cfg_velocity, generate, \
-    sample_submode
+from .sampler import GenerationBatch, SampleRequest, euler_integrate, \
+    generate, sample_submode
 from .metrics import MetricReport, field_rmse, frechet_2d, \
     knn_precision_recall, mode_shares
 
 __all__ = [
-    "ConditionFilter", "LabeledSample", "MixtureComponent", "MixtureSpec",
-    "interpolate", "oracle_velocity", "oracle_velocity_batch",
-    "posterior_weights", "sample_dataset", "toy_spec",
+    "ConditionFilter", "Dataset", "MixtureComponent", "MixtureSpec",
+    "interpolate", "oracle_velocity_batch", "posterior_weights_batch",
+    "sample_dataset", "toy_spec",
     "NetConfig", "VelocityNet",
     "TrainConfig", "TrainState", "cfg_dropout", "cfm_loss", "meanflow_loss",
     "train",
     "SubmodeTable", "assign_submodes", "empirical_prior", "random_assignment",
-    "GenerationBatch", "SampleRequest", "cfg_velocity", "generate",
+    "GenerationBatch", "SampleRequest", "euler_integrate", "generate",
     "sample_submode",
     "MetricReport", "field_rmse", "frechet_2d", "knn_precision_recall",
     "mode_shares",

@@ -10,10 +10,9 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import clustering, io, metrics, mixture, pipeline, sampler
-from .config import ConfigError, ExperimentConfig, load_config
+from . import clustering, io, mixture, objectives, pipeline, sampler
+from .config import (ConfigError, ExperimentConfig, key_parser, load_config,
+                     validate)
 from .pipeline import ValidationError
 
 EXIT_OK = 0
@@ -22,21 +21,13 @@ EXIT_RUNTIME = 2
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    for attr, target in [("seed", ("train", "seed")),
-                         ("steps", ("train", "steps")),
-                         ("objective", ("train", "objective")),
-                         ("conditioning", ("train", "conditioning")),
-                         ("count", ("sample", "count")),
-                         ("nfe", ("sample", "nfe")),
-                         ("guidance_scale", ("sample", "guidance_scale")),
-                         ("submode_strategy", ("sample", "submode_strategy")),
-                         ("cluster_k", ("cluster", "k"))]:
-        value = getattr(args, attr, None)
-        if value is not None:
-            section = getattr(cfg, target[0])
-            setattr(section, target[1], value)
-    # re-validate after overrides
-    cfg.train.__post_init__()
+    """Set every config key named by a flag's 'section.key' dest, then
+    revalidate every section."""
+    for dest, value in vars(args).items():
+        section, dot, key = dest.partition(".")
+        if dot and value is not None:
+            setattr(getattr(cfg, section), key, value)
+    validate(cfg)
     return cfg
 
 
@@ -63,9 +54,8 @@ def cmd_generate(args) -> int:
     io.write_samples_csv(samples_path, batch)
     real = mixture.sample_dataset(cfg.mixture, cfg.metrics.n_real,
                                   cfg.train.seed + 1)
-    real_xs, _, _ = mixture.dataset_arrays(real)
     svg_path = out_dir / f"scatter-class{args.class_id}.svg"
-    io.write_scatter_svg(svg_path, real_xs, batch.xs, batch.submode_ids,
+    io.write_scatter_svg(svg_path, real.xs, batch.xs, batch.submode_ids,
                          cfg.mixture.bounding_box())
     print(f"wrote {samples_path} and {svg_path}")
     return EXIT_OK
@@ -135,41 +125,46 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sub-mode conditioned flow matching lab on 2D mixtures")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def override(p, flag, key, **kwargs):
+        # the dest names the config key the flag sets; see _apply_overrides
+        p.add_argument(flag, dest=key, type=key_parser(key), **kwargs)
+
     def common(p, manifest=False):
         p.add_argument("--config", required=True, help="config file path")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int)
+        override(p, "--seed", "train.seed")
         if manifest:
             p.add_argument("--manifest", required=True,
                            help="manifest of a finished training run")
 
+    def sampling(p):
+        override(p, "--count", "sample.count")
+        override(p, "--nfe", "sample.nfe")
+        override(p, "--guidance-scale", "sample.guidance_scale")
+        override(p, "--submode-strategy", "sample.submode_strategy",
+                 choices=list(sampler.STRATEGIES))
+
     p = sub.add_parser("train", help="cluster + train + checkpoint")
     common(p)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--objective", choices=["cfm", "meanflow"])
-    p.add_argument("--conditioning", choices=["uncond", "class", "subflow"])
-    p.add_argument("--cluster-k", dest="cluster_k", type=int)
+    override(p, "--steps", "train.steps")
+    override(p, "--objective", "train.objective",
+             choices=list(objectives.OBJECTIVES))
+    override(p, "--conditioning", "train.conditioning",
+             choices=list(objectives.CONDITIONINGS))
+    override(p, "--cluster-k", "cluster.k")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("generate", help="sample one class, write CSV + SVG")
     common(p, manifest=True)
     p.add_argument("--class-id", type=int, required=True)
-    p.add_argument("--count", type=int)
-    p.add_argument("--nfe", type=int)
-    p.add_argument("--guidance-scale", dest="guidance_scale", type=float)
-    p.add_argument("--submode-strategy", dest="submode_strategy",
-                   choices=["prior", "uniform", "fixed"])
+    sampling(p)
     p.add_argument("--fixed-submode", dest="fixed_submode", type=int,
                    default=-1)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("evaluate", help="generate + compute metric row")
     common(p, manifest=True)
-    p.add_argument("--count", type=int)
-    p.add_argument("--nfe", type=int)
-    p.add_argument("--guidance-scale", dest="guidance_scale", type=float)
-    p.add_argument("--submode-strategy", dest="submode_strategy",
-                   choices=["prior", "uniform", "fixed"])
+    sampling(p)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("sweep-nfe", help="evaluate across NFE values")

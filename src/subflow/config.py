@@ -1,22 +1,40 @@
 """Flat key=value experiment configuration.
 
-The config file is INI-style text with sections [mixture], [data], [net],
-[train], [cluster], [sample], [metrics].  Mixture components are listed as
+The config file is INI-style text with sections [mixture], [data], [train],
+[cluster], [sample], [metrics].  Mixture components are listed as
 
     component_0 = weight mx my std class_id submode_id
 
-CLI flags override individual keys.  parse/emit round-trips are
-semantically identical (same key set, same values).
+Every other section is a dataclass field of ExperimentConfig: its fields
+declare the section's keys, their types and their defaults, and that one
+declaration drives parsing, emission and CLI overrides.  CLI flags override
+individual keys.  parse/emit round-trips are semantically identical (same
+key set, same values).
 """
 
 from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import get_type_hints
 
 from .mixture import MixtureComponent, MixtureSpec, toy_spec
 from .objectives import TrainConfig
+from .sampler import check_sample_settings
+
+
+class ConfigError(ValueError):
+    pass
+
+
+@dataclass
+class DataConfig:
+    n_train: int = 20000
+
+    def __post_init__(self):
+        if self.n_train < 1:
+            raise ValueError("n_train must be >= 1")
 
 
 @dataclass
@@ -26,6 +44,12 @@ class ClusterConfig:
     enabled: bool = True
     standardize_features: bool = False
 
+    def __post_init__(self):
+        if self.k < 1:
+            raise ValueError("k must be >= 1")
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be >= 0")
+
 
 @dataclass
 class SampleConfig:
@@ -34,6 +58,10 @@ class SampleConfig:
     guidance_scale: float = 1.0
     submode_strategy: str = "prior"
 
+    def __post_init__(self):
+        check_sample_settings(self.count, self.nfe, self.guidance_scale,
+                              self.submode_strategy)
+
 
 @dataclass
 class MetricsConfig:
@@ -41,19 +69,51 @@ class MetricsConfig:
     coverage_tau: float = 0.5
     n_real: int = 10000
 
+    def __post_init__(self):
+        if self.knn_k < 1:
+            raise ValueError("knn_k must be >= 1")
+        if self.n_real <= self.knn_k:
+            raise ValueError("n_real must exceed knn_k")
+
 
 @dataclass
 class ExperimentConfig:
     mixture: MixtureSpec = field(default_factory=toy_spec)
-    n_train: int = 20000
+    data: DataConfig = field(default_factory=DataConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
     sample: SampleConfig = field(default_factory=SampleConfig)
     metrics: MetricsConfig = field(default_factory=MetricsConfig)
 
 
-class ConfigError(ValueError):
-    pass
+def _to_bool(raw: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {raw!r}") from None
+
+
+_FROM_TEXT = {int: int, float: float, str: str, bool: _to_bool}
+_TO_TEXT = {int: str, float: repr, str: str, bool: lambda v: str(v).lower()}
+
+
+def _declared(cls) -> dict[str, type]:
+    """Field name -> declared type of a dataclass, in declaration order."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
+
+
+# section name -> (dataclass, key -> type); [mixture] also lists components
+SECTIONS = {name: (cls, _declared(cls))
+            for name, cls in _declared(ExperimentConfig).items()
+            if name != "mixture"}
+_MIXTURE_KEYS = {"source_std": _declared(MixtureSpec)["source_std"]}
+
+
+def key_parser(key: str):
+    """Text-to-value conversion for a 'section.key' name."""
+    section, name = key.split(".")
+    return _FROM_TEXT[SECTIONS[section][1][name]]
 
 
 def _parse_component(raw: str, key: str) -> MixtureComponent:
@@ -69,16 +129,34 @@ def _parse_component(raw: str, key: str) -> MixtureComponent:
     return MixtureComponent(weight, (mx, my), std, class_id, submode_id)
 
 
-def _get(parser, section, key, conv, default):
-    if not parser.has_option(section, key):
-        return default
-    raw = parser.get(section, key)
+def _read(parser, section: str, kinds: dict[str, type]) -> dict:
+    values = {}
+    for key, kind in kinds.items():
+        if parser.has_option(section, key):
+            try:
+                values[key] = _FROM_TEXT[kind](parser.get(section, key))
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key}: {exc}") from exc
+    return values
+
+
+def _build(section: str, make, **values):
     try:
-        if conv is bool:
-            return raw.strip().lower() in ("1", "true", "yes", "on")
-        return conv(raw)
+        return make(**values)
     except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: {exc}") from exc
+        raise ConfigError(f"[{section}] {exc}") from exc
+
+
+def _parse_mixture(parser) -> MixtureSpec:
+    options = _read(parser, "mixture", _MIXTURE_KEYS)
+    if not (parser.has_section("mixture") and any(
+            k.startswith("component_") for k in parser.options("mixture"))):
+        return _build("mixture", toy_spec, **options)
+    comps = []
+    while parser.has_option("mixture", f"component_{len(comps)}"):
+        key = f"component_{len(comps)}"
+        comps.append(_parse_component(parser.get("mixture", key), key))
+    return _build("mixture", MixtureSpec, components=tuple(comps), **options)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -87,67 +165,15 @@ def parse_config(text: str) -> ExperimentConfig:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from exc
+    sections = {name: _build(name, cls, **_read(parser, name, kinds))
+                for name, (cls, kinds) in SECTIONS.items()}
+    return ExperimentConfig(mixture=_parse_mixture(parser), **sections)
 
-    if parser.has_section("mixture") and any(
-            k.startswith("component_") for k in parser.options("mixture")):
-        comps = []
-        i = 0
-        while parser.has_option("mixture", f"component_{i}"):
-            comps.append(_parse_component(
-                parser.get("mixture", f"component_{i}"), f"component_{i}"))
-            i += 1
-        try:
-            mixture = MixtureSpec(
-                components=tuple(comps),
-                source_std=_get(parser, "mixture", "source_std", float, 1.0))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    else:
-        mixture = toy_spec(_get(parser, "mixture", "source_std", float, 1.0))
 
-    try:
-        train = TrainConfig(
-            objective=_get(parser, "train", "objective", str, "cfm"),
-            conditioning=_get(parser, "train", "conditioning", str, "class"),
-            p_drop_class=_get(parser, "train", "p_drop_class", float, 0.1),
-            p_drop_submode=_get(parser, "train", "p_drop_submode", float, 0.0),
-            steps=_get(parser, "train", "steps", int, 5000),
-            batch_size=_get(parser, "train", "batch_size", int, 256),
-            learning_rate=_get(parser, "train", "learning_rate", float, 1e-3),
-            adam_beta1=_get(parser, "train", "adam_beta1", float, 0.9),
-            adam_beta2=_get(parser, "train", "adam_beta2", float, 0.95),
-            ema_decay=_get(parser, "train", "ema_decay", float, 0.999),
-            rt_equal_fraction=_get(parser, "train", "rt_equal_fraction",
-                                   float, 0.75),
-            seed=_get(parser, "train", "seed", int, 0),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    return ExperimentConfig(
-        mixture=mixture,
-        n_train=_get(parser, "data", "n_train", int, 20000),
-        train=train,
-        cluster=ClusterConfig(
-            k=_get(parser, "cluster", "k", int, 2),
-            max_iters=_get(parser, "cluster", "max_iters", int, 100),
-            enabled=_get(parser, "cluster", "enabled", bool, True),
-            standardize_features=_get(parser, "cluster", "standardize_features",
-                                      bool, False),
-        ),
-        sample=SampleConfig(
-            count=_get(parser, "sample", "count", int, 10000),
-            nfe=_get(parser, "sample", "nfe", int, 1),
-            guidance_scale=_get(parser, "sample", "guidance_scale", float, 1.0),
-            submode_strategy=_get(parser, "sample", "submode_strategy", str,
-                                  "prior"),
-        ),
-        metrics=MetricsConfig(
-            knn_k=_get(parser, "metrics", "knn_k", int, 3),
-            coverage_tau=_get(parser, "metrics", "coverage_tau", float, 0.5),
-            n_real=_get(parser, "metrics", "n_real", int, 10000),
-        ),
-    )
+def validate(cfg: ExperimentConfig) -> None:
+    """Re-run every section's checks, e.g. after keys were overridden."""
+    for f in fields(cfg):
+        _build(f.name, getattr(cfg, f.name).__post_init__)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -157,39 +183,16 @@ def load_config(path) -> ExperimentConfig:
 
 def emit_config(cfg: ExperimentConfig) -> str:
     parser = configparser.ConfigParser()
-    parser["mixture"] = {"source_std": repr(cfg.mixture.source_std)}
+    parser["mixture"] = {key: _TO_TEXT[kind](getattr(cfg.mixture, key))
+                         for key, kind in _MIXTURE_KEYS.items()}
     for i, c in enumerate(cfg.mixture.components):
         parser["mixture"][f"component_{i}"] = (
             f"{c.weight!r} {c.mean[0]!r} {c.mean[1]!r} {c.std!r} "
             f"{c.class_id} {c.submode_id}")
-    parser["data"] = {"n_train": str(cfg.n_train)}
-    t = cfg.train
-    parser["train"] = {
-        "objective": t.objective, "conditioning": t.conditioning,
-        "p_drop_class": repr(t.p_drop_class),
-        "p_drop_submode": repr(t.p_drop_submode),
-        "steps": str(t.steps), "batch_size": str(t.batch_size),
-        "learning_rate": repr(t.learning_rate),
-        "adam_beta1": repr(t.adam_beta1), "adam_beta2": repr(t.adam_beta2),
-        "ema_decay": repr(t.ema_decay),
-        "rt_equal_fraction": repr(t.rt_equal_fraction),
-        "seed": str(t.seed),
-    }
-    parser["cluster"] = {
-        "k": str(cfg.cluster.k), "max_iters": str(cfg.cluster.max_iters),
-        "enabled": str(cfg.cluster.enabled).lower(),
-        "standardize_features": str(cfg.cluster.standardize_features).lower(),
-    }
-    parser["sample"] = {
-        "count": str(cfg.sample.count), "nfe": str(cfg.sample.nfe),
-        "guidance_scale": repr(cfg.sample.guidance_scale),
-        "submode_strategy": cfg.sample.submode_strategy,
-    }
-    parser["metrics"] = {
-        "knn_k": str(cfg.metrics.knn_k),
-        "coverage_tau": repr(cfg.metrics.coverage_tau),
-        "n_real": str(cfg.metrics.n_real),
-    }
+    for name, (_, kinds) in SECTIONS.items():
+        section = getattr(cfg, name)
+        parser[name] = {key: _TO_TEXT[kind](getattr(section, key))
+                        for key, kind in kinds.items()}
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()

@@ -71,6 +71,8 @@ def knn_precision_recall(real: np.ndarray, gen: np.ndarray,
     """k-NN manifold precision and recall between two point sets."""
     real = np.asarray(real, dtype=np.float64)
     gen = np.asarray(gen, dtype=np.float64)
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if len(real) <= k or len(gen) <= k:
         raise ValueError(f"need more than k={k} points per set")
     precision = float(np.mean(_in_manifold(gen, real, _knn_radii_sq(real, k))))

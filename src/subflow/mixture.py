@@ -9,8 +9,8 @@ the unconditional, class-conditional, and sub-mode-conditional cases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -77,15 +77,24 @@ class MixtureSpec:
         return (lo[0], lo[1], hi[0], hi[1])
 
 
-@dataclass
-class LabeledSample:
-    x: tuple[float, float]
-    class_id: int
-    submode_id: Optional[int] = None
+@dataclass(eq=False)
+class Dataset:
+    """Labeled points as parallel arrays, one row per sample.
+
+    submode_ids is -1 where a row carries no sub-mode label; clustering
+    overwrites it in place.
+    """
+
+    xs: np.ndarray           # (n, 2) float64 coordinates
+    class_ids: np.ndarray    # (n,) int64
+    submode_ids: np.ndarray  # (n,) int64
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.x)):
+        if not np.all(np.isfinite(self.xs)):
             raise ValueError("sample coordinates must be finite")
+
+    def __len__(self) -> int:
+        return len(self.xs)
 
 
 @dataclass(frozen=True)
@@ -99,8 +108,6 @@ class ConditionFilter:
     mode: str = "all"
     class_id: Optional[int] = None
     submode_id: Optional[int] = None
-
-    ALL = None  # set below
 
     @staticmethod
     def all() -> "ConditionFilter":
@@ -150,7 +157,7 @@ def toy_spec(source_std: float = 1.0) -> MixtureSpec:
     )
 
 
-def sample_dataset(spec: MixtureSpec, n: int, seed: int) -> list[LabeledSample]:
+def sample_dataset(spec: MixtureSpec, n: int, seed: int) -> Dataset:
     """Draw n labeled points from the mixture, deterministically per seed."""
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -159,22 +166,19 @@ def sample_dataset(spec: MixtureSpec, n: int, seed: int) -> list[LabeledSample]:
     noise = rng.standard_normal((n, 2))
     means = spec.means()[comp_idx]
     stds = spec.stds()[comp_idx, None]
-    xs = means + stds * noise
-    return [
-        LabeledSample(x=(xs[i, 0], xs[i, 1]),
-                      class_id=spec.components[comp_idx[i]].class_id,
-                      submode_id=spec.components[comp_idx[i]].submode_id)
-        for i in range(n)
-    ]
+    class_of = np.array([c.class_id for c in spec.components], dtype=np.int64)
+    submode_of = np.array([c.submode_id for c in spec.components],
+                          dtype=np.int64)
+    return Dataset(xs=means + stds * noise, class_ids=class_of[comp_idx],
+                   submode_ids=submode_of[comp_idx])
 
 
-def dataset_arrays(samples: Sequence[LabeledSample]):
-    """(n,2) coordinates, (n,) class ids, (n,) submode ids (-1 if absent)."""
-    xs = np.array([s.x for s in samples], dtype=np.float64)
-    cs = np.array([s.class_id for s in samples], dtype=np.int64)
-    ks = np.array([-1 if s.submode_id is None else s.submode_id for s in samples],
-                  dtype=np.int64)
-    return xs, cs, ks
+def dataset_arrays(dataset: Dataset):
+    """(n,2) coordinates, (n,) class ids, (n,) submode ids (-1 if absent).
+
+    The dataset's own arrays, not copies.
+    """
+    return dataset.xs, dataset.class_ids, dataset.submode_ids
 
 
 def interpolate(x0, x1, t: float):
@@ -196,56 +200,15 @@ def _check_time(spec: MixtureSpec, t: float, idx: np.ndarray) -> None:
         raise ValueError("t=1 with a zero-std component is singular")
 
 
-def posterior_weights(spec: MixtureSpec, x, t: float,
-                      cond: ConditionFilter = ConditionFilter("all")):
-    """Posterior component weights given x_t = x, restricted to cond.
+def posterior_weights_batch(spec: MixtureSpec, xs, t: float,
+                            cond: ConditionFilter = ConditionFilter("all")):
+    """Posterior component weights given x_t = x for each row of an (n,2) batch.
 
-    Returns (indices, weights, underflowed).  Weights are computed in
-    log-space with max-subtraction; if every density underflows the result
-    falls back to uniform over the subset with underflowed=True.
+    Returns (indices, weights (n, m), underflowed (n,)), restricted to cond.
+    Weights are computed in log-space with per-row max-subtraction; a row
+    where every density underflows falls back to uniform weights over the
+    subset and is flagged in `underflowed`.
     """
-    idx = cond.select(spec)
-    _check_time(spec, t, idx)
-    x = np.asarray(x, dtype=np.float64)
-
-    pri = spec.weights()[idx]
-    mu = spec.means()[idx]
-    sig = spec.stds()[idx]
-    s2 = (1.0 - t) ** 2 * spec.source_std ** 2 + t ** 2 * sig ** 2
-    diff = x[None, :] - t * mu
-    with np.errstate(over="ignore"):
-        log_density = (-0.5 * np.sum(diff ** 2, axis=1) / s2
-                       - np.log(2.0 * np.pi * s2))
-    logw = np.log(pri) + log_density
-    m = np.max(logw)
-    if not np.isfinite(m):
-        return idx, np.full(len(idx), 1.0 / len(idx)), True
-    w = np.exp(logw - m)
-    return idx, w / w.sum(), False
-
-
-def oracle_velocity(spec: MixtureSpec, x, t: float,
-                    cond: ConditionFilter = ConditionFilter("all")) -> np.ndarray:
-    """Closed-form conditional mean velocity E[x1 - x0 | x_t = x, cond].
-
-    Per component, (x_t, x1 - x0) are jointly Gaussian, so the conditional
-    mean is mu_j plus a linear correction; components are then mixed with
-    their posterior weights.
-    """
-    idx, w, _ = posterior_weights(spec, x, t, cond)
-    x = np.asarray(x, dtype=np.float64)
-    mu = spec.means()[idx]
-    sig = spec.stds()[idx]
-    s0 = spec.source_std
-    s2 = (1.0 - t) ** 2 * s0 ** 2 + t ** 2 * sig ** 2
-    coef = (t * sig ** 2 - (1.0 - t) * s0 ** 2) / s2
-    per_comp = mu + coef[:, None] * (x[None, :] - t * mu)
-    return np.einsum("j,jd->d", w, per_comp)
-
-
-def oracle_velocity_batch(spec: MixtureSpec, xs: np.ndarray, t: float,
-                          cond: ConditionFilter = ConditionFilter("all")) -> np.ndarray:
-    """Vectorized oracle_velocity over an (n,2) batch of query points."""
     idx = cond.select(spec)
     _check_time(spec, t, idx)
     xs = np.asarray(xs, dtype=np.float64)
@@ -253,15 +216,35 @@ def oracle_velocity_batch(spec: MixtureSpec, xs: np.ndarray, t: float,
     pri = spec.weights()[idx]
     mu = spec.means()[idx]
     sig = spec.stds()[idx]
+    s2 = (1.0 - t) ** 2 * spec.source_std ** 2 + t ** 2 * sig ** 2
+    diff = xs[:, None, :] - t * mu[None, :, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        logw = (np.log(pri)[None, :]
+                - 0.5 * np.sum(diff ** 2, axis=2) / s2[None, :]
+                - np.log(2.0 * np.pi * s2)[None, :])
+        m = logw.max(axis=1, keepdims=True)
+        w = np.exp(logw - m)
+        w /= w.sum(axis=1, keepdims=True)
+    underflowed = ~np.isfinite(m[:, 0])
+    w[underflowed] = 1.0 / len(idx)
+    return idx, w, underflowed
+
+
+def oracle_velocity_batch(spec: MixtureSpec, xs: np.ndarray, t: float,
+                          cond: ConditionFilter = ConditionFilter("all")) -> np.ndarray:
+    """Closed-form conditional mean velocity E[x1 - x0 | x_t = x, cond] per row.
+
+    Per component, (x_t, x1 - x0) are jointly Gaussian, so the conditional
+    mean is mu_j plus a linear correction; components are then mixed with
+    their posterior weights (`posterior_weights_batch`).
+    """
+    idx, w, _ = posterior_weights_batch(spec, xs, t, cond)
+    xs = np.asarray(xs, dtype=np.float64)
+    mu = spec.means()[idx]
+    sig = spec.stds()[idx]
     s0 = spec.source_std
     s2 = (1.0 - t) ** 2 * s0 ** 2 + t ** 2 * sig ** 2
-    diff = xs[:, None, :] - t * mu[None, :, :]
-    logw = (np.log(pri)[None, :]
-            - 0.5 * np.sum(diff ** 2, axis=2) / s2[None, :]
-            - np.log(2.0 * np.pi * s2)[None, :])
-    logw -= logw.max(axis=1, keepdims=True)
-    w = np.exp(logw)
-    w /= w.sum(axis=1, keepdims=True)
     coef = (t * sig ** 2 - (1.0 - t) * s0 ** 2) / s2
-    per_comp = mu[None, :, :] + coef[None, :, None] * diff
+    per_comp = mu[None, :, :] + coef[None, :, None] * (
+        xs[:, None, :] - t * mu[None, :, :])
     return np.einsum("nj,njd->nd", w, per_comp)

@@ -20,14 +20,13 @@ parameters, all deterministic for a fixed seed.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .clustering import SubmodeTable
-from .mixture import LabeledSample, MixtureSpec, dataset_arrays
+from .mixture import Dataset, MixtureSpec, dataset_arrays
 from .net import NetConfig, VelocityNet
 from .rng import stream
 
@@ -211,7 +210,7 @@ def adam_update(state: TrainState, grad: np.ndarray, cfg: TrainConfig,
                         + (1.0 - cfg.ema_decay) * state.net.params)
 
 
-def train(dataset: Sequence[LabeledSample], spec: MixtureSpec, cfg: TrainConfig,
+def train(dataset: Dataset, spec: MixtureSpec, cfg: TrainConfig,
           table: Optional[SubmodeTable] = None,
           net: Optional[VelocityNet] = None):
     """Run the training loop; returns (final TrainState, loss curve).

@@ -23,17 +23,19 @@ class ValidationError(ValueError):
 
 
 def build_dataset(cfg: ExperimentConfig):
-    return mixture.sample_dataset(cfg.mixture, cfg.n_train, cfg.train.seed)
+    return mixture.sample_dataset(cfg.mixture, cfg.data.n_train,
+                                  cfg.train.seed)
 
 
 def cluster_dataset(cfg: ExperimentConfig, dataset, random_labels: bool = False):
-    """Cluster the dataset per class and write the labels back onto it.
+    """Cluster the dataset per class and write the labels into its
+    submode_ids, in place.
 
-    Returns (table, per-class global index lists).  Sub-mode ids assigned by
+    Returns (table, per-class global index arrays).  Sub-mode ids assigned by
     the generating mixture component are discarded; training consumes the
     discovered labels, exactly as the offline pre-processing stage would.
     """
-    xs, cs, _ = mixture.dataset_arrays(dataset)
+    xs, cs, ks = mixture.dataset_arrays(dataset)
     features_by_class = {}
     index_by_class = {}
     for c in np.unique(cs):
@@ -51,9 +53,7 @@ def cluster_dataset(cfg: ExperimentConfig, dataset, random_labels: bool = False)
                                            cfg.train.seed,
                                            max_iters=cfg.cluster.max_iters)
     for c, idx in index_by_class.items():
-        labels = table.per_class[c].assignments
-        for local, global_i in enumerate(idx):
-            dataset[global_i].submode_id = int(labels[local])
+        ks[idx] = table.per_class[c].assignments
     return table, index_by_class
 
 
@@ -210,11 +210,10 @@ def evaluate_run(manifest_path, cfg: ExperimentConfig, out_csv, nfe=None,
 
     real = mixture.sample_dataset(cfg.mixture, cfg.metrics.n_real,
                                   cfg.train.seed + 1)
-    real_xs, _, _ = mixture.dataset_arrays(real)
     batch = generate_all_classes(net, table, meta, cfg, count, nfe, w,
                                  strategy, cfg.train.seed)
     rmse = model_field_rmse(net, meta, cfg) if with_field_rmse else None
-    report = metrics.evaluate_all(cfg.mixture, real_xs, batch.xs,
+    report = metrics.evaluate_all(cfg.mixture, real.xs, batch.xs,
                                   k=cfg.metrics.knn_k,
                                   tau=cfg.metrics.coverage_tau, rmse=rmse)
     if out_csv is not None:

@@ -32,16 +32,23 @@ class SampleRequest:
     record_trajectory: bool = False
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("count must be >= 1")
-        if self.nfe < 1:
-            raise ValueError("nfe must be >= 1")
-        if self.guidance_scale < 0.0:
-            raise ValueError("guidance scale must be >= 0")
-        if self.submode_strategy not in STRATEGIES:
-            raise ValueError(f"unknown submode strategy {self.submode_strategy!r}")
+        check_sample_settings(self.count, self.nfe, self.guidance_scale,
+                              self.submode_strategy)
         if self.submode_strategy == "fixed" and self.fixed_submode < 0:
             raise ValueError("fixed strategy needs a submode index")
+
+
+def check_sample_settings(count: int, nfe: int, guidance_scale: float,
+                          submode_strategy: str) -> None:
+    """The checks shared by a SampleRequest and the [sample] config section."""
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    if nfe < 1:
+        raise ValueError("nfe must be >= 1")
+    if guidance_scale < 0.0:
+        raise ValueError("guidance scale must be >= 0")
+    if submode_strategy not in STRATEGIES:
+        raise ValueError(f"unknown submode strategy {submode_strategy!r}")
 
 
 @dataclass
@@ -68,22 +75,14 @@ def sample_submode(table: SubmodeTable, class_id: int, strategy: str,
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def cfg_velocity(net: VelocityNet, x, t, r, c, k, w: float) -> np.ndarray:
-    """Guided field: v(null,k) + w * (v(c,k) - v(null,k)).
+def _cfg_velocity_batch(net: VelocityNet, x, t, r, c, k, w: float) -> np.ndarray:
+    """Guided field over a batch: v(null,k) + w * (v(c,k) - v(null,k)).
 
     The same k is used in both branches.  w=1 evaluates only the conditional
     branch, so it is bit-identical to the unguided conditional field.
     """
     if w < 0.0:
         raise ValueError("guidance scale must be >= 0")
-    if w == 1.0:
-        return net.forward(x, t, r, c, k)
-    v_cond = net.forward(x, t, r, c, k)
-    v_null = net.forward(x, t, r, net.config.null_class, k)
-    return v_null + w * (v_cond - v_null)
-
-
-def _cfg_velocity_batch(net: VelocityNet, x, t, r, c, k, w: float) -> np.ndarray:
     if w == 1.0:
         return net.forward_batch(x, t, r, c, k)
     null = np.full(len(c), net.config.null_class, dtype=np.int64)
@@ -93,12 +92,21 @@ def _cfg_velocity_batch(net: VelocityNet, x, t, r, c, k, w: float) -> np.ndarray
 
 
 def euler_integrate(field: Callable[[np.ndarray, float], np.ndarray],
-                    x0: np.ndarray, nfe: int) -> np.ndarray:
-    """Fixed-step Euler for an instantaneous field (x, t) -> v, batched."""
+                    x0: np.ndarray, nfe: int,
+                    trajectory: Optional[list] = None) -> np.ndarray:
+    """Fixed-step Euler for an instantaneous field (x, t) -> v, batched.
+
+    When `trajectory` is a list, every state from x0 to the endpoint is
+    appended to it.
+    """
     x = np.array(x0, dtype=np.float64)
+    if trajectory is not None:
+        trajectory.append(x)
     h = 1.0 / nfe
     for j in range(nfe):
         x = x + h * field(x, j * h)
+        if trajectory is not None:
+            trajectory.append(x)
     return x
 
 
@@ -107,8 +115,8 @@ def generate(net: VelocityNet, table: Optional[SubmodeTable],
              conditioning: str = "subflow") -> GenerationBatch:
     """Generate a batch of samples for one class.
 
-    Each sample owns the RNG stream (seed, sample_index), so results do not
-    depend on batching or evaluation order.
+    Sample i draws its sub-mode and source noise from the RNG streams
+    (seed, i), so each sample index gets the same draws at any count.
     """
     n = request.count
     c_id = request.class_id
@@ -133,21 +141,18 @@ def generate(net: VelocityNet, table: Optional[SubmodeTable],
         cs = np.full(n, c_id, dtype=np.int64)
 
     h = 1.0 / request.nfe
-    x = x0.copy()
-    traj = [x.copy()] if request.record_trajectory else None
-    for j in range(request.nfe):
-        s = j * h
+
+    def field(x, s):
         t_arr = np.full(n, s)
         if net.config.uses_interval:
             # average-velocity head over the step's endpoints (s, s+h)
-            v = _cfg_velocity_batch(net, x, np.full(n, s + h), t_arr, cs, ks,
-                                    request.guidance_scale)
-        else:
-            v = _cfg_velocity_batch(net, x, t_arr, None, cs, ks,
-                                    request.guidance_scale)
-        x = x + h * v
-        if traj is not None:
-            traj.append(x.copy())
+            return _cfg_velocity_batch(net, x, np.full(n, s + h), t_arr, cs,
+                                       ks, request.guidance_scale)
+        return _cfg_velocity_batch(net, x, t_arr, None, cs, ks,
+                                   request.guidance_scale)
+
+    traj = [] if request.record_trajectory else None
+    x = euler_integrate(field, x0, request.nfe, traj)
     return GenerationBatch(
         xs=x,
         class_ids=np.full(n, c_id if conditioning != "uncond" else -1,

@@ -4,35 +4,11 @@ Training a handful of small nets dominates the suite's runtime, so each
 configuration is trained once per session and handed out read-only.
 """
 
-import copy
-from pathlib import Path
-from types import SimpleNamespace
-
 import pytest
 
 from subflow.config import load_config
-from subflow.objectives import train
-from subflow.pipeline import build_dataset, cluster_dataset
 
-ROOT = Path(__file__).resolve().parent.parent
-
-
-def train_variant(base_cfg, objective, conditioning, steps=None,
-                  random_labels=False):
-    """Train one configuration in memory and wrap the evaluation bundle."""
-    cfg = copy.deepcopy(base_cfg)
-    cfg.train.objective = objective
-    cfg.train.conditioning = conditioning
-    if steps is not None:
-        cfg.train.steps = steps
-    cfg.train.__post_init__()
-    dataset = build_dataset(cfg)
-    table, _ = cluster_dataset(cfg, dataset, random_labels=random_labels)
-    state, losses = train(dataset, cfg.mixture, cfg.train, table)
-    meta = {"objective": objective, "conditioning": conditioning,
-            "source_std": cfg.mixture.source_std}
-    return SimpleNamespace(cfg=cfg, table=table, net=state.ema_net(),
-                           meta=meta, losses=losses)
+from support import ROOT, train_variant
 
 
 @pytest.fixture(scope="session")

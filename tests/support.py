@@ -1,0 +1,33 @@
+"""Helpers shared by the test modules: the repository root and in-memory
+training of one configuration.
+
+A plain module rather than conftest.py, so that test modules can import it
+by name while another suite's conftest.py is collected in the same process.
+"""
+
+import copy
+from pathlib import Path
+from types import SimpleNamespace
+
+from subflow.objectives import train
+from subflow.pipeline import build_dataset, cluster_dataset
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def train_variant(base_cfg, objective, conditioning, steps=None,
+                  random_labels=False):
+    """Train one configuration in memory and wrap the evaluation bundle."""
+    cfg = copy.deepcopy(base_cfg)
+    cfg.train.objective = objective
+    cfg.train.conditioning = conditioning
+    if steps is not None:
+        cfg.train.steps = steps
+    cfg.train.__post_init__()
+    dataset = build_dataset(cfg)
+    table, _ = cluster_dataset(cfg, dataset, random_labels=random_labels)
+    state, losses = train(dataset, cfg.mixture, cfg.train, table)
+    meta = {"objective": objective, "conditioning": conditioning,
+            "source_std": cfg.mixture.source_std}
+    return SimpleNamespace(cfg=cfg, table=table, net=state.ema_net(),
+                           meta=meta, losses=losses)

@@ -27,7 +27,7 @@ from subflow.net import NetConfig, VelocityNet
 from subflow.objectives import cfm_loss, meanflow_loss
 from subflow.rng import stream
 
-from conftest import ROOT, train_variant
+from support import ROOT, train_variant
 
 
 def within_class_minority_shares(spec, xs):
@@ -95,20 +95,21 @@ def test_criterion_04_oracle_decomposition_identity():
     """Class oracle = posterior-weighted mixture of sub-mode oracles."""
     spec = mixture.toy_spec()
     rng = np.random.default_rng(101)
+    xs = rng.uniform(-8, 8, size=(1000, 2))
     worst = 0.0
-    for _ in range(1000):
-        x = rng.uniform(-8, 8, size=2)
-        t = rng.uniform(0.0, 0.999)
-        c = int(rng.integers(2))
-        cond = ConditionFilter.for_class(c)
-        v_class = mixture.oracle_velocity(spec, x, t, cond)
-        idx, w, _ = mixture.posterior_weights(spec, x, t, cond)
-        mix = np.zeros(2)
-        for j, wj in zip(idx, w):
-            comp = spec.components[j]
-            sub = ConditionFilter.for_submode(comp.class_id, comp.submode_id)
-            mix += wj * mixture.oracle_velocity(spec, x, t, sub)
-        worst = max(worst, float(np.max(np.abs(v_class - mix))))
+    for t in rng.uniform(0.0, 0.999, size=10):
+        for c in (0, 1):
+            cond = ConditionFilter.for_class(c)
+            v_class = mixture.oracle_velocity_batch(spec, xs, t, cond)
+            idx, w, _ = mixture.posterior_weights_batch(spec, xs, t, cond)
+            mix = np.zeros_like(xs)
+            for col, j in enumerate(idx):
+                comp = spec.components[j]
+                sub = ConditionFilter.for_submode(comp.class_id,
+                                                  comp.submode_id)
+                mix += w[:, col, None] * mixture.oracle_velocity_batch(
+                    spec, xs, t, sub)
+            worst = max(worst, float(np.max(np.abs(v_class - mix))))
     assert worst < 1e-10, f"max decomposition error {worst:.3e}"
 
 
@@ -294,7 +295,7 @@ def test_criterion_10_pipeline_determinism(tmp_path):
     cfg.train.steps = 150
     cfg.sample.count = 300
     cfg.metrics.n_real = 300
-    cfg.n_train = 4000
+    cfg.data.n_train = 4000
 
     outputs = []
     for rep in ("a", "b"):

@@ -10,12 +10,14 @@ import struct
 import numpy as np
 import pytest
 
-from subflow import cli, io, mixture
+from subflow import cli, io, metrics, mixture
 from subflow.cli import EXIT_OK, EXIT_VALIDATION, main
 from subflow.config import (ConfigError, ExperimentConfig, emit_config,
                             load_config, parse_config)
 from subflow.net import NetConfig, VelocityNet
 from subflow.mixture import toy_spec
+
+from support import ROOT
 
 TINY_CONFIG = """\
 [data]
@@ -160,11 +162,76 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config("[train]\nobjective = diffusion\n")
 
+    # run ids of emit_config(...) as recorded before the config schema was
+    # declared once; a changed byte in the emitted text changes the run id
+    PINNED_RUN_IDS = {
+        "single_gaussian.cfg": "train-13f29af68e",
+        "toy.cfg": "train-0663a23078",
+        "toy_cfm.cfg": "train-6b3a745015",
+        "": "train-1ca93ccb24",
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED_RUN_IDS))
+    def test_emitted_text_is_pinned(self, name):
+        cfg = (load_config(ROOT / "configs" / name) if name
+               else parse_config(""))
+        run_id = io.new_run_id("train", emit_config(cfg), cfg.train.seed)
+        assert run_id == self.PINNED_RUN_IDS[name]
+
     def test_load_from_file(self, tmp_path):
         p = tmp_path / "exp.cfg"
         p.write_text(TINY_CONFIG)
         cfg = load_config(p)
         assert cfg.train.steps == 60 and cfg.train.conditioning == "subflow"
+
+
+def overridden(command, *flags):
+    """Default config after the overrides of one command line."""
+    argv = [command, "--config", "c", "--out", "o", *flags]
+    if command != "train":
+        argv += ["--manifest", "m"]
+    return cli._apply_overrides(parse_config(""),
+                                cli.build_parser().parse_args(argv))
+
+
+def test_overrides_set_their_keys():
+    cfg = overridden("train", "--seed", "4", "--steps", "7", "--objective",
+                     "meanflow", "--conditioning", "subflow", "--cluster-k", "3")
+    assert (cfg.train.seed, cfg.train.steps, cfg.cluster.k) == (4, 7, 3)
+    assert (cfg.train.objective, cfg.train.conditioning) == ("meanflow",
+                                                             "subflow")
+    cfg = overridden("evaluate", "--count", "5", "--nfe", "2",
+                     "--guidance-scale", "1.5", "--submode-strategy", "uniform")
+    assert (cfg.sample.count, cfg.sample.nfe, cfg.sample.guidance_scale,
+            cfg.sample.submode_strategy) == (5, 2, 1.5, "uniform")
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: parse_config("[metrics]\nknn_k = 0\n"), ConfigError, "knn_k"),
+    (lambda: parse_config("[metrics]\nn_real = 0\n"), ConfigError, "n_real"),
+    (lambda: parse_config("[sample]\ncount = 0\n"), ConfigError, "count"),
+    (lambda: parse_config("[sample]\nnfe = 0\n"), ConfigError, "nfe"),
+    (lambda: parse_config("[sample]\nsubmode_strategy = bogus\n"),
+     ConfigError, "bogus"),
+    (lambda: parse_config("[cluster]\nk = 0\n"), ConfigError, "k must"),
+    (lambda: parse_config("[data]\nn_train = -5\n"), ConfigError, "n_train"),
+    (lambda: parse_config("[cluster]\nenabled = ture\n"), ConfigError,
+     "ture"),
+    (lambda: overridden("evaluate", "--nfe", "0"), ConfigError, "nfe"),
+    (lambda: overridden("generate", "--class-id", "0", "--count", "0"),
+     ConfigError, "count"),
+    (lambda: overridden("evaluate", "--guidance-scale", "-1"), ConfigError,
+     "guidance"),
+    (lambda: overridden("train", "--cluster-k", "0"), ConfigError, "k must"),
+    (lambda: metrics.knn_precision_recall(np.zeros((5, 2)),
+                                          np.ones((5, 2)), 0),
+     ValueError, "k must"),
+], ids=["knn_k", "n_real", "count", "nfe", "strategy", "cluster_k",
+        "n_train", "bool", "override_nfe", "override_count",
+        "override_guidance", "override_cluster_k", "knn_k_call"])
+def test_invalid_setting_rejected(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
 
 
 class TestCsvEmission:

@@ -124,6 +124,18 @@ class TestInterpolate:
         np.testing.assert_allclose(xt, x0 + t * v, atol=1e-12)
 
 
+def oracle_at(spec, x, t, cond=ConditionFilter.all()):
+    """The batched oracle at one point."""
+    return mixture.oracle_velocity_batch(spec, np.asarray(x)[None], t, cond)[0]
+
+
+def weights_at(spec, x, t, cond=ConditionFilter.all()):
+    """(indices, weights, underflowed) of the batched posterior at one point."""
+    idx, w, under = mixture.posterior_weights_batch(spec, np.asarray(x)[None],
+                                                    t, cond)
+    return idx, w[0], bool(under[0])
+
+
 class TestPosteriorWeights:
     def test_sum_to_one_and_nonnegative(self):
         spec = toy_spec()
@@ -131,15 +143,15 @@ class TestPosteriorWeights:
         for _ in range(50):
             x = rng.uniform(-6, 6, size=2)
             t = rng.uniform(0, 0.99)
-            _, w, under = mixture.posterior_weights(spec, x, t)
+            _, w, under = weights_at(spec, x, t)
             assert not under
             assert np.all(w >= 0)
             np.testing.assert_allclose(w.sum(), 1.0, atol=1e-12)
 
     def test_t_zero_gives_renormalized_priors(self):
         spec = toy_spec()
-        idx, w, _ = mixture.posterior_weights(
-            spec, np.array([0.3, -0.8]), 0.0, ConditionFilter.for_class(1))
+        idx, w, _ = weights_at(spec, np.array([0.3, -0.8]), 0.0,
+                               ConditionFilter.for_class(1))
         np.testing.assert_allclose(w, [0.7, 0.3], atol=1e-12)
 
     def test_matches_quadrature(self):
@@ -149,7 +161,7 @@ class TestPosteriorWeights:
         for _ in range(10):
             x = rng.uniform(-5, 5, size=2)
             t = rng.uniform(0.05, 0.95)
-            _, w, _ = mixture.posterior_weights(spec, x, t)
+            _, w, _ = weights_at(spec, x, t)
             dens = np.array([
                 comp.weight * quadrature_marginal_density(comp, spec.source_std, x, t)
                 for comp in spec.components])
@@ -157,13 +169,13 @@ class TestPosteriorWeights:
 
     def test_far_point_concentrates(self):
         spec = toy_spec()
-        _, w, _ = mixture.posterior_weights(spec, np.array([4.0, 2.0]), 0.9)
+        _, w, _ = weights_at(spec, np.array([4.0, 2.0]), 0.9)
         assert w[2] > 0.99  # component with mean (4, 2)
 
     def test_condition_filter_restricts(self):
         spec = toy_spec()
-        idx, w, _ = mixture.posterior_weights(
-            spec, np.array([0.0, 0.0]), 0.5, ConditionFilter.for_submode(0, 1))
+        idx, w, _ = weights_at(spec, np.array([0.0, 0.0]), 0.5,
+                               ConditionFilter.for_submode(0, 1))
         assert list(idx) == [1]
         np.testing.assert_allclose(w, [1.0])
 
@@ -177,25 +189,25 @@ class TestOracleVelocity:
         s2 = (1 - t) ** 2 * 4.0 + t ** 2 * 0.25
         coef = (t * 0.25 - (1 - t) * 4.0) / s2
         expected = np.array([1.0, -1.0]) + coef * (x - t * np.array([1.0, -1.0]))
-        np.testing.assert_allclose(mixture.oracle_velocity(spec, x, t), expected,
-                                   atol=1e-12)
+        np.testing.assert_allclose(oracle_at(spec, x, t), expected, atol=1e-12)
 
     def test_t_zero_is_mean_minus_x(self):
         # at t=0 the pairing is independent, so E[x1 - x0 | x0 = x] = mu - x
         spec = toy_spec()
         x = np.array([0.5, 1.5])
         cond = ConditionFilter.for_submode(1, 0)
-        v = mixture.oracle_velocity(spec, x, 0.0, cond)
+        v = oracle_at(spec, x, 0.0, cond)
         np.testing.assert_allclose(v, np.array([4.0, 2.0]) - x, atol=1e-12)
 
     def test_batch_matches_single(self):
+        """Each row of a batch is bit-identical to that row queried alone."""
         spec = toy_spec()
         rng = np.random.default_rng(2)
         xs = rng.uniform(-5, 5, size=(64, 2))
         for t in (0.1, 0.5, 0.9):
             batch = mixture.oracle_velocity_batch(spec, xs, t)
-            single = np.stack([mixture.oracle_velocity(spec, x, t) for x in xs])
-            np.testing.assert_allclose(batch, single, atol=1e-12)
+            single = np.stack([oracle_at(spec, x, t) for x in xs])
+            np.testing.assert_array_equal(batch, single)
 
     def test_matches_kernel_regression(self):
         """Monte Carlo oracle: Nadaraya-Watson estimate of E[v | x_t near x].
@@ -222,27 +234,28 @@ class TestOracleVelocity:
             var = (k[:, None] * (v - est) ** 2).sum(axis=0) / wsum
             n_eff = wsum ** 2 / np.sum(k ** 2)
             se = np.sqrt(var / n_eff) + 3e-3  # kernel-bias allowance
-            exact = mixture.oracle_velocity(spec, x, t)
+            exact = oracle_at(spec, x, t)
             assert np.all(np.abs(exact - est) < 3 * se), (exact, est, se)
 
     def test_class_oracle_is_posterior_mix_of_submode_oracles(self):
         """The class-conditional field decomposes exactly over sub-modes."""
         spec = toy_spec()
         rng = np.random.default_rng(7)
+        xs = rng.uniform(-8, 8, size=(1000, 2))
         worst = 0.0
-        for _ in range(1000):
-            x = rng.uniform(-8, 8, size=2)
-            t = rng.uniform(0.0, 0.999)
-            c = rng.integers(2)
-            cond = ConditionFilter.for_class(c)
-            v_class = mixture.oracle_velocity(spec, x, t, cond)
-            idx, w, _ = mixture.posterior_weights(spec, x, t, cond)
-            mix = np.zeros(2)
-            for j, wj in zip(idx, w):
-                comp = spec.components[j]
-                sub = ConditionFilter.for_submode(comp.class_id, comp.submode_id)
-                mix += wj * mixture.oracle_velocity(spec, x, t, sub)
-            worst = max(worst, float(np.max(np.abs(v_class - mix))))
+        for t in rng.uniform(0.0, 0.999, size=10):
+            for c in (0, 1):
+                cond = ConditionFilter.for_class(c)
+                v_class = mixture.oracle_velocity_batch(spec, xs, t, cond)
+                idx, w, _ = mixture.posterior_weights_batch(spec, xs, t, cond)
+                mix = np.zeros_like(xs)
+                for col, j in enumerate(idx):
+                    comp = spec.components[j]
+                    sub = ConditionFilter.for_submode(comp.class_id,
+                                                      comp.submode_id)
+                    mix += w[:, col, None] * mixture.oracle_velocity_batch(
+                        spec, xs, t, sub)
+                worst = max(worst, float(np.max(np.abs(v_class - mix))))
         assert worst < 1e-10
 
     @settings(deadline=None, max_examples=40)
@@ -250,22 +263,37 @@ class TestOracleVelocity:
            t=st.floats(0.0, 0.99))
     def test_velocity_finite_everywhere(self, x, t):
         spec = toy_spec()
-        v = mixture.oracle_velocity(spec, np.array(x), t)
+        v = oracle_at(spec, np.array(x), t)
         assert np.all(np.isfinite(v))
 
     def test_distant_query_stays_resolved(self):
         # max-subtraction keeps a very distant query numerically resolved
         spec = toy_spec()
-        _, w, under = mixture.posterior_weights(spec, np.array([1e9, 1e9]), 0.5)
+        _, w, under = weights_at(spec, np.array([1e9, 1e9]), 0.5)
         assert not under
         np.testing.assert_allclose(w, [0, 0, 1, 0], atol=1e-300)
 
     def test_underflow_fallback(self):
         # coordinates whose squared distance overflows: uniform fallback
         spec = toy_spec()
-        _, w, under = mixture.posterior_weights(spec, np.array([1e200, 1e200]), 0.5)
+        _, w, under = weights_at(spec, np.array([1e200, 1e200]), 0.5)
         assert under
         np.testing.assert_allclose(w, 0.25)
+
+    def test_underflowed_row_is_finite_and_leaves_other_rows_alone(self):
+        """A row whose densities all underflow gets the uniform-weight
+        velocity, is flagged, and changes no bit of the other rows."""
+        spec = toy_spec()
+        xs = np.random.default_rng(3).uniform(-5, 5, size=(16, 2))
+        far = np.array([[1e160, 1e160]])
+        mixed = np.concatenate([xs[:5], far, xs[5:]])
+        v = mixture.oracle_velocity_batch(spec, mixed, 0.5)
+        _, _, under = mixture.posterior_weights_batch(spec, mixed, 0.5)
+        np.testing.assert_array_equal(under, np.arange(17) == 5)
+        # coef = (t sig^2 - (1-t) s0^2) / s2 = -1.2 for every toy component
+        np.testing.assert_allclose(v[5], [-1.2e160, -1.2e160], rtol=1e-12)
+        np.testing.assert_array_equal(
+            np.delete(v, 5, axis=0), mixture.oracle_velocity_batch(spec, xs, 0.5))
 
 
 class TestConditionFilter:

@@ -325,8 +325,7 @@ class TestTrainLoop:
 
     def test_subflow_needs_labels(self):
         spec, data = self.single_gaussian_dataset(100)
-        for s in data:
-            s.submode_id = None
+        data.submode_ids[:] = -1
         cfg = TrainConfig(conditioning="subflow", steps=1)
         with pytest.raises(ValueError, match="submode"):
             train(data, spec, cfg)
