@@ -4,8 +4,8 @@ from .mixture import (ConditionFilter, Dataset, MixtureComponent,
                       MixtureSpec, interpolate, oracle_velocity_batch,
                       posterior_weights_batch, sample_dataset, toy_spec)
 from .net import NetConfig, VelocityNet
-from .objectives import TrainConfig, TrainState, cfg_dropout, cfm_loss, \
-    meanflow_loss, train
+from .objectives import TrainConfig, TrainState, cfm_loss, meanflow_loss, \
+    train
 from .clustering import SubmodeTable, assign_submodes, empirical_prior, \
     random_assignment
 from .sampler import GenerationBatch, SampleRequest, euler_integrate, \
@@ -18,8 +18,7 @@ __all__ = [
     "interpolate", "oracle_velocity_batch", "posterior_weights_batch",
     "sample_dataset", "toy_spec",
     "NetConfig", "VelocityNet",
-    "TrainConfig", "TrainState", "cfg_dropout", "cfm_loss", "meanflow_loss",
-    "train",
+    "TrainConfig", "TrainState", "cfm_loss", "meanflow_loss", "train",
     "SubmodeTable", "assign_submodes", "empirical_prior", "random_assignment",
     "GenerationBatch", "SampleRequest", "euler_integrate", "generate",
     "sample_submode",

@@ -47,7 +47,7 @@ def cmd_generate(args) -> int:
         guidance_scale=cfg.sample.guidance_scale,
         submode_strategy=cfg.sample.submode_strategy,
         fixed_submode=args.fixed_submode, seed=cfg.train.seed)
-    batch = pipeline.generate_batch(net, table, meta, cfg, request)
+    batch = pipeline.generate_batch(net, table, meta, request)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     samples_path = out_dir / f"samples-class{args.class_id}.csv"

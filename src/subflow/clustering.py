@@ -81,7 +81,7 @@ def lloyd(points: np.ndarray, k: int, rng: np.random.Generator,
           max_iters: int = 100) -> tuple[np.ndarray, np.ndarray]:
     """Lloyd's algorithm with k-means++ seeding; returns (centroids, labels).
 
-    Within-cluster SSE is asserted non-increasing across iterations.  Empty
+    Within-cluster SSE is checked non-increasing across iterations.  Empty
     clusters are re-seeded to the point farthest from its current centroid.
     """
     centroids = _kmeanspp_seeds(points, k, rng)
@@ -99,7 +99,9 @@ def lloyd(points: np.ndarray, k: int, rng: np.random.Generator,
                 labels[far] = j
         new_labels = _assign(points, centroids)
         cur_sse = _sse(points, centroids, new_labels)
-        assert cur_sse <= prev_sse + 1e-9, "Lloyd SSE increased"
+        if not cur_sse <= prev_sse + 1e-9:
+            raise RuntimeError(
+                f"Lloyd SSE increased from {prev_sse!r} to {cur_sse!r}")
         prev_sse = cur_sse
         if np.array_equal(new_labels, labels):
             labels = new_labels

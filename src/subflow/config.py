@@ -7,9 +7,10 @@ The config file is INI-style text with sections [mixture], [data], [train],
 
 Every other section is a dataclass field of ExperimentConfig: its fields
 declare the section's keys, their types and their defaults, and that one
-declaration drives parsing, emission and CLI overrides.  CLI flags override
-individual keys.  parse/emit round-trips are semantically identical (same
-key set, same values).
+declaration drives parsing, emission and CLI overrides; a section or key it
+does not declare is rejected.  CLI flags override individual keys.
+parse/emit round-trips are semantically identical (same key set, same
+values).
 """
 
 from __future__ import annotations
@@ -129,6 +130,13 @@ def _parse_component(raw: str, key: str) -> MixtureComponent:
     return MixtureComponent(weight, (mx, my), std, class_id, submode_id)
 
 
+def _reject_unknown(parser, section: str, known) -> None:
+    if parser.has_section(section):
+        for key in parser.options(section):
+            if key not in known:
+                raise ConfigError(f"[{section}] unknown key {key!r}")
+
+
 def _read(parser, section: str, kinds: dict[str, type]) -> dict:
     values = {}
     for key, kind in kinds.items():
@@ -148,14 +156,16 @@ def _build(section: str, make, **values):
 
 
 def _parse_mixture(parser) -> MixtureSpec:
-    options = _read(parser, "mixture", _MIXTURE_KEYS)
-    if not (parser.has_section("mixture") and any(
-            k.startswith("component_") for k in parser.options("mixture"))):
-        return _build("mixture", toy_spec, **options)
     comps = []
     while parser.has_option("mixture", f"component_{len(comps)}"):
         key = f"component_{len(comps)}"
         comps.append(_parse_component(parser.get("mixture", key), key))
+    # components are numbered from 0 without gaps; anything else is unknown
+    _reject_unknown(parser, "mixture", {
+        *_MIXTURE_KEYS, *(f"component_{i}" for i in range(len(comps)))})
+    options = _read(parser, "mixture", _MIXTURE_KEYS)
+    if not comps:
+        return _build("mixture", toy_spec, **options)
     return _build("mixture", MixtureSpec, components=tuple(comps), **options)
 
 
@@ -165,6 +175,13 @@ def parse_config(text: str) -> ExperimentConfig:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from exc
+    if parser.defaults():
+        raise ConfigError("unknown section [DEFAULT]")
+    for name in parser.sections():
+        if name != "mixture" and name not in SECTIONS:
+            raise ConfigError(f"unknown section [{name}]")
+    for name, (_, kinds) in SECTIONS.items():
+        _reject_unknown(parser, name, kinds)
     sections = {name: _build(name, cls, **_read(parser, name, kinds))
                 for name, (cls, kinds) in SECTIONS.items()}
     return ExperimentConfig(mixture=_parse_mixture(parser), **sections)

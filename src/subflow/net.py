@@ -73,8 +73,14 @@ class VelocityNet:
     def __init__(self, config: NetConfig, params: np.ndarray | None = None):
         self.config = config
         self.layout = _layout(config)
-        self.sizes = {name: int(np.prod(shape)) for name, shape in self.layout}
-        self.num_params = sum(self.sizes.values())
+        # name -> (start, stop, shape) of each block in the flat array
+        self._blocks = {}
+        offset = 0
+        for name, shape in self.layout:
+            size = int(np.prod(shape))
+            self._blocks[name] = (offset, offset + size, shape)
+            offset += size
+        self.num_params = offset
         if params is None:
             params = np.zeros(self.num_params, dtype=np.float64)
         else:
@@ -88,13 +94,8 @@ class VelocityNet:
     def view(self, name: str, params: np.ndarray | None = None) -> np.ndarray:
         """Reshaped view of one parameter block (of self.params by default)."""
         flat = self.params if params is None else params
-        offset = 0
-        for n, shape in self.layout:
-            size = self.sizes[n]
-            if n == name:
-                return flat[offset:offset + size].reshape(shape)
-            offset += size
-        raise KeyError(name)
+        start, stop, shape = self._blocks[name]
+        return flat[start:stop].reshape(shape)
 
     @staticmethod
     def initialized(config: NetConfig, seed: int) -> "VelocityNet":
@@ -153,7 +154,8 @@ class VelocityNet:
 
         x: (n,2); t, r: (n,) (r None unless uses_interval); c: (n,) class or
         null indices; k: (n,) sub-mode indices with -1 meaning absent.
-        Returns the (n,2) output, plus the activation cache when requested.
+        Returns the (n,2) output, plus the activation cache when requested;
+        `backward(..., cache=...)` consumes that cache without a second pass.
         """
         x = np.asarray(x, dtype=np.float64)
         t = np.asarray(t, dtype=np.float64)
@@ -181,14 +183,20 @@ class VelocityNet:
                                  np.array([c]), np.array([k]))
         return out[0]
 
-    def backward(self, x, t, r, c, k, cotangents: np.ndarray) -> np.ndarray:
+    def backward(self, x, t, r, c, k, cotangents: np.ndarray, *,
+                 cache=None) -> np.ndarray:
         """Gradient of sum_i <cotangent_i, forward_i> over all parameters.
 
+        `cache` is the activation cache that `forward_batch` or `jvp_batch`
+        returned for these same inputs and parameters; given one, only the
+        reverse sweep runs.  Without it the primal pass is recomputed.
         Accumulation order is fixed, so results are bit-reproducible.
         """
         cotangents = np.asarray(cotangents, dtype=np.float64)
-        out, (hs, zs, c_arr, k_arr) = self.forward_batch(x, t, r, c, k, cache=True)
-        if cotangents.shape != out.shape:
+        if cache is None:
+            _, cache = self.forward_batch(x, t, r, c, k, cache=True)
+        hs, zs, c_arr, k_arr = cache
+        if cotangents.shape != (len(hs[0]), 2):
             raise ValueError("cotangent shape mismatch")
         grad = np.zeros_like(self.params)
         g = cotangents
@@ -211,10 +219,14 @@ class VelocityNet:
             np.add.at(self.view("submode_emb", grad), k_arr[live], gsub[live])
         return grad
 
-    def jvp_batch(self, x, t, r, c, k, dx, dt, dr=None) -> np.ndarray:
+    def jvp_batch(self, x, t, r, c, k, dx, dt, dr=None, *,
+                  cache: bool = False):
         """Forward-mode directional derivative in the (x, t[, r]) inputs.
 
-        Embedding tables are constants under this derivative.
+        Embedding tables are constants under this derivative.  Returns the
+        (n,2) tangent; with cache=True returns (out, tangent, cache), where
+        out and cache are those of `forward_batch` on the same inputs,
+        computed in this one pass.
         """
         x = np.asarray(x, dtype=np.float64)
         t = np.asarray(t, dtype=np.float64)
@@ -236,6 +248,7 @@ class VelocityNet:
         dh = np.concatenate(parts, axis=1)
 
         h = feats
+        zs, hs = [], [h]
         for layer in range(self.config.hidden_layers):
             w = self.view(f"w{layer}")
             z = h @ w.T + self.view(f"b{layer}")
@@ -243,7 +256,13 @@ class VelocityNet:
             sig = 1.0 / (1.0 + np.exp(-z))
             h = z * sig
             dh = dz * (sig * (1.0 + z * (1.0 - sig)))
-        return dh @ self.view("w_out").T
+            zs.append((z, sig))
+            hs.append(h)
+        tangent = dh @ self.view("w_out").T
+        if cache:
+            out = h @ self.view("w_out").T + self.view("b_out")
+            return out, tangent, (hs, zs, c, k)
+        return tangent
 
     def jvp(self, x, t, r, c, k, dx, dt, dr=0.0) -> np.ndarray:
         r_arr = None if r is None else np.array([r])

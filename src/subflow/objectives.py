@@ -86,14 +86,6 @@ class TrainState:
         return VelocityNet(self.net.config, self.ema_params.copy())
 
 
-def cfg_dropout(c: int, p_drop: float, rng: np.random.Generator,
-                null_token: int) -> int:
-    """Replace the class label with the null token with probability p_drop."""
-    if not 0.0 <= p_drop <= 1.0:
-        raise ValueError("p_drop must be in [0,1]")
-    return null_token if rng.random() < p_drop else c
-
-
 def _condition_inputs(net: VelocityNet, c: np.ndarray, k: np.ndarray,
                       conditioning: str, p_drop_class: float,
                       p_drop_submode: float, rng: np.random.Generator):
@@ -137,10 +129,11 @@ def cfm_loss(net: VelocityNet, x0, x1, c, k, t, conditioning: str = "class",
     v = x1 - x0
     # an interval net evaluated at r = t degenerates to the instantaneous field
     r_in = t if net.config.uses_interval else None
-    pred = net.forward_batch(x_t, t, r_in, c_in, k_in)
+    pred, cache = net.forward_batch(x_t, t, r_in, c_in, k_in, cache=True)
     resid = pred - v
     loss = float(np.mean(np.sum(resid ** 2, axis=1)))
-    grad = net.backward(x_t, t, r_in, c_in, k_in, 2.0 * resid / len(x0))
+    grad = net.backward(x_t, t, r_in, c_in, k_in, 2.0 * resid / len(x0),
+                        cache=cache)
     return loss, grad
 
 
@@ -176,13 +169,15 @@ def meanflow_loss(net: VelocityNet, x0, x1, c, k, r, t,
                                    p_drop_submode, rng)
     x_r = (1.0 - r)[:, None] * x0 + r[:, None] * x1
     v = x1 - x0
-    u = net.forward_batch(x_r, t, r, c_in, k_in)
-    dudr = net.jvp_batch(x_r, t, r, c_in, k_in,
-                         dx=v, dt=np.zeros_like(t), dr=np.ones_like(r))
+    # one pass yields the prediction, the path derivative and the cache
+    u, dudr, cache = net.jvp_batch(x_r, t, r, c_in, k_in, dx=v,
+                                   dt=np.zeros_like(t), dr=np.ones_like(r),
+                                   cache=True)
     u_tgt = v + (t - r)[:, None] * dudr  # constant: no gradient through it
     resid = u - u_tgt
     loss = float(np.mean(np.sum(resid ** 2, axis=1)))
-    grad = net.backward(x_r, t, r, c_in, k_in, 2.0 * resid / len(x0))
+    grad = net.backward(x_r, t, r, c_in, k_in, 2.0 * resid / len(x0),
+                        cache=cache)
     return loss, grad
 
 

@@ -114,7 +114,7 @@ def load_run(manifest_path):
     return eval_net, table, meta
 
 
-def generate_batch(net, table, meta, cfg: ExperimentConfig,
+def generate_batch(net, table, meta,
                    request: sampler.SampleRequest) -> sampler.GenerationBatch:
     return sampler.generate(net, table, request,
                             source_std=meta.get("source_std", 1.0),
@@ -130,7 +130,7 @@ def generate_all_classes(net, table, meta, cfg: ExperimentConfig, count: int,
         req = sampler.SampleRequest(class_id=0, count=count, nfe=nfe,
                                     guidance_scale=w, submode_strategy=strategy,
                                     seed=seed)
-        return generate_batch(net, table, meta, cfg, req)
+        return generate_batch(net, table, meta, req)
     class_mass = {c: sum(comp.weight for comp in spec.components
                          if comp.class_id == c) for c in spec.class_ids}
     xs, cs, ks = [], [], []
@@ -144,7 +144,7 @@ def generate_all_classes(net, table, meta, cfg: ExperimentConfig, count: int,
         req = sampler.SampleRequest(class_id=c, count=n_c, nfe=nfe,
                                     guidance_scale=w, submode_strategy=strategy,
                                     seed=seed + c)
-        batch = generate_batch(net, table, meta, cfg, req)
+        batch = generate_batch(net, table, meta, req)
         xs.append(batch.xs)
         cs.append(batch.class_ids)
         ks.append(batch.submode_ids)

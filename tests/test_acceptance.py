@@ -51,7 +51,7 @@ def one_step_per_class(run, count, nfe=1):
         req = sampler.SampleRequest(class_id=c, count=count, nfe=nfe,
                                     seed=run.cfg.train.seed + c)
         batches.append(pipeline.generate_batch(run.net, run.table, run.meta,
-                                               run.cfg, req))
+                                               req))
     return np.concatenate([b.xs for b in batches])
 
 
@@ -305,7 +305,7 @@ def test_criterion_10_pipeline_determinism(tmp_path):
         net, table, meta = pipeline.load_run(manifest_path)
         req = sampler.SampleRequest(class_id=0, count=cfg.sample.count,
                                     nfe=cfg.sample.nfe, seed=cfg.train.seed)
-        batch = pipeline.generate_batch(net, table, meta, cfg, req)
+        batch = pipeline.generate_batch(net, table, meta, req)
         io.write_samples_csv(out / "samples.csv", batch)
         pipeline.evaluate_run(manifest_path, cfg, out / "metrics.csv")
         outputs.append(out)

@@ -75,11 +75,19 @@ class TestLloyd:
         np.testing.assert_array_equal(labels, np.argmin(d2, axis=1))
 
     def test_sse_monotone_under_instrumentation(self):
-        """Track SSE across restarts; the internal assertion never fires."""
+        """Track SSE across restarts; the internal check never fires."""
         rng = np.random.default_rng(4)
         for trial in range(20):
             points = rng.standard_normal((40, 2)) * rng.uniform(0.5, 3)
             lloyd(points, rng.integers(1, 5), stream(trial, "test.lloyd.mono"))
+
+    def test_sse_increase_raises(self, monkeypatch):
+        """The check is an explicit error, so it also holds under python -O."""
+        calls = iter(range(100))
+        monkeypatch.setattr(clustering, "_sse",
+                            lambda *args: float(next(calls)))
+        with pytest.raises(RuntimeError, match="SSE increased"):
+            lloyd(two_blobs(), 2, stream(5, "test.lloyd"))
 
     @settings(deadline=None, max_examples=15)
     @given(seed=st.integers(0, 10_000), k=st.integers(1, 4))

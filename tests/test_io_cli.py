@@ -217,6 +217,15 @@ def test_overrides_set_their_keys():
     (lambda: parse_config("[data]\nn_train = -5\n"), ConfigError, "n_train"),
     (lambda: parse_config("[cluster]\nenabled = ture\n"), ConfigError,
      "ture"),
+    (lambda: parse_config("[train]\nstesp = 10\n"), ConfigError, "stesp"),
+    (lambda: parse_config("[trian]\nsteps = 10\n"), ConfigError, "trian"),
+    (lambda: parse_config("[DEFAULT]\nsteps = 10\n"), ConfigError,
+     "DEFAULT"),
+    (lambda: parse_config("[mixture]\nsource_sd = 0.5\n"), ConfigError,
+     "source_sd"),
+    (lambda: parse_config("[mixture]\ncomponent_0 = 0.5 0 0 1 0 0\n"
+                          "component_2 = 0.5 1 0 1 0 1\n"), ConfigError,
+     "component_2"),
     (lambda: overridden("evaluate", "--nfe", "0"), ConfigError, "nfe"),
     (lambda: overridden("generate", "--class-id", "0", "--count", "0"),
      ConfigError, "count"),
@@ -227,7 +236,9 @@ def test_overrides_set_their_keys():
                                           np.ones((5, 2)), 0),
      ValueError, "k must"),
 ], ids=["knn_k", "n_real", "count", "nfe", "strategy", "cluster_k",
-        "n_train", "bool", "override_nfe", "override_count",
+        "n_train", "bool", "unknown_key", "unknown_section",
+        "default_section", "unknown_mixture_key", "component_gap",
+        "override_nfe", "override_count",
         "override_guidance", "override_cluster_k", "knn_k_call"])
 def test_invalid_setting_rejected(call, error, match):
     with pytest.raises(error, match=match):

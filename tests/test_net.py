@@ -114,9 +114,15 @@ class TestBackward:
         net.params[i] = saved
         return (up - dn) / (2 * eps)
 
-    @pytest.mark.parametrize("uses_interval", [False, True])
-    def test_gradient_matches_finite_differences(self, uses_interval):
-        """50 random parameter coordinates, relative error < 1e-4."""
+    @pytest.mark.parametrize("uses_interval, cached", [
+        (False, False), (True, False), (False, True), (True, True)],
+        ids=["False", "True", "False-cache", "True-cache"])
+    def test_gradient_matches_finite_differences(self, uses_interval, cached):
+        """50 random parameter coordinates, relative error < 1e-4.
+
+        Checked on the reference path (backward reruns the primal pass) and
+        on the fused path (backward consumes the cache of one pass).
+        """
         cfg = NetConfig(num_classes=2, num_submodes=2, hidden_width=8,
                         hidden_layers=2, embed_dim=3,
                         uses_interval=uses_interval)
@@ -129,7 +135,10 @@ class TestBackward:
         c = rng.integers(0, 3, n)
         k = rng.integers(-1, 2, n)
         cot = rng.standard_normal((n, 2))
-        grad = net.backward(x, t, r, c, k, cot)
+        cache = None
+        if cached:
+            _, cache = net.forward_batch(x, t, r, c, k, cache=True)
+        grad = net.backward(x, t, r, c, k, cot, cache=cache)
         for i in rng.choice(net.num_params, size=50, replace=False):
             fd = self.grad_fd(net, x, t, r, c, k, cot, i)
             denom = max(abs(fd), abs(grad[i]), 1e-8)
@@ -151,10 +160,13 @@ class TestBackward:
 
     def test_cotangent_shape_checked(self):
         net = VelocityNet(tiny_config())
-        with pytest.raises(ValueError):
-            net.backward(np.zeros((2, 2)), np.zeros(2), None,
-                         np.zeros(2, dtype=int), np.zeros(2, dtype=int),
-                         np.zeros((3, 2)))
+        inputs = (np.zeros((2, 2)), np.zeros(2), None,
+                  np.zeros(2, dtype=int), np.zeros(2, dtype=int))
+        with pytest.raises(ValueError, match="cotangent"):
+            net.backward(*inputs, np.zeros((3, 2)))
+        _, cache = net.forward_batch(*inputs, cache=True)
+        with pytest.raises(ValueError, match="cotangent"):
+            net.backward(*inputs, np.zeros((3, 2)), cache=cache)
 
 
 class TestJvp:
@@ -194,6 +206,35 @@ class TestJvp:
         parts = (a * net.jvp(x, 0.6, 0.2, 0, 1, *u)
                  + b * net.jvp(x, 0.6, 0.2, 0, 1, *w))
         np.testing.assert_allclose(combo, parts, atol=1e-10)
+
+    @pytest.mark.parametrize("uses_interval", [False, True])
+    def test_cached_pass_matches_forward_and_tangent_only(self, uses_interval):
+        """cache=True returns forward_batch's output and cache, bit for bit."""
+        cfg = NetConfig(num_classes=2, num_submodes=2, hidden_width=16,
+                        hidden_layers=2, embed_dim=3,
+                        uses_interval=uses_interval)
+        net = random_net(cfg, seed=4)
+        rng = np.random.default_rng(9)
+        n = 12
+        x = rng.standard_normal((n, 2))
+        t = rng.uniform(0, 1, n)
+        r = t * rng.uniform(0, 1, n) if uses_interval else None
+        dr = rng.standard_normal(n) if uses_interval else None
+        c = rng.integers(0, 3, n)
+        k = rng.integers(-1, 2, n)
+        dx = rng.standard_normal((n, 2))
+        dt = rng.standard_normal(n)
+        out, tangent, (hs, zs, c_arr, k_arr) = net.jvp_batch(
+            x, t, r, c, k, dx, dt, dr, cache=True)
+        ref_out, (ref_hs, ref_zs, ref_c, ref_k) = net.forward_batch(
+            x, t, r, c, k, cache=True)
+        assert np.array_equal(out, ref_out)
+        assert np.array_equal(tangent,
+                              net.jvp_batch(x, t, r, c, k, dx, dt, dr))
+        cached = [*hs, *(a for pair in zs for a in pair), c_arr, k_arr]
+        ref = [*ref_hs, *(a for pair in ref_zs for a in pair), ref_c, ref_k]
+        assert len(cached) == len(ref)
+        assert all(np.array_equal(a, b) for a, b in zip(cached, ref))
 
     def test_zero_tangent_gives_zero(self):
         net = random_net(tiny_config(), seed=0)

@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from subflow import mixture, objectives
 from subflow.mixture import MixtureComponent, MixtureSpec
 from subflow.net import NetConfig, VelocityNet
-from subflow.objectives import (TrainConfig, TrainState, adam_update,
-                                cfg_dropout, cfm_loss, draw_times,
+from subflow.objectives import (TrainConfig, TrainState, _condition_inputs,
+                                adam_update, cfm_loss, draw_times,
                                 meanflow_loss, train)
 
 
@@ -53,16 +53,32 @@ class TestTrainConfig:
 
 
 class TestCfgDropout:
+    """Class dropout as training applies it, in _condition_inputs."""
+
     def test_extremes(self):
+        net = small_net()
         rng = np.random.default_rng(0)
-        assert cfg_dropout(3, 0.0, rng, null_token=9) == 3
-        assert cfg_dropout(3, 1.0, rng, null_token=9) == 9
+        c = np.array([0, 1, 1, 0])
+        k = np.array([1, 0, 1, 0])
+        null = net.config.null_class
+        for conditioning in ("class", "subflow"):
+            kept, _ = _condition_inputs(net, c, k, conditioning, 0.0, 0.0, rng)
+            dropped, k_in = _condition_inputs(net, c, k, conditioning, 1.0,
+                                              0.0, rng)
+            np.testing.assert_array_equal(kept, c)
+            np.testing.assert_array_equal(dropped, np.full(4, null))
+        # under subflow conditioning the sub-mode index survives class dropout
+        np.testing.assert_array_equal(k_in, k)
 
     def test_empirical_rate(self):
+        net = small_net()
         rng = np.random.default_rng(1)
-        hits = sum(cfg_dropout(0, 0.1, rng, null_token=1) == 1
-                   for _ in range(100000))
-        assert abs(hits / 100000 - 0.1) < 0.01
+        c = np.zeros(100000, dtype=np.int64)
+        c_in, k_in = _condition_inputs(net, c, np.full(100000, -1), "class",
+                                       0.1, 0.0, rng)
+        assert abs(np.mean(c_in == net.config.null_class) - 0.1) < 0.01
+        assert np.all(c_in[c_in != net.config.null_class] == 0)
+        assert np.all(k_in == -1)
 
 
 class TestCfmLoss:
@@ -249,6 +265,62 @@ class TestMeanflowLoss:
         net = small_net(uses_interval=True)
         with pytest.raises(ValueError, match="r must not exceed"):
             meanflow_loss(net, [[0, 0]], [[1, 1]], [0], [-1], [0.9], [0.5])
+
+
+def three_pass_loss(net, objective, x0, x1, c_in, k_in, r, t):
+    """Loss and gradient from separate passes: forward, tangent-only jvp,
+    and a backward that recomputes the primal (the unfused reference)."""
+    x_s = (1.0 - r)[:, None] * x0 + r[:, None] * x1
+    v = x1 - x0
+    r_in = r if net.config.uses_interval else None
+    pred = net.forward_batch(x_s, t, r_in, c_in, k_in)
+    target = v
+    if objective == "meanflow":
+        dudr = net.jvp_batch(x_s, t, r, c_in, k_in, dx=v,
+                             dt=np.zeros_like(t), dr=np.ones_like(r))
+        target = v + (t - r)[:, None] * dudr
+    resid = pred - target
+    loss = float(np.mean(np.sum(resid ** 2, axis=1)))
+    grad = net.backward(x_s, t, r_in, c_in, k_in, 2.0 * resid / len(x0))
+    return loss, grad
+
+
+class TestFusedPass:
+    """The one-pass losses equal the three-pass composition, bit for bit."""
+
+    @pytest.mark.parametrize("objective, uses_interval", [
+        ("meanflow", True), ("cfm", False), ("cfm", True)])
+    @pytest.mark.parametrize("p_drop_submode", [0.0, 0.4])
+    def test_matches_unfused_composition(self, objective, uses_interval,
+                                         p_drop_submode):
+        net = small_net(uses_interval=uses_interval, seed=21)
+        rng = np.random.default_rng(22)
+        n = 64
+        x0 = rng.standard_normal((n, 2))
+        x1 = rng.standard_normal((n, 2)) + 1.0
+        c = rng.integers(0, 2, n)
+        k = rng.integers(0, 2, n)
+        t = rng.uniform(0, 1, n)
+        # meanflow rows with r < t and rows with r = t; cfm sits at r = t
+        r = (np.where(rng.random(n) < 0.5, t, t * rng.uniform(0, 1, n))
+             if objective == "meanflow" else t)
+        conditioning = ("subflow", 0.3, p_drop_submode)
+        c_in, k_in = _condition_inputs(net, c, k, *conditioning,
+                                       np.random.default_rng(23))
+        assert np.any(c_in == net.config.null_class)
+        assert np.any(k_in == -1) == (p_drop_submode > 0)
+
+        if objective == "meanflow":
+            loss, grad = meanflow_loss(net, x0, x1, c, k, r, t,
+                                       *conditioning,
+                                       rng=np.random.default_rng(23))
+        else:
+            loss, grad = cfm_loss(net, x0, x1, c, k, t, *conditioning,
+                                  rng=np.random.default_rng(23))
+        ref_loss, ref_grad = three_pass_loss(net, objective, x0, x1, c_in,
+                                             k_in, r, t)
+        assert loss == ref_loss
+        assert np.array_equal(grad, ref_grad)
 
 
 class TestDrawTimes:
