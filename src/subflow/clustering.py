@@ -33,9 +33,6 @@ class SubmodeTable:
     def num_submodes(self) -> int:
         return max(len(cc.centroids) for cc in self.per_class.values())
 
-    def assignments_for(self, class_id: int) -> np.ndarray:
-        return self.per_class[class_id].assignments
-
     def validate(self) -> None:
         for cid, cc in self.per_class.items():
             if np.any(cc.priors < 0) or abs(cc.priors.sum() - 1.0) > 1e-12:

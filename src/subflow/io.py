@@ -54,18 +54,31 @@ def save_checkpoint(path, net: VelocityNet, ema_params: np.ndarray, step: int,
 
 
 def load_checkpoint(path):
-    """Returns (net, ema_params, step, meta)."""
-    with open(path, "rb") as fh:
-        if fh.read(4) != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        (blob_len,) = struct.unpack("<I", fh.read(4))
-        descriptor = json.loads(fh.read(blob_len).decode("utf-8"))
-        n = descriptor["num_params"]
-        params = np.frombuffer(fh.read(8 * n), dtype="<f8").astype(np.float64)
-        ema = np.frombuffer(fh.read(8 * n), dtype="<f8").astype(np.float64)
+    """Returns (net, ema_params, step, meta).
+
+    A file that is not exactly one checkpoint (bad magic or version, a
+    header or array cut short, or bytes after the EMA array) raises
+    ValueError naming the path.
+    """
+    data = Path(path).read_bytes()
+    if data[:4] != CHECKPOINT_MAGIC:
+        raise ValueError(f"{path}: not a checkpoint file")
+    if len(data) < 12:
+        raise ValueError(f"{path}: checkpoint header cut short")
+    version, blob_len = struct.unpack_from("<II", data, 4)
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"{path}: unsupported checkpoint version {version}")
+    start = 12 + blob_len
+    if len(data) < start:
+        raise ValueError(f"{path}: checkpoint header cut short")
+    descriptor = json.loads(data[12:start].decode("utf-8"))
+    n = descriptor["num_params"]
+    if len(data) != start + 16 * n:
+        raise ValueError(
+            f"{path}: {len(data)} bytes, expected {start + 16 * n} for "
+            f"{n} parameters and their EMA")
+    params = np.frombuffer(data, "<f8", n, start).astype(np.float64)
+    ema = np.frombuffer(data, "<f8", n, start + 8 * n).astype(np.float64)
     cfg = NetConfig(**descriptor["net"])
     net = VelocityNet(cfg, params)
     expected = [[name, list(shape)] for name, shape in net.layout]

@@ -200,35 +200,42 @@ def model_field_rmse(net, meta, cfg: ExperimentConfig) -> float:
 
 
 def evaluate_run(manifest_path, cfg: ExperimentConfig, out_csv, nfe=None,
-                 w=None, count=None, strategy=None, run_id=None,
-                 with_field_rmse: bool = True) -> metrics.MetricReport:
-    net, table, meta = load_run(manifest_path)
+                 w=None, count=None, strategy=None,
+                 run_id=None) -> metrics.MetricReport:
     nfe = cfg.sample.nfe if nfe is None else nfe
-    w = cfg.sample.guidance_scale if w is None else w
-    count = cfg.sample.count if count is None else count
-    strategy = cfg.sample.submode_strategy if strategy is None else strategy
-
-    real = mixture.sample_dataset(cfg.mixture, cfg.metrics.n_real,
-                                  cfg.train.seed + 1)
-    batch = generate_all_classes(net, table, meta, cfg, count, nfe, w,
-                                 strategy, cfg.train.seed)
-    rmse = model_field_rmse(net, meta, cfg) if with_field_rmse else None
-    report = metrics.evaluate_all(cfg.mixture, real.xs, batch.xs,
-                                  k=cfg.metrics.knn_k,
-                                  tau=cfg.metrics.coverage_tau, rmse=rmse)
-    if out_csv is not None:
-        rid = run_id or io.RunManifest.read(manifest_path).run_id
-        metrics.append_report_csv(out_csv, report, rid, nfe, w)
-    return report
+    return _evaluate_nfes(manifest_path, cfg, out_csv, [nfe], w, count,
+                          strategy, run_id)[0]
 
 
 def sweep_nfe(manifest_path, cfg: ExperimentConfig, out_csv,
               nfe_list=(1, 2, 4, 8, 16, 32, 64, 128)) -> list:
+    return _evaluate_nfes(manifest_path, cfg, out_csv, nfe_list)
+
+
+def _evaluate_nfes(manifest_path, cfg: ExperimentConfig, out_csv, nfe_list,
+                   w=None, count=None, strategy=None, run_id=None) -> list:
+    """One report (and CSV row) per NFE.  The run, the real set and the
+    field RMSE do not depend on the NFE, so they are computed once."""
+    net, table, meta = load_run(manifest_path)
+    w = cfg.sample.guidance_scale if w is None else w
+    count = cfg.sample.count if count is None else count
+    strategy = cfg.sample.submode_strategy if strategy is None else strategy
+    if out_csv is not None:
+        run_id = run_id or io.RunManifest.read(manifest_path).run_id
+
+    real = mixture.sample_dataset(cfg.mixture, cfg.metrics.n_real,
+                                  cfg.train.seed + 1)
+    rmse = model_field_rmse(net, meta, cfg)
     reports = []
-    rid = io.RunManifest.read(manifest_path).run_id
     for nfe in nfe_list:
-        reports.append(evaluate_run(manifest_path, cfg, out_csv, nfe=nfe,
-                                    run_id=rid))
+        batch = generate_all_classes(net, table, meta, cfg, count, nfe, w,
+                                     strategy, cfg.train.seed)
+        report = metrics.evaluate_all(cfg.mixture, real.xs, batch.xs,
+                                      k=cfg.metrics.knn_k,
+                                      tau=cfg.metrics.coverage_tau, rmse=rmse)
+        if out_csv is not None:
+            metrics.append_report_csv(out_csv, report, run_id, nfe, w)
+        reports.append(report)
     return reports
 
 

@@ -3,7 +3,11 @@
 All randomness in the project flows from a single 64-bit master seed.
 Independent streams are derived from (seed, purpose string, integer
 indices) so that parallel or reordered work still produces identical
-results.
+results.  Batched draws take one stream per (seed, purpose) and fill
+arrays from it: numpy fills an array in order, so element i is the i-th
+draw of the stream at any array length.  Generation draws its noise and
+its sub-modes this way; one stream per sample would cost a SeedSequence
+build per sample.
 """
 
 from __future__ import annotations

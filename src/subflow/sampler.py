@@ -60,18 +60,23 @@ class GenerationBatch:
 
 
 def sample_submode(table: SubmodeTable, class_id: int, strategy: str,
-                   rng: np.random.Generator, fixed: int = -1) -> int:
-    """Draw one sub-mode index for a class under the given strategy."""
+                   rng: np.random.Generator, count: int,
+                   fixed: int = -1) -> np.ndarray:
+    """Draw `count` sub-mode indices for a class under the given strategy.
+
+    Returns an (count,) int64 array; numpy fills it in order, so draw i is
+    the same at any count.
+    """
     prior = table.per_class[class_id].priors
     if strategy == "prior":
-        return int(rng.choice(len(prior), p=prior))
+        return rng.choice(len(prior), size=count, p=prior)
     if strategy == "uniform":
         live = np.flatnonzero(table.per_class[class_id].counts > 0)
-        return int(live[rng.integers(len(live))])
+        return live[rng.integers(len(live), size=count)]
     if strategy == "fixed":
         if fixed >= len(prior) or table.per_class[class_id].counts[fixed] == 0:
             raise ValueError(f"fixed submode {fixed} has no training mass")
-        return fixed
+        return np.full(count, fixed, dtype=np.int64)
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
@@ -115,30 +120,28 @@ def generate(net: VelocityNet, table: Optional[SubmodeTable],
              conditioning: str = "subflow") -> GenerationBatch:
     """Generate a batch of samples for one class.
 
-    Sample i draws its sub-mode and source noise from the RNG streams
-    (seed, i), so each sample index gets the same draws at any count.
+    The noise and the sub-modes come from one stream each, keyed by
+    (seed, purpose): sample i takes the i-th draw of each, so each sample
+    index gets the same draws at any count.
     """
     n = request.count
     c_id = request.class_id
-    if conditioning == "subflow":
-        if table is None:
-            raise ValueError("subflow generation needs a SubmodeTable")
-        ks = np.array([
-            sample_submode(table, c_id, request.submode_strategy,
-                           stream(request.seed, "sample.submode", i),
-                           request.fixed_submode)
-            for i in range(n)], dtype=np.int64)
-    else:
-        ks = np.full(n, -1, dtype=np.int64)
-    x0 = np.stack([
-        source_std * stream(request.seed, "sample.noise", i).standard_normal(2)
-        for i in range(n)])
     if conditioning == "uncond":
         cs = np.full(n, net.config.null_class, dtype=np.int64)
     else:
         if not 0 <= c_id < net.config.num_classes:
             raise ValueError(f"class {c_id} out of range")
         cs = np.full(n, c_id, dtype=np.int64)
+    if conditioning == "subflow":
+        if table is None:
+            raise ValueError("subflow generation needs a SubmodeTable")
+        ks = sample_submode(table, c_id, request.submode_strategy,
+                            stream(request.seed, "sample.submode"), n,
+                            request.fixed_submode)
+    else:
+        ks = np.full(n, -1, dtype=np.int64)
+    x0 = source_std * stream(request.seed, "sample.noise").standard_normal(
+        (n, 2))
 
     h = 1.0 / request.nfe
 

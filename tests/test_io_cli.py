@@ -10,7 +10,7 @@ import struct
 import numpy as np
 import pytest
 
-from subflow import cli, io, metrics, mixture
+from subflow import cli, io, metrics, mixture, pipeline
 from subflow.cli import EXIT_OK, EXIT_VALIDATION, main
 from subflow.config import (ConfigError, ExperimentConfig, emit_config,
                             load_config, parse_config)
@@ -79,6 +79,19 @@ class TestCheckpoint:
         raw[4:8] = struct.pack("<I", 99)
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match="version"):
+            io.load_checkpoint(path)
+
+    @pytest.mark.parametrize("damage", [
+        lambda raw: raw + b"\x00" * 8,     # trailing bytes
+        lambda raw: raw[:-16],             # EMA array two values short
+        lambda raw: raw[:10],              # cut inside the header
+    ], ids=["trailing_bytes", "truncated_ema", "truncated_header"])
+    def test_damaged_file_rejected(self, tmp_path, damage):
+        net = small_net()
+        path = tmp_path / "damaged.bin"
+        io.save_checkpoint(path, net, net.params, step=0)
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(ValueError, match="damaged.bin"):
             io.load_checkpoint(path)
 
 
@@ -341,6 +354,21 @@ class TestCli:
         assert rc == EXIT_OK
         lines = (out / "nfe_sweep.csv").read_text().strip().splitlines()
         assert len(lines) == 3  # header + one row per nfe
+
+    def test_sweep_matches_evaluate_per_nfe(self, trained_dir, tmp_path):
+        """sweep_nfe loads the run, the real set and the field RMSE once;
+        its reports and CSV rows equal one evaluate_run per NFE."""
+        cfg_path, _, manifest = trained_dir
+        cfg = load_config(cfg_path)
+        swept = pipeline.sweep_nfe(manifest, cfg, tmp_path / "sweep.csv",
+                                   nfe_list=(1, 3))
+        single = [pipeline.evaluate_run(manifest, cfg, tmp_path / "one.csv",
+                                        nfe=nfe) for nfe in (1, 3)]
+        assert len(swept) == 2
+        for a, b in zip(swept, single):
+            np.testing.assert_equal(vars(a), vars(b))
+        assert ((tmp_path / "sweep.csv").read_text()
+                == (tmp_path / "one.csv").read_text())
 
     def test_check_passes_then_detects_staleness(self, trained_dir, capsys):
         _, out, manifest = trained_dir

@@ -147,29 +147,29 @@ class TestCfgVelocity:
 class TestSampleSubmode:
     def test_prior_frequencies(self):
         table = toy_table()
-        draws = np.array([
-            sample_submode(table, 0, "prior", stream(3, "t", i))
-            for i in range(20000)])
+        draws = sample_submode(table, 0, "prior", stream(3, "t"), 20000)
+        assert draws.shape == (20000,) and draws.dtype == np.int64
         freq = np.bincount(draws, minlength=2) / len(draws)
         prior = table.per_class[0].priors
         np.testing.assert_allclose(np.sort(freq), np.sort(prior), atol=0.01)
 
     def test_uniform_frequencies(self):
         table = toy_table()
-        draws = np.array([
-            sample_submode(table, 1, "uniform", stream(4, "t", i))
-            for i in range(20000)])
+        draws = sample_submode(table, 1, "uniform", stream(4, "t"), 20000)
+        assert draws.shape == (20000,) and draws.dtype == np.int64
         freq = np.bincount(draws, minlength=2) / len(draws)
         np.testing.assert_allclose(freq, 0.5, atol=0.01)
 
     def test_fixed_returns_index(self):
         table = toy_table()
-        assert sample_submode(table, 0, "fixed", stream(0, "t"), fixed=1) == 1
+        draws = sample_submode(table, 0, "fixed", stream(0, "t"), 5, fixed=1)
+        np.testing.assert_array_equal(draws, np.ones(5, dtype=np.int64))
+        assert draws.dtype == np.int64
 
     def test_fixed_out_of_range(self):
         table = toy_table()
         with pytest.raises(ValueError):
-            sample_submode(table, 0, "fixed", stream(0, "t"), fixed=9)
+            sample_submode(table, 0, "fixed", stream(0, "t"), 5, fixed=9)
 
 
 class TestGenerate:
@@ -179,8 +179,7 @@ class TestGenerate:
         zero = VelocityNet(net.config, np.zeros_like(net.params))
         req = SampleRequest(class_id=0, count=16, nfe=4, seed=1)
         batch = generate(zero, toy_table(), req, source_std=1.0)
-        x0 = np.stack([stream(1, "sample.noise", i).standard_normal(2)
-                       for i in range(16)])
+        x0 = stream(1, "sample.noise").standard_normal((16, 2))
         np.testing.assert_allclose(batch.xs, x0, atol=1e-15)
 
     def test_deterministic(self):
@@ -213,11 +212,12 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate(net, None, req, conditioning="subflow")
 
-    def test_class_out_of_range(self):
+    @pytest.mark.parametrize("conditioning", ["class", "subflow"])
+    def test_class_out_of_range(self, conditioning):
         net = tiny_net()
         req = SampleRequest(class_id=7, count=4)
-        with pytest.raises(ValueError):
-            generate(net, toy_table(), req, conditioning="class")
+        with pytest.raises(ValueError, match="class 7 out of range"):
+            generate(net, toy_table(), req, conditioning=conditioning)
 
     def test_uncond_uses_null_class(self):
         net = tiny_net()
@@ -226,10 +226,11 @@ class TestGenerate:
         assert np.all(batch.class_ids == -1)
 
     def test_results_independent_of_count(self):
-        """Per-sample RNG streams: the first 8 of 32 equal a run of 8.
+        """Sample i takes the i-th draw of each (seed, purpose) stream: the
+        first 8 of 32 equal a run of 8.
 
-        Bit equality holds for this tiny net only; a wide net's BLAS kernels
-        can change the last bit with the row count."""
+        Bit equality of the outputs holds for this tiny net only; a wide
+        net's BLAS kernels can change the last bit with the row count."""
         net = tiny_net(uses_interval=True)
         table = toy_table()
         big = generate(net, table,
@@ -243,8 +244,23 @@ class TestGenerate:
         net = tiny_net(uses_interval=True)
         req = SampleRequest(class_id=0, count=4, nfe=1, seed=4)
         batch = generate(net, toy_table(), req)
-        x0 = np.stack([stream(4, "sample.noise", i).standard_normal(2)
-                       for i in range(4)])
+        x0 = stream(4, "sample.noise").standard_normal((4, 2))
         u = net.forward_batch(x0, np.ones(4), np.zeros(4),
                               np.zeros(4, dtype=np.int64), batch.submode_ids)
         np.testing.assert_allclose(batch.xs, x0 + u, atol=1e-14)
+
+    @pytest.mark.parametrize("strategy", ["prior", "uniform", "fixed"])
+    def test_draws_independent_of_count_at_full_width(self, strategy):
+        """At the default width of 128, rows 0-6 of a 4000-sample run equal
+        a 7-sample run bit for bit.  A zero-output net returns its draws
+        unchanged, so no BLAS kernel choice can hide a keying bug."""
+        cfg = NetConfig(num_classes=2, num_submodes=2, uses_interval=True)
+        assert cfg.hidden_width == 128
+        zero = VelocityNet(cfg)  # all parameters zero
+        table = toy_table()
+        fixed = 1 if strategy == "fixed" else -1
+        big, small = (generate(zero, table, SampleRequest(
+            class_id=0, count=n, seed=11, submode_strategy=strategy,
+            fixed_submode=fixed)) for n in (4000, 7))
+        np.testing.assert_array_equal(big.xs[:7], small.xs)
+        np.testing.assert_array_equal(big.submode_ids[:7], small.submode_ids)
