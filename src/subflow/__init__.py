@@ -6,8 +6,7 @@ from .mixture import (ConditionFilter, Dataset, MixtureComponent,
 from .net import NetConfig, VelocityNet
 from .objectives import TrainConfig, TrainState, cfm_loss, meanflow_loss, \
     train
-from .clustering import SubmodeTable, assign_submodes, empirical_prior, \
-    random_assignment
+from .clustering import SubmodeTable, assign_submodes, random_assignment
 from .sampler import GenerationBatch, SampleRequest, euler_integrate, \
     generate, sample_submode
 from .metrics import MetricReport, field_rmse, frechet_2d, \
@@ -19,7 +18,7 @@ __all__ = [
     "sample_dataset", "toy_spec",
     "NetConfig", "VelocityNet",
     "TrainConfig", "TrainState", "cfm_loss", "meanflow_loss", "train",
-    "SubmodeTable", "assign_submodes", "empirical_prior", "random_assignment",
+    "SubmodeTable", "assign_submodes", "random_assignment",
     "GenerationBatch", "SampleRequest", "euler_integrate", "generate",
     "sample_submode",
     "MetricReport", "field_rmse", "frechet_2d", "knn_precision_recall",

@@ -35,18 +35,13 @@ class SubmodeTable:
 
     def validate(self) -> None:
         for cid, cc in self.per_class.items():
-            if np.any(cc.priors < 0) or abs(cc.priors.sum() - 1.0) > 1e-12:
+            # phrased so that a NaN prior fails it too
+            if not (np.all(cc.priors >= 0)
+                    and abs(cc.priors.sum() - 1.0) <= 1e-12):
                 raise ValueError(f"class {cid}: priors must be a distribution")
             if np.any(cc.assignments < 0) or np.any(
                     cc.assignments >= len(cc.centroids)):
                 raise ValueError(f"class {cid}: assignment index out of range")
-
-
-def empirical_prior(table: SubmodeTable, class_id: int) -> np.ndarray:
-    """p(k|c) = n_{c,k} / n_c for one class."""
-    if class_id not in table.per_class:
-        raise KeyError(f"unknown class {class_id}")
-    return table.per_class[class_id].priors.copy()
 
 
 def _kmeanspp_seeds(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

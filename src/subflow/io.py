@@ -14,7 +14,7 @@ import csv
 import hashlib
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -28,16 +28,8 @@ CHECKPOINT_VERSION = 1
 
 def save_checkpoint(path, net: VelocityNet, ema_params: np.ndarray, step: int,
                     meta: dict | None = None) -> None:
-    cfg = net.config
     descriptor = {
-        "net": {
-            "num_classes": cfg.num_classes,
-            "num_submodes": cfg.num_submodes,
-            "hidden_width": cfg.hidden_width,
-            "hidden_layers": cfg.hidden_layers,
-            "embed_dim": cfg.embed_dim,
-            "uses_interval": cfg.uses_interval,
-        },
+        "net": asdict(net.config),
         "layout": [[name, list(shape)] for name, shape in net.layout],
         "num_params": net.num_params,
         "step": step,
@@ -57,8 +49,9 @@ def load_checkpoint(path):
     """Returns (net, ema_params, step, meta).
 
     A file that is not exactly one checkpoint (bad magic or version, a
-    header or array cut short, or bytes after the EMA array) raises
-    ValueError naming the path.
+    header or array cut short, bytes after the EMA array, a descriptor that
+    is not UTF-8 JSON with every key and a valid net, or parameters or EMA
+    that are not all finite) raises ValueError naming the path.
     """
     data = Path(path).read_bytes()
     if data[:4] != CHECKPOINT_MAGIC:
@@ -71,20 +64,25 @@ def load_checkpoint(path):
     start = 12 + blob_len
     if len(data) < start:
         raise ValueError(f"{path}: checkpoint header cut short")
-    descriptor = json.loads(data[12:start].decode("utf-8"))
-    n = descriptor["num_params"]
+    try:
+        descriptor = json.loads(data[12:start].decode("utf-8"))
+        net = VelocityNet(NetConfig(**descriptor["net"]))
+        n, layout = descriptor["num_params"], descriptor["layout"]
+        step, meta = descriptor["step"], descriptor.get("meta", {})
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: bad checkpoint descriptor: {exc!r}") from exc
+    if n != net.num_params or layout != [[name, list(shape)]
+                                         for name, shape in net.layout]:
+        raise ValueError(f"{path}: layout descriptor mismatch")
     if len(data) != start + 16 * n:
         raise ValueError(
             f"{path}: {len(data)} bytes, expected {start + 16 * n} for "
             f"{n} parameters and their EMA")
-    params = np.frombuffer(data, "<f8", n, start).astype(np.float64)
+    net.params[:] = np.frombuffer(data, "<f8", n, start)
     ema = np.frombuffer(data, "<f8", n, start + 8 * n).astype(np.float64)
-    cfg = NetConfig(**descriptor["net"])
-    net = VelocityNet(cfg, params)
-    expected = [[name, list(shape)] for name, shape in net.layout]
-    if descriptor["layout"] != expected:
-        raise ValueError(f"{path}: layout descriptor mismatch")
-    return net, ema, descriptor["step"], descriptor.get("meta", {})
+    if not (np.isfinite(net.params).all() and np.isfinite(ema).all()):
+        raise ValueError(f"{path}: parameters or EMA not all finite")
+    return net, ema, step, meta
 
 
 # ---- run manifests -------------------------------------------------------
@@ -129,14 +127,18 @@ class RunManifest:
 
     @staticmethod
     def read(path) -> "RunManifest":
-        with open(path) as fh:
-            payload = json.load(fh)
-        return RunManifest(run_id=payload["run_id"],
-                           config_text=payload["config"],
-                           seed=payload["seed"], files=payload["files"],
-                           checksums=payload["checksums"],
-                           duration_s=payload["duration_s"],
-                           extra=payload.get("extra", {}))
+        """A file that is not JSON or lacks a key raises ValueError naming it."""
+        try:
+            with open(path) as fh:
+                payload = json.load(fh)
+            return RunManifest(run_id=payload["run_id"],
+                               config_text=payload["config"],
+                               seed=payload["seed"], files=payload["files"],
+                               checksums=payload["checksums"],
+                               duration_s=payload["duration_s"],
+                               extra=payload.get("extra", {}))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: not a run manifest: {exc!r}") from exc
 
     def check(self) -> list[str]:
         """Names of referenced files that are missing or changed."""
@@ -170,37 +172,34 @@ def write_samples_csv(path, batch) -> None:
                              repr(float(batch.xs[i, 1]))])
 
 
-def write_trajectory_csv(path, batch) -> None:
-    if batch.trajectory is None:
-        raise ValueError("batch has no recorded trajectory")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_index", "step", "x", "y"])
-        for i in range(batch.trajectory.shape[1]):
-            for s in range(batch.trajectory.shape[0]):
-                writer.writerow([i, s,
-                                 repr(float(batch.trajectory[s, i, 0])),
-                                 repr(float(batch.trajectory[s, i, 1]))])
-
-
 def read_priors_table(path) -> SubmodeTable:
-    """Rebuild the sampling-relevant part of a SubmodeTable from priors CSV."""
+    """Rebuild the sampling-relevant part of a SubmodeTable from priors CSV.
+
+    A missing or non-numeric field, a class whose sub-mode ids are not
+    exactly 0..K-1, or priors that are not a distribution raise ValueError
+    naming the path.
+    """
     table = SubmodeTable()
     rows: dict[int, list[tuple[int, int, float]]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            rows.setdefault(int(row["class_id"]), []).append(
-                (int(row["submode_id"]), int(row["count"]),
-                 float(row["prior"])))
-    for class_id, entries in rows.items():
-        entries.sort()
-        counts = np.array([e[1] for e in entries], dtype=np.int64)
-        priors = np.array([e[2] for e in entries])
-        table.per_class[class_id] = ClassClusters(
-            centroids=np.zeros((len(entries), 0)),
-            assignments=np.zeros(0, dtype=np.int64),
-            counts=counts, priors=priors)
+    try:
+        with open(path, newline="") as fh:
+            for row in csv.DictReader(fh):
+                rows.setdefault(int(row["class_id"]), []).append(
+                    (int(row["submode_id"]), int(row["count"]),
+                     float(row["prior"])))
+        for class_id, entries in rows.items():
+            entries.sort()
+            if [e[0] for e in entries] != list(range(len(entries))):
+                raise ValueError(f"class {class_id}: submode ids are not "
+                                 f"0..{len(entries) - 1}, each once")
+            table.per_class[class_id] = ClassClusters(
+                centroids=np.zeros((len(entries), 0)),
+                assignments=np.zeros(0, dtype=np.int64),
+                counts=np.array([e[1] for e in entries], dtype=np.int64),
+                priors=np.array([e[2] for e in entries]))
+        table.validate()
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: bad priors file: {exc}") from exc
     return table
 
 

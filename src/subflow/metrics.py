@@ -80,14 +80,12 @@ def knn_precision_recall(real: np.ndarray, gen: np.ndarray,
     return precision, recall
 
 
-def _moments(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+def _moments(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mu = points.mean(axis=0)
     cov = np.cov(points, rowvar=False, bias=False)
-    flagged = False
     if np.linalg.det(cov) <= 0.0:
         cov = cov + 1e-9 * np.eye(2)
-        flagged = True
-    return mu, cov, flagged
+    return mu, cov
 
 
 def frechet_2d(real: np.ndarray, gen: np.ndarray) -> float:
@@ -100,8 +98,8 @@ def frechet_2d(real: np.ndarray, gen: np.ndarray) -> float:
     gen = np.asarray(gen, dtype=np.float64)
     if len(real) < 3 or len(gen) < 3:
         raise ValueError("need at least 3 points per set")
-    mu1, s1, _ = _moments(real)
-    mu2, s2, _ = _moments(gen)
+    mu1, s1 = _moments(real)
+    mu2, s2 = _moments(gen)
     prod = s1 @ s2
     det = max(float(np.linalg.det(prod)), 0.0)
     tr_sqrt = np.sqrt(max(float(np.trace(prod)) + 2.0 * np.sqrt(det), 0.0))

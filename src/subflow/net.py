@@ -67,6 +67,11 @@ def _layout(cfg: NetConfig) -> list[tuple[str, tuple[int, ...]]]:
     return entries
 
 
+def _silu_grad(z: np.ndarray, sig: np.ndarray) -> np.ndarray:
+    """Derivative of z * sigmoid(z), given sig = sigmoid(z)."""
+    return sig * (1.0 + z * (1.0 - sig))
+
+
 class VelocityNet:
     """Flat-parameter MLP; views into the flat array are exposed by name."""
 
@@ -124,13 +129,6 @@ class VelocityNet:
         return np.concatenate(
             [dt[:, None], np.cos(phase) * dphase, -np.sin(phase) * dphase], axis=1)
 
-    def _check_indices(self, c: np.ndarray, k: np.ndarray) -> None:
-        cfg = self.config
-        if np.any(c < 0) or np.any(c > cfg.null_class):
-            raise IndexError("class index out of range")
-        if np.any(k < -1) or np.any(k >= cfg.num_submodes):
-            raise IndexError("submode index out of range")
-
     def _features(self, x, t, r, c, k) -> np.ndarray:
         cfg = self.config
         if cfg.uses_interval:
@@ -138,7 +136,10 @@ class VelocityNet:
                 raise ValueError("net uses_interval: r is required")
         elif r is not None:
             raise ValueError("net does not use an interval: r must be None")
-        self._check_indices(c, k)
+        if np.any(c < 0) or np.any(c > cfg.null_class):
+            raise IndexError("class index out of range")
+        if np.any(k < -1) or np.any(k >= cfg.num_submodes):
+            raise IndexError("submode index out of range")
         parts = [x, self._time_enc(t)]
         if cfg.uses_interval:
             parts.append(self._time_enc(r))
@@ -149,21 +150,18 @@ class VelocityNet:
 
     # ---- forward / reverse / forward-mode -------------------------------
 
-    def forward_batch(self, x, t, r, c, k, *, cache: bool = False):
-        """Evaluate the net on a batch.
+    def _sweep(self, x, t, r, c, k):
+        """The primal pass: (n,2) output and the (hs, zs, c, k) activation cache.
 
-        x: (n,2); t, r: (n,) (r None unless uses_interval); c: (n,) class or
-        null indices; k: (n,) sub-mode indices with -1 meaning absent.
-        Returns the (n,2) output, plus the activation cache when requested;
-        `backward(..., cache=...)` consumes that cache without a second pass.
+        hs holds the input of every layer and the last hidden state; zs holds
+        each hidden layer's (pre-activation, sigmoid) pair.
         """
         x = np.asarray(x, dtype=np.float64)
         t = np.asarray(t, dtype=np.float64)
         r = None if r is None else np.asarray(r, dtype=np.float64)
         c = np.asarray(c, dtype=np.int64)
         k = np.asarray(k, dtype=np.int64)
-        feats = self._features(x, t, r, c, k)
-        h = feats
+        h = self._features(x, t, r, c, k)
         zs, hs = [], [h]
         for layer in range(self.config.hidden_layers):
             z = h @ self.view(f"w{layer}").T + self.view(f"b{layer}")
@@ -172,16 +170,18 @@ class VelocityNet:
             zs.append((z, sig))
             hs.append(h)
         out = h @ self.view("w_out").T + self.view("b_out")
-        if cache:
-            return out, (hs, zs, c, k)
-        return out
+        return out, (hs, zs, c, k)
 
-    def forward(self, x, t, r=None, c=0, k=-1) -> np.ndarray:
-        """Single-point evaluation; see forward_batch."""
-        r_arr = None if r is None else np.array([r])
-        out = self.forward_batch(np.asarray(x)[None, :], np.array([t]), r_arr,
-                                 np.array([c]), np.array([k]))
-        return out[0]
+    def forward_batch(self, x, t, r, c, k, *, cache: bool = False):
+        """Evaluate the net on a batch.
+
+        x: (n,2); t, r: (n,) (r None unless uses_interval); c: (n,) class or
+        null indices; k: (n,) sub-mode indices with -1 meaning absent.
+        Returns the (n,2) output, plus the activation cache when requested;
+        `backward(..., cache=...)` consumes that cache without a second pass.
+        """
+        out, act = self._sweep(x, t, r, c, k)
+        return (out, act) if cache else out
 
     def backward(self, x, t, r, c, k, cotangents: np.ndarray, *,
                  cache=None) -> np.ndarray:
@@ -204,8 +204,7 @@ class VelocityNet:
         self.view("b_out", grad)[:] += g.sum(axis=0)
         gh = g @ self.view("w_out")
         for layer in reversed(range(self.config.hidden_layers)):
-            z, sig = zs[layer]
-            gz = gh * (sig * (1.0 + z * (1.0 - sig)))
+            gz = gh * _silu_grad(*zs[layer])
             self.view(f"w{layer}", grad)[:] += gz.T @ hs[layer]
             self.view(f"b{layer}", grad)[:] += gz.sum(axis=0)
             gh = gz @ self.view(f"w{layer}")
@@ -225,48 +224,22 @@ class VelocityNet:
 
         Embedding tables are constants under this derivative.  Returns the
         (n,2) tangent; with cache=True returns (out, tangent, cache), where
-        out and cache are those of `forward_batch` on the same inputs,
-        computed in this one pass.
+        out and cache are those of `forward_batch` on the same inputs: one
+        primal pass, then the tangent through each layer's cached (z, sig).
         """
-        x = np.asarray(x, dtype=np.float64)
-        t = np.asarray(t, dtype=np.float64)
         dx = np.asarray(dx, dtype=np.float64)
         dt = np.asarray(dt, dtype=np.float64)
-        if dx.shape != x.shape or dt.shape != t.shape:
+        if dx.shape != np.shape(x) or dt.shape != np.shape(t):
             raise ValueError("tangent shape mismatch")
-        r_arr = None if r is None else np.asarray(r, dtype=np.float64)
-        c = np.asarray(c, dtype=np.int64)
-        k = np.asarray(k, dtype=np.int64)
-        feats = self._features(x, t, r_arr, c, k)
-
-        n = x.shape[0]
-        parts = [dx, self._time_enc_dot(t, dt)]
+        out, act = self._sweep(x, t, r, c, k)
+        n = len(dx)
+        parts = [dx, self._time_enc_dot(np.asarray(t, dtype=np.float64), dt)]
         if self.config.uses_interval:
-            dr_arr = np.zeros(n) if dr is None else np.asarray(dr, dtype=np.float64)
-            parts.append(self._time_enc_dot(r_arr, dr_arr))
+            dr = np.zeros(n) if dr is None else np.asarray(dr, dtype=np.float64)
+            parts.append(self._time_enc_dot(np.asarray(r, dtype=np.float64), dr))
         parts.append(np.zeros((n, 2 * self.config.embed_dim)))
         dh = np.concatenate(parts, axis=1)
-
-        h = feats
-        zs, hs = [], [h]
-        for layer in range(self.config.hidden_layers):
-            w = self.view(f"w{layer}")
-            z = h @ w.T + self.view(f"b{layer}")
-            dz = dh @ w.T
-            sig = 1.0 / (1.0 + np.exp(-z))
-            h = z * sig
-            dh = dz * (sig * (1.0 + z * (1.0 - sig)))
-            zs.append((z, sig))
-            hs.append(h)
+        for layer, (z, sig) in enumerate(act[1]):
+            dh = (dh @ self.view(f"w{layer}").T) * _silu_grad(z, sig)
         tangent = dh @ self.view("w_out").T
-        if cache:
-            out = h @ self.view("w_out").T + self.view("b_out")
-            return out, tangent, (hs, zs, c, k)
-        return tangent
-
-    def jvp(self, x, t, r, c, k, dx, dt, dr=0.0) -> np.ndarray:
-        r_arr = None if r is None else np.array([r])
-        dr_arr = None if r is None else np.array([dr])
-        return self.jvp_batch(np.asarray(x)[None, :], np.array([t]), r_arr,
-                              np.array([c]), np.array([k]),
-                              np.asarray(dx)[None, :], np.array([dt]), dr_arr)[0]
+        return (out, tangent, act) if cache else tangent

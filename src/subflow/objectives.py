@@ -82,9 +82,6 @@ class TrainState:
                           adam_m=np.zeros_like(net.params),
                           adam_v=np.zeros_like(net.params))
 
-    def ema_net(self) -> VelocityNet:
-        return VelocityNet(self.net.config, self.ema_params.copy())
-
 
 def _condition_inputs(net: VelocityNet, c: np.ndarray, k: np.ndarray,
                       conditioning: str, p_drop_class: float,

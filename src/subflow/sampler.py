@@ -29,7 +29,6 @@ class SampleRequest:
     submode_strategy: str = "prior"
     fixed_submode: int = -1
     seed: int = 0
-    record_trajectory: bool = False
 
     def __post_init__(self):
         check_sample_settings(self.count, self.nfe, self.guidance_scale,
@@ -56,7 +55,6 @@ class GenerationBatch:
     xs: np.ndarray                 # (n, 2) endpoints
     class_ids: np.ndarray          # (n,)
     submode_ids: np.ndarray        # (n,), -1 when unconditioned on k
-    trajectory: Optional[np.ndarray] = None  # (nfe+1, n, 2) when recorded
 
 
 def sample_submode(table: SubmodeTable, class_id: int, strategy: str,
@@ -97,21 +95,12 @@ def _cfg_velocity_batch(net: VelocityNet, x, t, r, c, k, w: float) -> np.ndarray
 
 
 def euler_integrate(field: Callable[[np.ndarray, float], np.ndarray],
-                    x0: np.ndarray, nfe: int,
-                    trajectory: Optional[list] = None) -> np.ndarray:
-    """Fixed-step Euler for an instantaneous field (x, t) -> v, batched.
-
-    When `trajectory` is a list, every state from x0 to the endpoint is
-    appended to it.
-    """
+                    x0: np.ndarray, nfe: int) -> np.ndarray:
+    """Fixed-step Euler for an instantaneous field (x, t) -> v, batched."""
     x = np.array(x0, dtype=np.float64)
-    if trajectory is not None:
-        trajectory.append(x)
     h = 1.0 / nfe
     for j in range(nfe):
         x = x + h * field(x, j * h)
-        if trajectory is not None:
-            trajectory.append(x)
     return x
 
 
@@ -154,11 +143,8 @@ def generate(net: VelocityNet, table: Optional[SubmodeTable],
         return _cfg_velocity_batch(net, x, t_arr, None, cs, ks,
                                    request.guidance_scale)
 
-    traj = [] if request.record_trajectory else None
-    x = euler_integrate(field, x0, request.nfe, traj)
     return GenerationBatch(
-        xs=x,
+        xs=euler_integrate(field, x0, request.nfe),
         class_ids=np.full(n, c_id if conditioning != "uncond" else -1,
                           dtype=np.int64),
-        submode_ids=ks,
-        trajectory=np.stack(traj) if traj is not None else None)
+        submode_ids=ks)

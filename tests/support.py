@@ -9,6 +9,7 @@ import copy
 from pathlib import Path
 from types import SimpleNamespace
 
+from subflow.net import VelocityNet
 from subflow.objectives import train
 from subflow.pipeline import build_dataset, cluster_dataset
 
@@ -29,5 +30,6 @@ def train_variant(base_cfg, objective, conditioning, steps=None,
     state, losses = train(dataset, cfg.mixture, cfg.train, table)
     meta = {"objective": objective, "conditioning": conditioning,
             "source_std": cfg.mixture.source_std}
-    return SimpleNamespace(cfg=cfg, table=table, net=state.ema_net(),
+    net = VelocityNet(state.net.config, state.ema_params.copy())
+    return SimpleNamespace(cfg=cfg, table=table, net=net,
                            meta=meta, losses=losses)

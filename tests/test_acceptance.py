@@ -247,7 +247,7 @@ def test_criterion_08_clustering_suite():
     table = clustering.assign_submodes({c: xs[cs == c] for c in (0, 1)},
                                        2, seed=0)
     for c in (0, 1):
-        prior = np.sort(clustering.empirical_prior(table, c))[::-1]
+        prior = np.sort(table.per_class[c].priors)[::-1]
         err = float(np.max(np.abs(prior - [0.7, 0.3])))
         assert err <= 0.02, f"class {c}: priors {prior}, deviation {err:.3f}"
 

@@ -11,8 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from subflow import clustering, mixture
-from subflow.clustering import (SubmodeTable, assign_submodes, empirical_prior,
-                                lloyd, random_assignment)
+from subflow.clustering import assign_submodes, lloyd, random_assignment
 from subflow.mixture import toy_spec
 from subflow.rng import stream
 
@@ -107,7 +106,7 @@ class TestAssignSubmodes:
         feats = {c: xs[cs == c] for c in (0, 1)}
         table = assign_submodes(feats, 2, seed=0)
         for c in (0, 1):
-            prior = np.sort(empirical_prior(table, c))[::-1]
+            prior = np.sort(table.per_class[c].priors)[::-1]
             np.testing.assert_allclose(prior, [0.7, 0.3], atol=0.02)
 
     def test_centroids_near_true_means(self):
@@ -147,12 +146,8 @@ class TestEmpiricalPrior:
     def test_simple_counts(self):
         feats = {0: np.concatenate([np.zeros((7, 2)), np.full((3, 2), 10.0)])}
         table = assign_submodes(feats, 2, seed=0)
-        prior = np.sort(empirical_prior(table, 0))[::-1]
+        prior = np.sort(table.per_class[0].priors)[::-1]
         np.testing.assert_allclose(prior, [0.7, 0.3])
-
-    def test_unknown_class(self):
-        with pytest.raises(KeyError):
-            empirical_prior(SubmodeTable(), 3)
 
 
 class TestRandomAssignment:

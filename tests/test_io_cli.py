@@ -5,7 +5,10 @@ exercised end to end on a shrunken config so every subcommand runs in a few
 seconds.
 """
 
+import json
+import shutil
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -265,27 +268,16 @@ class TestCsvEmission:
         lines = path.read_text().strip().splitlines()
         assert lines == ["step,loss", "0,1.5", "1,0.25"]
 
-    def test_samples_and_trajectory_csv(self, tmp_path):
+    def test_samples_csv(self, tmp_path):
         from subflow.sampler import GenerationBatch
-        traj = np.zeros((3, 2, 2))
-        traj[1] = [[1.0, 1.0], [2.0, 2.0]]
-        batch = GenerationBatch(xs=traj[-1], class_ids=np.array([0, 1]),
-                                submode_ids=np.array([1, -1]),
-                                trajectory=traj)
+        batch = GenerationBatch(xs=np.array([[1.0, 1.0], [2.0, -0.5]]),
+                                class_ids=np.array([0, 1]),
+                                submode_ids=np.array([1, -1]))
         sp = tmp_path / "s.csv"
-        tp = tmp_path / "t.csv"
         io.write_samples_csv(sp, batch)
-        io.write_trajectory_csv(tp, batch)
-        assert len(sp.read_text().strip().splitlines()) == 3
-        assert len(tp.read_text().strip().splitlines()) == 1 + 2 * 3
-
-    def test_trajectory_requires_recording(self, tmp_path):
-        from subflow.sampler import GenerationBatch
-        batch = GenerationBatch(xs=np.zeros((1, 2)),
-                                class_ids=np.zeros(1, dtype=int),
-                                submode_ids=np.zeros(1, dtype=int))
-        with pytest.raises(ValueError):
-            io.write_trajectory_csv(tmp_path / "t.csv", batch)
+        assert sp.read_text().strip().splitlines() == [
+            "sample_index,class_id,submode_id,x,y",
+            "0,0,1,1.0,1.0", "1,1,-1,2.0,-0.5"]
 
     def test_priors_round_trip(self, tmp_path):
         from subflow import clustering
@@ -322,6 +314,131 @@ def trained_dir(tmp_path_factory):
                  "--out", str(out)]) == EXIT_OK
     manifest = next(out.glob("*.manifest.json"))
     return cfg_path, out, manifest
+
+
+def _descriptor_changed(change):
+    """Damage that rewrites a checkpoint's JSON descriptor with `change`."""
+    def damage(path):
+        raw = path.read_bytes()
+        (blob_len,) = struct.unpack_from("<I", raw, 8)
+        descriptor = json.loads(raw[12:12 + blob_len])
+        change(descriptor)
+        blob = json.dumps(descriptor).encode()
+        path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob
+                         + raw[12 + blob_len:])
+    return damage
+
+
+def _byte_12_set(value):
+    def damage(path):
+        raw = bytearray(path.read_bytes())
+        raw[12] = value
+        path.write_bytes(bytes(raw))
+    return damage
+
+
+def _arrays_set_nan(ema):
+    def damage(path):
+        net, ema_params, step, meta = io.load_checkpoint(path)
+        if ema:
+            ema_params = np.full_like(ema_params, np.nan)
+        else:
+            net.params[0] = np.nan
+        io.save_checkpoint(path, net, ema_params, step, meta)
+    return damage
+
+
+def _set_line(i, text):
+    """Damage that replaces line i of a CSV file, or drops it for None."""
+    def damage(path):
+        lines = path.read_text().splitlines()
+        lines[i:i + 1] = [] if text is None else [text]
+        path.write_text("\n".join(lines) + "\n")
+    return damage
+
+
+def _run_with_damaged(trained_dir, tmp_path, label, damage):
+    """Copy of the trained run whose `label` file is damaged; returns
+    (manifest path, damaged file path)."""
+    _, _, manifest = trained_dir
+    payload = json.loads(manifest.read_text())
+    damaged = tmp_path / Path(payload["files"][label]).name
+    shutil.copyfile(payload["files"][label], damaged)
+    damage(damaged)
+    payload["files"][label] = str(damaged)
+    copy = tmp_path / "damaged.manifest.json"
+    copy.write_text(json.dumps(payload))
+    return copy, damaged
+
+
+def _downstream_commands(cfg_path, manifest, out):
+    common = ["--config", str(cfg_path), "--out", str(out), "--manifest",
+              str(manifest)]
+    return [["generate", *common, "--class-id", "0"], ["evaluate", *common]]
+
+
+class TestDamagedInputs:
+    """A damaged checkpoint, manifest or priors file fails generate and
+    evaluate with exit 1 and an error naming the file."""
+
+    def _assert_rejected(self, trained_dir, tmp_path, capsys, manifest, bad):
+        for argv in _downstream_commands(trained_dir[0], manifest,
+                                         tmp_path / "out"):
+            assert main(argv) == EXIT_VALIDATION, argv[0]
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {bad}"), err
+        assert not (tmp_path / "out" / "samples-class0.csv").exists()
+
+    @pytest.mark.parametrize("damage", [
+        _byte_12_set(ord("X")),
+        _byte_12_set(0xFF),
+        _descriptor_changed(lambda d: d.pop("step")),
+        _descriptor_changed(lambda d: d.pop("net")),
+        _descriptor_changed(lambda d: d["net"].update(hidden_width=0)),
+        _descriptor_changed(lambda d: d["net"].update(depth=2)),
+        _arrays_set_nan(ema=True),
+        _arrays_set_nan(ema=False),
+    ], ids=["not_json", "not_utf8", "missing_step", "missing_net",
+            "net_rejected", "net_unknown_key", "nan_ema", "nan_params"])
+    def test_checkpoint(self, trained_dir, tmp_path, capsys, damage):
+        manifest, bad = _run_with_damaged(trained_dir, tmp_path,
+                                          "checkpoint", damage)
+        self._assert_rejected(trained_dir, tmp_path, capsys, manifest, bad)
+
+    @pytest.mark.parametrize("text", [
+        "{}", "not json", '{"run_id": "r", "config": "", "seed": 0}', "[]",
+    ], ids=["empty_object", "not_json", "missing_keys", "not_an_object"])
+    def test_manifest(self, trained_dir, tmp_path, capsys, text):
+        manifest = tmp_path / "bad.manifest.json"
+        manifest.write_text(text)
+        self._assert_rejected(trained_dir, tmp_path, capsys, manifest,
+                              manifest)
+        assert main(["check", "--manifest", str(manifest)]) == EXIT_VALIDATION
+        assert str(manifest) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", [
+        _set_line(2, "0,2,1,0.5"),
+        _set_line(2, "0,0,1,0.5"),
+        _set_line(1, None),
+        _set_line(1, "0,0,many,0.5"),
+        _set_line(1, "0,0,1"),
+        _set_line(1, "0,0,1,0.9"),
+        _set_line(1, "0,0,1,nan"),
+        _set_line(0, "class,submode_id,count,prior"),
+    ], ids=["submode_gap", "submode_repeated", "submode_0_missing",
+            "non_numeric", "field_missing", "not_normalised", "nan_prior",
+            "column_missing"])
+    def test_priors(self, trained_dir, tmp_path, capsys, damage):
+        manifest, bad = _run_with_damaged(trained_dir, tmp_path, "priors",
+                                          damage)
+        self._assert_rejected(trained_dir, tmp_path, capsys, manifest, bad)
+
+    def test_undamaged_copy_accepted(self, trained_dir, tmp_path):
+        manifest, _ = _run_with_damaged(trained_dir, tmp_path, "priors",
+                                        lambda path: None)
+        for argv in _downstream_commands(trained_dir[0], manifest,
+                                         tmp_path / "out"):
+            assert main(argv) == EXIT_OK, argv[0]
 
 
 class TestCli:

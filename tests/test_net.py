@@ -44,13 +44,13 @@ class TestForward:
                                 net.view("submode_emb")[k]])
         h = silu(net.view("w0") @ feats + net.view("b0"))
         expected = net.view("w_out") @ h + net.view("b_out")
-        np.testing.assert_allclose(net.forward(x, t, c=c, k=k), expected,
-                                   atol=1e-14)
+        out = net.forward_batch(x[None], [t], None, [c], [k])
+        np.testing.assert_allclose(out[0], expected, atol=1e-14)
 
     def test_zero_params_give_zero_output(self):
         net = VelocityNet(tiny_config())
-        out = net.forward(np.array([1.0, 2.0]), 0.5, c=0, k=-1)
-        np.testing.assert_array_equal(out, np.zeros(2))
+        out = net.forward_batch(np.array([[1.0, 2.0]]), [0.5], None, [0], [-1])
+        np.testing.assert_array_equal(out, np.zeros((1, 2)))
 
     def test_bit_identical_determinism(self):
         cfg = NetConfig(num_classes=3, num_submodes=2, uses_interval=True)
@@ -67,41 +67,41 @@ class TestForward:
     def test_null_token_ignores_original_class(self):
         cfg = tiny_config()
         net = random_net(cfg, seed=7)
-        x = np.array([0.2, 0.9])
-        out_null = net.forward(x, 0.3, c=cfg.null_class, k=0)
+        x = np.array([[0.2, 0.9], [0.2, 0.9]])
+        out_null, out_c0 = net.forward_batch(x, [0.3, 0.3], None,
+                                             [cfg.null_class, 0], [0, 0])
         # the null row is its own embedding; any concrete class differs
-        out_c0 = net.forward(x, 0.3, c=0, k=0)
         assert not np.allclose(out_null, out_c0)
 
     def test_absent_submode_is_zero_slot(self):
         cfg = tiny_config()
         net = random_net(cfg, seed=8)
         net.view("submode_emb")[:] = 0.0
-        x = np.array([0.5, 0.5])
-        np.testing.assert_allclose(net.forward(x, 0.6, c=0, k=-1),
-                                   net.forward(x, 0.6, c=0, k=1), atol=1e-15)
+        x = np.array([[0.5, 0.5], [0.5, 0.5]])
+        absent, zeroed = net.forward_batch(x, [0.6, 0.6], None, [0, 0], [-1, 1])
+        np.testing.assert_allclose(absent, zeroed, atol=1e-15)
 
     def test_index_bounds_checked(self):
         net = VelocityNet(tiny_config())
         with pytest.raises(IndexError):
-            net.forward(np.zeros(2), 0.5, c=5, k=0)
+            net.forward_batch(np.zeros((1, 2)), [0.5], None, [5], [0])
         with pytest.raises(IndexError):
-            net.forward(np.zeros(2), 0.5, c=0, k=2)
+            net.forward_batch(np.zeros((1, 2)), [0.5], None, [0], [2])
 
     def test_interval_flag_enforced(self):
         net_plain = VelocityNet(tiny_config(uses_interval=False))
         net_int = VelocityNet(tiny_config(uses_interval=True))
         with pytest.raises(ValueError):
-            net_plain.forward(np.zeros(2), 0.5, r=0.2)
+            net_plain.forward_batch(np.zeros((1, 2)), [0.5], [0.2], [0], [-1])
         with pytest.raises(ValueError):
-            net_int.forward(np.zeros(2), 0.5)  # r missing
+            net_int.forward_batch(np.zeros((1, 2)), [0.5], None, [0], [-1])
 
     def test_initialized_output_layer_zero(self):
         net = VelocityNet.initialized(tiny_config(), seed=0)
         assert np.all(net.view("w_out") == 0.0)
         assert np.all(net.view("b_out") == 0.0)
-        out = net.forward(np.array([3.0, -2.0]), 0.8, c=1, k=1)
-        np.testing.assert_array_equal(out, np.zeros(2))
+        out = net.forward_batch(np.array([[3.0, -2.0]]), [0.8], None, [1], [1])
+        np.testing.assert_array_equal(out, np.zeros((1, 2)))
 
 
 class TestBackward:
@@ -177,18 +177,18 @@ class TestJvp:
                         uses_interval=uses_interval)
         net = random_net(cfg, seed=1)
         rng = np.random.default_rng(2)
-        x = rng.standard_normal(2)
-        t = 0.45
-        r = 0.2 if uses_interval else None
-        dx = rng.standard_normal(2)
-        dt = 0.7
-        dr = 0.4 if uses_interval else 0.0
-        jvp = net.jvp(x, t, r, 1, 0, dx, dt, dr)
+        x = rng.standard_normal((1, 2))
+        t = np.array([0.45])
+        r = np.array([0.2]) if uses_interval else None
+        dx = rng.standard_normal((1, 2))
+        dt = np.array([0.7])
+        dr = np.array([0.4]) if uses_interval else None
+        jvp = net.jvp_batch(x, t, r, [1], [0], dx, dt, dr)
         eps = 1e-6
-        up = net.forward(x + eps * dx, t + eps * dt,
-                         None if r is None else r + eps * dr, 1, 0)
-        dn = net.forward(x - eps * dx, t - eps * dt,
-                         None if r is None else r - eps * dr, 1, 0)
+        up = net.forward_batch(x + eps * dx, t + eps * dt,
+                               None if r is None else r + eps * dr, [1], [0])
+        dn = net.forward_batch(x - eps * dx, t - eps * dt,
+                               None if r is None else r - eps * dr, [1], [0])
         fd = (up - dn) / (2 * eps)
         assert np.max(np.abs(jvp - fd)) < 1e-5
 
@@ -196,15 +196,17 @@ class TestJvp:
         cfg = tiny_config(uses_interval=True)
         net = random_net(cfg, seed=6)
         rng = np.random.default_rng(3)
-        x = rng.standard_normal(2)
-        u = (rng.standard_normal(2), 0.3, 0.1)
-        w = (rng.standard_normal(2), -0.9, 0.5)
+        x = rng.standard_normal((1, 2))
+        u = (rng.standard_normal((1, 2)), np.array([0.3]), np.array([0.1]))
+        w = (rng.standard_normal((1, 2)), np.array([-0.9]), np.array([0.5]))
         a, b = 1.7, -0.4
-        combo = net.jvp(x, 0.6, 0.2, 0, 1,
-                        a * u[0] + b * w[0], a * u[1] + b * w[1],
-                        a * u[2] + b * w[2])
-        parts = (a * net.jvp(x, 0.6, 0.2, 0, 1, *u)
-                 + b * net.jvp(x, 0.6, 0.2, 0, 1, *w))
+
+        def jvp(dx, dt, dr):
+            return net.jvp_batch(x, [0.6], [0.2], [0], [1], dx, dt, dr)
+
+        combo = jvp(a * u[0] + b * w[0], a * u[1] + b * w[1],
+                    a * u[2] + b * w[2])
+        parts = a * jvp(*u) + b * jvp(*w)
         np.testing.assert_allclose(combo, parts, atol=1e-10)
 
     @pytest.mark.parametrize("uses_interval", [False, True])
@@ -238,19 +240,20 @@ class TestJvp:
 
     def test_zero_tangent_gives_zero(self):
         net = random_net(tiny_config(), seed=0)
-        out = net.jvp(np.ones(2), 0.5, None, 0, 0, np.zeros(2), 0.0)
-        np.testing.assert_array_equal(out, np.zeros(2))
+        out = net.jvp_batch(np.ones((1, 2)), [0.5], None, [0], [0],
+                            np.zeros((1, 2)), [0.0])
+        np.testing.assert_array_equal(out, np.zeros((1, 2)))
 
     @settings(deadline=None, max_examples=25)
     @given(t=st.floats(0.01, 0.99), dt=st.floats(-2, 2))
     def test_time_direction_consistency(self, t, dt):
         """jvp in t alone equals the derivative of the time encoding path."""
         net = random_net(tiny_config(), seed=11)
-        x = np.array([0.4, -0.2])
-        jvp = net.jvp(x, t, None, 0, 0, np.zeros(2), dt)
+        x = np.array([[0.4, -0.2]])
+        jvp = net.jvp_batch(x, [t], None, [0], [0], np.zeros((1, 2)), [dt])
         eps = 1e-7
-        fd = (net.forward(x, t + eps * dt, c=0, k=0)
-              - net.forward(x, t - eps * dt, c=0, k=0)) / (2 * eps)
+        fd = (net.forward_batch(x, [t + eps * dt], None, [0], [0])
+              - net.forward_batch(x, [t - eps * dt], None, [0], [0])) / (2 * eps)
         np.testing.assert_allclose(jvp, fd, atol=5e-5)
 
 

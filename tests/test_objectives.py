@@ -106,8 +106,9 @@ class TestCfmLoss:
         k = np.array([-1, -1])
         loss, _ = cfm_loss(net, x0, x1, c, k, t)
         xt = (1 - t)[:, None] * x0 + t[:, None] * x1
-        preds = np.stack([net.forward(xt[i], t[i], c=c[i], k=k[i])
-                          for i in range(2)])
+        preds = np.concatenate([
+            net.forward_batch(xt[i:i + 1], t[i:i + 1], None, c[i:i + 1],
+                              k[i:i + 1]) for i in range(2)])
         expected = float(np.mean(np.sum((preds - (x1 - x0)) ** 2, axis=1)))
         assert loss == pytest.approx(expected, rel=1e-12)
 
@@ -208,15 +209,15 @@ class TestMeanflowLoss:
         """
         net = small_net(uses_interval=True, seed=10)
         rng = np.random.default_rng(11)
-        x0 = rng.standard_normal(2)
-        x1 = rng.standard_normal(2) + 1.0
+        x0 = rng.standard_normal((1, 2))
+        x1 = rng.standard_normal((1, 2)) + 1.0
         v = x1 - x0
-        r, t = 0.25, 0.8
+        r, t = np.array([0.25]), np.array([0.8])
         x_r = (1 - r) * x0 + r * x1
-        jvp = net.jvp(x_r, t, r, 1, 0, dx=v, dt=0.0, dr=1.0)
+        jvp = net.jvp_batch(x_r, t, r, [1], [0], dx=v, dt=[0.0], dr=[1.0])
         eps = 1e-6
-        up = net.forward(x_r + eps * v, t, r + eps, 1, 0)
-        dn = net.forward(x_r - eps * v, t, r - eps, 1, 0)
+        up = net.forward_batch(x_r + eps * v, t, r + eps, [1], [0])
+        dn = net.forward_batch(x_r - eps * v, t, r - eps, [1], [0])
         fd = (up - dn) / (2 * eps)
         denom = np.maximum(np.abs(fd), 1e-8)
         assert np.max(np.abs(jvp - fd) / denom) < 1e-4

@@ -191,14 +191,6 @@ class TestGenerate:
         np.testing.assert_array_equal(a.xs, b.xs)
         np.testing.assert_array_equal(a.submode_ids, b.submode_ids)
 
-    def test_trajectory_shape_and_endpoint(self):
-        net = tiny_net(uses_interval=True)
-        req = SampleRequest(class_id=0, count=8, nfe=6, seed=2,
-                            record_trajectory=True)
-        batch = generate(net, toy_table(), req)
-        assert batch.trajectory.shape == (7, 8, 2)
-        np.testing.assert_array_equal(batch.trajectory[-1], batch.xs)
-
     def test_class_conditioning_without_table(self):
         net = tiny_net()
         req = SampleRequest(class_id=0, count=4, nfe=1, seed=0)
