@@ -1,8 +1,8 @@
 """Sub-mode conditioned flow matching laboratory on 2D Gaussian mixtures."""
 
-from .mixture import (ConditionFilter, Dataset, MixtureComponent,
-                      MixtureSpec, interpolate, oracle_velocity_batch,
-                      posterior_weights_batch, sample_dataset, toy_spec)
+from .mixture import (Dataset, MixtureComponent, MixtureSpec,
+                      oracle_velocity_batch, posterior_weights_batch,
+                      sample_dataset, toy_spec)
 from .net import NetConfig, VelocityNet
 from .objectives import TrainConfig, TrainState, cfm_loss, meanflow_loss, \
     train
@@ -13,9 +13,8 @@ from .metrics import MetricReport, field_rmse, frechet_2d, \
     knn_precision_recall, mode_shares
 
 __all__ = [
-    "ConditionFilter", "Dataset", "MixtureComponent", "MixtureSpec",
-    "interpolate", "oracle_velocity_batch", "posterior_weights_batch",
-    "sample_dataset", "toy_spec",
+    "Dataset", "MixtureComponent", "MixtureSpec", "oracle_velocity_batch",
+    "posterior_weights_batch", "sample_dataset", "toy_spec",
     "NetConfig", "VelocityNet",
     "TrainConfig", "TrainState", "cfm_loss", "meanflow_loss", "train",
     "SubmodeTable", "assign_submodes", "random_assignment",

@@ -23,7 +23,6 @@ class ClassClusters:
     assignments: np.ndarray      # (n_c,) indices into centroids
     counts: np.ndarray           # (K_eff,)
     priors: np.ndarray           # (K_eff,), counts / n_c
-    reduced_k: bool = False      # K was larger than the class sample count
 
 
 @dataclass
@@ -107,7 +106,7 @@ def assign_submodes(features_by_class: dict[int, np.ndarray], k: int,
     """Cluster each class into k sub-modes and estimate empirical priors.
 
     A class with fewer samples than k gets its effective k reduced to the
-    sample count and is flagged in the table.
+    sample count.
     """
     if k < 1:
         raise ValueError("K must be >= 1")
@@ -120,7 +119,7 @@ def assign_submodes(features_by_class: dict[int, np.ndarray], k: int,
         counts = np.bincount(labels, minlength=k_eff).astype(np.int64)
         table.per_class[class_id] = ClassClusters(
             centroids=centroids, assignments=labels, counts=counts,
-            priors=counts / counts.sum(), reduced_k=k_eff < k)
+            priors=counts / counts.sum())
     table.validate()
     return table
 

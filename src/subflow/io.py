@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -21,19 +22,20 @@ import numpy as np
 
 from .clustering import ClassClusters, SubmodeTable
 from .net import NetConfig, VelocityNet
+from .objectives import CONDITIONINGS, OBJECTIVES
 
 CHECKPOINT_MAGIC = b"SFLW"
 CHECKPOINT_VERSION = 1
 
 
 def save_checkpoint(path, net: VelocityNet, ema_params: np.ndarray, step: int,
-                    meta: dict | None = None) -> None:
+                    meta: dict) -> None:
     descriptor = {
         "net": asdict(net.config),
         "layout": [[name, list(shape)] for name, shape in net.layout],
         "num_params": net.num_params,
         "step": step,
-        "meta": meta or {},
+        "meta": meta,
     }
     blob = json.dumps(descriptor, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
@@ -50,8 +52,10 @@ def load_checkpoint(path):
 
     A file that is not exactly one checkpoint (bad magic or version, a
     header or array cut short, bytes after the EMA array, a descriptor that
-    is not UTF-8 JSON with every key and a valid net, or parameters or EMA
-    that are not all finite) raises ValueError naming the path.
+    is not UTF-8 JSON with every key and a valid net, run metadata without
+    a known objective and conditioning and a finite positive source_std, or
+    parameters or EMA that are not all finite) raises ValueError naming the
+    path.
     """
     data = Path(path).read_bytes()
     if data[:4] != CHECKPOINT_MAGIC:
@@ -68,7 +72,11 @@ def load_checkpoint(path):
         descriptor = json.loads(data[12:start].decode("utf-8"))
         net = VelocityNet(NetConfig(**descriptor["net"]))
         n, layout = descriptor["num_params"], descriptor["layout"]
-        step, meta = descriptor["step"], descriptor.get("meta", {})
+        step, meta = descriptor["step"], descriptor["meta"]
+        if not (meta["objective"] in OBJECTIVES
+                and meta["conditioning"] in CONDITIONINGS
+                and 0.0 < meta["source_std"] < math.inf):
+            raise ValueError(f"bad run metadata {meta!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: bad checkpoint descriptor: {exc!r}") from exc
     if n != net.num_params or layout != [[name, list(shape)]

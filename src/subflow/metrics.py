@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -127,29 +127,28 @@ def mode_shares(spec: MixtureSpec, gen: np.ndarray, tau: float = 0.5):
     return shares, tv, coverage
 
 
-def default_grid(spec: MixtureSpec, resolution: int = 41) -> np.ndarray:
+def default_grid(spec: MixtureSpec) -> np.ndarray:
     """41x41 lattice over the mixture's 3-sigma bounding box."""
     xmin, ymin, xmax, ymax = spec.bounding_box()
-    gx = np.linspace(xmin, xmax, resolution)
-    gy = np.linspace(ymin, ymax, resolution)
+    gx = np.linspace(xmin, xmax, 41)
+    gy = np.linspace(ymin, ymax, 41)
     xx, yy = np.meshgrid(gx, gy)
     return np.column_stack([xx.ravel(), yy.ravel()])
 
 
 def field_rmse(field_a: Callable[[np.ndarray, float], np.ndarray],
                field_b: Callable[[np.ndarray, float], np.ndarray],
-               grid: np.ndarray,
-               times: Sequence[float] = (0.25, 0.5, 0.75)) -> float:
-    """RMS of ||A(x,t) - B(x,t)|| over grid x times.
+               grid: np.ndarray) -> float:
+    """RMS of ||A(x,t) - B(x,t)|| over grid x times t in {0.25, 0.5, 0.75}.
 
     Both fields take an (n,2) batch and a scalar time.
     """
     grid = np.asarray(grid, dtype=np.float64)
-    if len(grid) == 0 or len(times) == 0:
-        raise ValueError("grid and times must be nonempty")
+    if len(grid) == 0:
+        raise ValueError("grid must be nonempty")
     sq = 0.0
     count = 0
-    for t in times:
+    for t in (0.25, 0.5, 0.75):
         diff = field_a(grid, t) - field_b(grid, t)
         sq += float(np.sum(diff ** 2))
         count += len(grid)

@@ -10,8 +10,6 @@ the unconditional, class-conditional, and sub-mode-conditional cases.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from .rng import stream
@@ -68,12 +66,12 @@ class MixtureSpec:
     def stds(self) -> np.ndarray:
         return np.array([c.std for c in self.components])
 
-    def bounding_box(self, n_std: float = 3.0) -> tuple[float, float, float, float]:
-        """(xmin, ymin, xmax, ymax) covering every component mean +- n_std."""
+    def bounding_box(self) -> tuple[float, float, float, float]:
+        """(xmin, ymin, xmax, ymax) covering every component mean +- 3 std."""
         means = self.means()
         stds = self.stds()[:, None]
-        lo = (means - n_std * stds).min(axis=0)
-        hi = (means + n_std * stds).max(axis=0)
+        lo = (means - 3.0 * stds).min(axis=0)
+        hi = (means + 3.0 * stds).max(axis=0)
         return (lo[0], lo[1], hi[0], hi[1])
 
 
@@ -95,48 +93,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.xs)
-
-
-@dataclass(frozen=True)
-class ConditionFilter:
-    """Selects which components enter a conditional expectation.
-
-    mode is "all", "class", or "submode"; class_id/submode_id are required
-    for the narrower modes.
-    """
-
-    mode: str = "all"
-    class_id: Optional[int] = None
-    submode_id: Optional[int] = None
-
-    @staticmethod
-    def all() -> "ConditionFilter":
-        return ConditionFilter("all")
-
-    @staticmethod
-    def for_class(class_id: int) -> "ConditionFilter":
-        return ConditionFilter("class", class_id=class_id)
-
-    @staticmethod
-    def for_submode(class_id: int, submode_id: int) -> "ConditionFilter":
-        return ConditionFilter("submode", class_id=class_id, submode_id=submode_id)
-
-    def select(self, spec: MixtureSpec) -> np.ndarray:
-        """Indices of components matched by this filter."""
-        if self.mode == "all":
-            idx = np.arange(len(spec.components))
-        elif self.mode == "class":
-            idx = np.array([i for i, c in enumerate(spec.components)
-                            if c.class_id == self.class_id], dtype=int)
-        elif self.mode == "submode":
-            idx = np.array([i for i, c in enumerate(spec.components)
-                            if c.class_id == self.class_id
-                            and c.submode_id == self.submode_id], dtype=int)
-        else:
-            raise ValueError(f"unknown filter mode {self.mode!r}")
-        if idx.size == 0:
-            raise ValueError(f"condition filter {self} selects no component")
-        return idx
 
 
 def toy_spec(source_std: float = 1.0) -> MixtureSpec:
@@ -181,16 +137,20 @@ def dataset_arrays(dataset: Dataset):
     return dataset.xs, dataset.class_ids, dataset.submode_ids
 
 
-def interpolate(x0, x1, t: float):
-    """Linear path point and its constant target velocity.
+def _select(spec: MixtureSpec, class_id, submode_id) -> np.ndarray:
+    """Indices of the components in the context (class_id, submode_id).
 
-    x_t = (1-t) x0 + t x1,  v = x1 - x0.
+    None leaves that label free; a sub-mode needs its class.
     """
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must be in [0,1], got {t}")
-    x0 = np.asarray(x0, dtype=np.float64)
-    x1 = np.asarray(x1, dtype=np.float64)
-    return (1.0 - t) * x0 + t * x1, x1 - x0
+    if class_id is None and submode_id is not None:
+        raise ValueError(f"sub-mode {submode_id} given without its class")
+    idx = np.array([i for i, c in enumerate(spec.components)
+                    if class_id in (None, c.class_id)
+                    and submode_id in (None, c.submode_id)], dtype=int)
+    if idx.size == 0:
+        raise ValueError(f"context (class {class_id}, sub-mode {submode_id}) "
+                         "selects no component")
+    return idx
 
 
 def _check_time(spec: MixtureSpec, t: float, idx: np.ndarray) -> None:
@@ -201,15 +161,16 @@ def _check_time(spec: MixtureSpec, t: float, idx: np.ndarray) -> None:
 
 
 def posterior_weights_batch(spec: MixtureSpec, xs, t: float,
-                            cond: ConditionFilter = ConditionFilter("all")):
+                            class_id=None, submode_id=None):
     """Posterior component weights given x_t = x for each row of an (n,2) batch.
 
-    Returns (indices, weights (n, m), underflowed (n,)), restricted to cond.
-    Weights are computed in log-space with per-row max-subtraction; a row
+    Returns (indices, weights (n, m), underflowed (n,)), restricted to the
+    components of the context (class_id, submode_id); None leaves a label
+    free.  Weights are computed in log-space with per-row max-subtraction; a row
     where every density underflows falls back to uniform weights over the
     subset and is flagged in `underflowed`.
     """
-    idx = cond.select(spec)
+    idx = _select(spec, class_id, submode_id)
     _check_time(spec, t, idx)
     xs = np.asarray(xs, dtype=np.float64)
 
@@ -231,14 +192,15 @@ def posterior_weights_batch(spec: MixtureSpec, xs, t: float,
 
 
 def oracle_velocity_batch(spec: MixtureSpec, xs: np.ndarray, t: float,
-                          cond: ConditionFilter = ConditionFilter("all")) -> np.ndarray:
-    """Closed-form conditional mean velocity E[x1 - x0 | x_t = x, cond] per row.
+                          class_id=None, submode_id=None) -> np.ndarray:
+    """Closed-form conditional mean velocity E[x1 - x0 | x_t = x, context]
+    per row, for the context (class_id, submode_id); None leaves a label free.
 
     Per component, (x_t, x1 - x0) are jointly Gaussian, so the conditional
     mean is mu_j plus a linear correction; components are then mixed with
     their posterior weights (`posterior_weights_batch`).
     """
-    idx, w, _ = posterior_weights_batch(spec, xs, t, cond)
+    idx, w, _ = posterior_weights_batch(spec, xs, t, class_id, submode_id)
     xs = np.asarray(xs, dtype=np.float64)
     mu = spec.means()[idx]
     sig = spec.stds()[idx]

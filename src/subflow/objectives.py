@@ -189,38 +189,32 @@ def draw_times(n: int, rt_equal_fraction: float, rng: np.random.Generator):
     return r, t
 
 
-def adam_update(state: TrainState, grad: np.ndarray, cfg: TrainConfig,
-                eps: float = 1e-8) -> None:
+def adam_update(state: TrainState, grad: np.ndarray, cfg: TrainConfig) -> None:
     state.step += 1
     b1, b2 = cfg.adam_beta1, cfg.adam_beta2
     state.adam_m = b1 * state.adam_m + (1.0 - b1) * grad
     state.adam_v = b2 * state.adam_v + (1.0 - b2) * grad ** 2
     mhat = state.adam_m / (1.0 - b1 ** state.step)
     vhat = state.adam_v / (1.0 - b2 ** state.step)
-    state.net.params -= cfg.learning_rate * mhat / (np.sqrt(vhat) + eps)
+    state.net.params -= cfg.learning_rate * mhat / (np.sqrt(vhat) + 1e-8)
     state.ema_params = (cfg.ema_decay * state.ema_params
                         + (1.0 - cfg.ema_decay) * state.net.params)
 
 
 def train(dataset: Dataset, spec: MixtureSpec, cfg: TrainConfig,
-          table: Optional[SubmodeTable] = None,
-          net: Optional[VelocityNet] = None):
+          table: Optional[SubmodeTable] = None):
     """Run the training loop; returns (final TrainState, loss curve).
 
-    The dataset must carry submode labels when conditioning is subflow.
+    The dataset must carry submode labels when conditioning is subflow:
+    `_condition_inputs` rejects a batch with an unlabeled row.
     Deterministic for a fixed config seed.
     """
     xs, cs, ks = dataset_arrays(dataset)
-    if cfg.conditioning == "subflow" and np.any(ks < 0):
-        raise ValueError("subflow training needs submode_id on every sample; "
-                         "run clustering first")
-    if net is None:
-        num_submodes = table.num_submodes() if table is not None else max(
-            int(ks.max()) + 1, 1)
-        net_cfg = NetConfig(num_classes=spec.num_classes,
-                            num_submodes=num_submodes,
-                            uses_interval=cfg.uses_interval)
-        net = VelocityNet.initialized(net_cfg, cfg.seed)
+    num_submodes = table.num_submodes() if table is not None else max(
+        int(ks.max()) + 1, 1)
+    net = VelocityNet.initialized(
+        NetConfig(num_classes=spec.num_classes, num_submodes=num_submodes,
+                  uses_interval=cfg.uses_interval), cfg.seed)
     state = TrainState.fresh(net)
     losses = np.zeros(cfg.steps)
     n = len(dataset)

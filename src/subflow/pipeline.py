@@ -7,6 +7,7 @@ are reproducible byte for byte.
 
 from __future__ import annotations
 
+import copy
 import csv
 import time
 from pathlib import Path
@@ -15,7 +16,6 @@ import numpy as np
 
 from . import clustering, io, metrics, mixture, objectives, sampler
 from .config import ExperimentConfig, emit_config
-from .mixture import ConditionFilter
 
 
 class ValidationError(ValueError):
@@ -106,6 +106,8 @@ def train_run(cfg: ExperimentConfig, out_dir, run_prefix: str = "train",
 def load_run(manifest_path):
     """(net with EMA parameters, table or None, meta) for a finished run."""
     manifest = io.RunManifest.read(manifest_path)
+    if "checkpoint" not in manifest.files:
+        raise ValueError(f"{manifest_path}: manifest lists no checkpoint")
     net, ema, _, meta = io.load_checkpoint(manifest.files["checkpoint"])
     eval_net = net.__class__(net.config, ema)  # evaluation uses EMA weights
     table = None
@@ -117,16 +119,15 @@ def load_run(manifest_path):
 def generate_batch(net, table, meta,
                    request: sampler.SampleRequest) -> sampler.GenerationBatch:
     return sampler.generate(net, table, request,
-                            source_std=meta.get("source_std", 1.0),
-                            conditioning=meta.get("conditioning", "class"))
+                            source_std=meta["source_std"],
+                            conditioning=meta["conditioning"])
 
 
 def generate_all_classes(net, table, meta, cfg: ExperimentConfig, count: int,
                          nfe: int, w: float, strategy: str, seed: int):
     """Generate `count` samples spread over classes by their true mass."""
     spec = cfg.mixture
-    conditioning = meta.get("conditioning", "class")
-    if conditioning == "uncond":
+    if meta["conditioning"] == "uncond":
         req = sampler.SampleRequest(class_id=0, count=count, nfe=nfe,
                                     guidance_scale=w, submode_strategy=strategy,
                                     seed=seed)
@@ -153,11 +154,11 @@ def generate_all_classes(net, table, meta, cfg: ExperimentConfig, count: int,
                                    submode_ids=np.concatenate(ks))
 
 
-def net_field(net, meta, class_id=None, submode_id=None):
+def net_field(net, class_id=None, submode_id=None):
     """Instantaneous (x, t) -> v field of a trained net for one context.
 
     Interval-trained nets are evaluated at r = t.  class_id None means the
-    null token; submode_id None leaves the sub-mode slot zero.
+    null token; submode_id None leaves the sub-mode slot empty (-1).
     """
     null = net.config.null_class
     c = null if class_id is None else class_id
@@ -175,36 +176,32 @@ def net_field(net, meta, class_id=None, submode_id=None):
 
 def model_field_rmse(net, meta, cfg: ExperimentConfig) -> float:
     """Learned-field error against the analytic oracle, averaged over the
-    conditioning contexts the model was trained with."""
+    conditioning contexts the model was trained with.
+
+    A context is a (class_id, submode_id) pair, None where the label is not
+    conditioned on; each pair drives both the net and the oracle.
+    """
     spec = cfg.mixture
     grid = metrics.default_grid(spec)
-    conditioning = meta.get("conditioning", "class")
-    contexts = []
-    if conditioning == "uncond":
-        contexts.append((None, None, ConditionFilter.all()))
-    elif conditioning == "class":
-        for c in spec.class_ids:
-            contexts.append((c, None, ConditionFilter.for_class(c)))
-    else:
-        for comp in spec.components:
-            contexts.append((comp.class_id, comp.submode_id,
-                             ConditionFilter.for_submode(comp.class_id,
-                                                         comp.submode_id)))
+    conditioning = meta["conditioning"]
+    contexts = list(dict.fromkeys(
+        (None if conditioning == "uncond" else comp.class_id,
+         comp.submode_id if conditioning == "subflow" else None)
+        for comp in spec.components))
     total_sq = 0.0
-    for c, k, cond in contexts:
-        a = net_field(net, meta, c, k)
-        b = lambda xs, t: mixture.oracle_velocity_batch(spec, xs, t, cond)
-        rmse = metrics.field_rmse(a, b, grid)
+    for c, k in contexts:
+        rmse = metrics.field_rmse(
+            net_field(net, c, k),
+            lambda xs, t: mixture.oracle_velocity_batch(spec, xs, t, c, k),
+            grid)
         total_sq += rmse ** 2
     return float(np.sqrt(total_sq / len(contexts)))
 
 
-def evaluate_run(manifest_path, cfg: ExperimentConfig, out_csv, nfe=None,
-                 w=None, count=None, strategy=None,
-                 run_id=None) -> metrics.MetricReport:
-    nfe = cfg.sample.nfe if nfe is None else nfe
-    return _evaluate_nfes(manifest_path, cfg, out_csv, [nfe], w, count,
-                          strategy, run_id)[0]
+def evaluate_run(manifest_path, cfg: ExperimentConfig,
+                 out_csv) -> metrics.MetricReport:
+    """One report (and CSV row) at the config's NFE."""
+    return _evaluate_nfes(manifest_path, cfg, out_csv, [cfg.sample.nfe])[0]
 
 
 def sweep_nfe(manifest_path, cfg: ExperimentConfig, out_csv,
@@ -212,29 +209,27 @@ def sweep_nfe(manifest_path, cfg: ExperimentConfig, out_csv,
     return _evaluate_nfes(manifest_path, cfg, out_csv, nfe_list)
 
 
-def _evaluate_nfes(manifest_path, cfg: ExperimentConfig, out_csv, nfe_list,
-                   w=None, count=None, strategy=None, run_id=None) -> list:
-    """One report (and CSV row) per NFE.  The run, the real set and the
-    field RMSE do not depend on the NFE, so they are computed once."""
+def _evaluate_nfes(manifest_path, cfg: ExperimentConfig, out_csv,
+                   nfe_list) -> list:
+    """One report (and CSV row) per NFE, with the sampling settings of
+    `cfg`.  The run, the real set and the field RMSE do not depend on the
+    NFE, so they are computed once."""
     net, table, meta = load_run(manifest_path)
-    w = cfg.sample.guidance_scale if w is None else w
-    count = cfg.sample.count if count is None else count
-    strategy = cfg.sample.submode_strategy if strategy is None else strategy
-    if out_csv is not None:
-        run_id = run_id or io.RunManifest.read(manifest_path).run_id
-
+    run_id = io.RunManifest.read(manifest_path).run_id
+    sample = cfg.sample
     real = mixture.sample_dataset(cfg.mixture, cfg.metrics.n_real,
                                   cfg.train.seed + 1)
     rmse = model_field_rmse(net, meta, cfg)
     reports = []
     for nfe in nfe_list:
-        batch = generate_all_classes(net, table, meta, cfg, count, nfe, w,
-                                     strategy, cfg.train.seed)
+        batch = generate_all_classes(net, table, meta, cfg, sample.count, nfe,
+                                     sample.guidance_scale,
+                                     sample.submode_strategy, cfg.train.seed)
         report = metrics.evaluate_all(cfg.mixture, real.xs, batch.xs,
                                       k=cfg.metrics.knn_k,
                                       tau=cfg.metrics.coverage_tau, rmse=rmse)
-        if out_csv is not None:
-            metrics.append_report_csv(out_csv, report, run_id, nfe, w)
+        metrics.append_report_csv(out_csv, report, run_id, nfe,
+                                  sample.guidance_scale)
         reports.append(report)
     return reports
 
@@ -249,24 +244,21 @@ def ablate(cfg: ExperimentConfig, variant: str, out_dir) -> dict:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    import copy
     base_cfg = copy.deepcopy(cfg)
     var_cfg = copy.deepcopy(cfg)
-    random_labels = variant == "random_assignment"
-    strategy = "uniform" if variant == "uniform_sampling" else None
+    if variant == "uniform_sampling":
+        var_cfg.sample.submode_strategy = "uniform"
     if variant == "drop_k":
         var_cfg.train.p_drop_submode = var_cfg.train.p_drop_class
 
     base_manifest = train_run(base_cfg, out_dir, run_prefix="ablate-default")
     var_manifest = train_run(var_cfg, out_dir, run_prefix=f"ablate-{variant}",
-                             random_labels=random_labels)
+                             random_labels=variant == "random_assignment")
     out_csv = out_dir / "ablation.csv"
     base_report = evaluate_run(
-        out_dir / f"{base_manifest.run_id}.manifest.json", base_cfg, out_csv,
-        run_id=base_manifest.run_id)
+        out_dir / f"{base_manifest.run_id}.manifest.json", base_cfg, out_csv)
     var_report = evaluate_run(
-        out_dir / f"{var_manifest.run_id}.manifest.json", var_cfg, out_csv,
-        strategy=strategy, run_id=var_manifest.run_id)
+        out_dir / f"{var_manifest.run_id}.manifest.json", var_cfg, out_csv)
     return {"default": base_report, variant: var_report,
             "csv": str(out_csv)}
 

@@ -13,7 +13,6 @@ message.
 
 import copy
 import filecmp
-import itertools
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +21,7 @@ import scipy.linalg
 
 from subflow import clustering, io, metrics, mixture, pipeline, sampler
 from subflow.config import load_config
-from subflow.mixture import ConditionFilter, MixtureComponent, MixtureSpec
+from subflow.mixture import MixtureComponent, MixtureSpec
 from subflow.net import NetConfig, VelocityNet
 from subflow.objectives import cfm_loss, meanflow_loss
 from subflow.rng import stream
@@ -99,16 +98,13 @@ def test_criterion_04_oracle_decomposition_identity():
     worst = 0.0
     for t in rng.uniform(0.0, 0.999, size=10):
         for c in (0, 1):
-            cond = ConditionFilter.for_class(c)
-            v_class = mixture.oracle_velocity_batch(spec, xs, t, cond)
-            idx, w, _ = mixture.posterior_weights_batch(spec, xs, t, cond)
+            v_class = mixture.oracle_velocity_batch(spec, xs, t, c)
+            idx, w, _ = mixture.posterior_weights_batch(spec, xs, t, c)
             mix = np.zeros_like(xs)
             for col, j in enumerate(idx):
                 comp = spec.components[j]
-                sub = ConditionFilter.for_submode(comp.class_id,
-                                                  comp.submode_id)
                 mix += w[:, col, None] * mixture.oracle_velocity_batch(
-                    spec, xs, t, sub)
+                    spec, xs, t, comp.class_id, comp.submode_id)
             worst = max(worst, float(np.max(np.abs(v_class - mix))))
     assert worst < 1e-10, f"max decomposition error {worst:.3e}"
 
@@ -225,19 +221,19 @@ def test_criterion_08_clustering_suite():
         rng.normal([0.0, 0.0], 1.0, size=(10, 2)),
         rng.normal([20.0, 0.0], 1.0, size=(10, 2))])
     _, labels = clustering.lloyd(pts, 2, stream(0, "accept.twoblob"))
-    best_sse, best = np.inf, None
-    for bits in itertools.product([0, 1], repeat=len(pts) - 1):
-        cand = np.array((0,) + bits)
-        sse = 0.0
-        for j in (0, 1):
-            mask = cand == j
-            if not np.any(mask):
-                sse = np.inf
-                break
-            centroid = pts[mask].mean(axis=0)
-            sse += float(np.sum((pts[mask] - centroid) ** 2))
-        if sse < best_sse:
-            best_sse, best = sse, cand
+    # every two-way partition with point 0 in cluster 0, one row each; a
+    # cluster's SSE is sum |p|^2 - |sum p|^2 / n
+    n = len(pts)
+    bits = ((np.arange(2 ** (n - 1))[:, None] >> np.arange(n - 2, -1, -1))
+            & 1).astype(np.float64)
+    n1 = bits.sum(axis=1)
+    s1 = bits @ pts[1:]
+    s0 = pts.sum(axis=0) - s1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sse = (np.sum(pts ** 2) - np.sum(s0 ** 2, axis=1) / (n - n1)
+               - np.sum(s1 ** 2, axis=1) / n1)
+    sse[n1 == 0] = np.inf  # one cluster empty
+    best = np.concatenate([[0], bits[np.argmin(sse)]])
     assert (np.array_equal(labels, best)
             or np.array_equal(1 - labels, best)), "partition not optimal"
 

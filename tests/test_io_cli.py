@@ -42,6 +42,10 @@ n_real = 400
 """
 
 
+# the run metadata load_checkpoint requires
+META = {"objective": "cfm", "conditioning": "class", "source_std": 1.0}
+
+
 def small_net(seed=0, uses_interval=True):
     cfg = NetConfig(num_classes=2, num_submodes=2, hidden_width=4,
                     hidden_layers=1, embed_dim=2, uses_interval=uses_interval)
@@ -53,19 +57,19 @@ class TestCheckpoint:
         net = small_net()
         ema = net.params * 0.5 + 0.1
         path = tmp_path / "ck.bin"
-        io.save_checkpoint(path, net, ema, step=42, meta={"objective": "cfm"})
+        io.save_checkpoint(path, net, ema, step=42, meta=META)
         net2, ema2, step, meta = io.load_checkpoint(path)
         assert np.array_equal(net2.params, net.params)
         assert np.array_equal(ema2, ema)
         assert step == 42
-        assert meta["objective"] == "cfm"
+        assert meta == META
         assert net2.config == net.config
 
     def test_save_is_deterministic(self, tmp_path):
         net = small_net()
         a, b = tmp_path / "a.bin", tmp_path / "b.bin"
-        io.save_checkpoint(a, net, net.params, step=1)
-        io.save_checkpoint(b, net, net.params, step=1)
+        io.save_checkpoint(a, net, net.params, step=1, meta=META)
+        io.save_checkpoint(b, net, net.params, step=1, meta=META)
         assert a.read_bytes() == b.read_bytes()
 
     def test_bad_magic(self, tmp_path):
@@ -77,7 +81,7 @@ class TestCheckpoint:
     def test_bad_version(self, tmp_path):
         net = small_net()
         path = tmp_path / "v.bin"
-        io.save_checkpoint(path, net, net.params, step=0)
+        io.save_checkpoint(path, net, net.params, step=0, meta=META)
         raw = bytearray(path.read_bytes())
         raw[4:8] = struct.pack("<I", 99)
         path.write_bytes(bytes(raw))
@@ -92,7 +96,7 @@ class TestCheckpoint:
     def test_damaged_file_rejected(self, tmp_path, damage):
         net = small_net()
         path = tmp_path / "damaged.bin"
-        io.save_checkpoint(path, net, net.params, step=0)
+        io.save_checkpoint(path, net, net.params, step=0, meta=META)
         path.write_bytes(damage(path.read_bytes()))
         with pytest.raises(ValueError, match="damaged.bin"):
             io.load_checkpoint(path)
@@ -398,8 +402,17 @@ class TestDamagedInputs:
         _descriptor_changed(lambda d: d["net"].update(depth=2)),
         _arrays_set_nan(ema=True),
         _arrays_set_nan(ema=False),
+        _descriptor_changed(lambda d: d.update(meta={})),
+        _descriptor_changed(lambda d: d.pop("meta")),
+        _descriptor_changed(lambda d: d["meta"].update(conditioning="sub")),
+        _descriptor_changed(lambda d: d["meta"].update(objective="ddpm")),
+        _descriptor_changed(lambda d: d["meta"].update(source_std=0.0)),
+        _descriptor_changed(lambda d: d["meta"].update(source_std="wide")),
     ], ids=["not_json", "not_utf8", "missing_step", "missing_net",
-            "net_rejected", "net_unknown_key", "nan_ema", "nan_params"])
+            "net_rejected", "net_unknown_key", "nan_ema", "nan_params",
+            "meta_empty", "meta_missing", "meta_bad_conditioning",
+            "meta_bad_objective", "meta_zero_source_std",
+            "meta_text_source_std"])
     def test_checkpoint(self, trained_dir, tmp_path, capsys, damage):
         manifest, bad = _run_with_damaged(trained_dir, tmp_path,
                                           "checkpoint", damage)
@@ -432,6 +445,14 @@ class TestDamagedInputs:
         manifest, bad = _run_with_damaged(trained_dir, tmp_path, "priors",
                                           damage)
         self._assert_rejected(trained_dir, tmp_path, capsys, manifest, bad)
+
+    def test_manifest_without_checkpoint(self, trained_dir, tmp_path, capsys):
+        payload = json.loads(trained_dir[2].read_text())
+        del payload["files"]["checkpoint"]
+        manifest = tmp_path / "no-checkpoint.manifest.json"
+        manifest.write_text(json.dumps(payload))
+        self._assert_rejected(trained_dir, tmp_path, capsys, manifest,
+                              manifest)
 
     def test_undamaged_copy_accepted(self, trained_dir, tmp_path):
         manifest, _ = _run_with_damaged(trained_dir, tmp_path, "priors",
@@ -479,8 +500,11 @@ class TestCli:
         cfg = load_config(cfg_path)
         swept = pipeline.sweep_nfe(manifest, cfg, tmp_path / "sweep.csv",
                                    nfe_list=(1, 3))
-        single = [pipeline.evaluate_run(manifest, cfg, tmp_path / "one.csv",
-                                        nfe=nfe) for nfe in (1, 3)]
+        single = []
+        for nfe in (1, 3):
+            cfg.sample.nfe = nfe
+            single.append(pipeline.evaluate_run(manifest, cfg,
+                                                tmp_path / "one.csv"))
         assert len(swept) == 2
         for a, b in zip(swept, single):
             np.testing.assert_equal(vars(a), vars(b))
@@ -533,3 +557,39 @@ class TestCli:
                    "--out", str(tmp_path), "--manifest", str(manifest),
                    "--class-id", "0", "--count", "0"])
         assert rc == EXIT_VALIDATION
+
+
+ABLATE_CONFIG = (TINY_CONFIG.replace("steps = 60", "steps = 20")
+                 .replace("count = 200", "count = 300"))
+
+
+class TestAblate:
+    """ablate trains the default config and one variant side by side; the
+    variant's setting is recorded in its manifest's config, and its report
+    is evaluate_run on that manifest."""
+
+    @pytest.mark.parametrize("variant, section, key, value", [
+        ("uniform_sampling", "sample", "submode_strategy", "uniform"),
+        ("drop_k", "train", "p_drop_submode", 0.1),
+    ])
+    def test_variant_recorded_and_evaluated(self, tmp_path, variant, section,
+                                            key, value):
+        cfg = parse_config(ABLATE_CONFIG)
+        assert getattr(getattr(cfg, section), key) != value
+        result = pipeline.ablate(cfg, variant, tmp_path)
+        manifest = next(tmp_path.glob(f"ablate-{variant}-*.manifest.json"))
+        var_cfg = parse_config(io.RunManifest.read(manifest).config_text)
+        assert getattr(getattr(var_cfg, section), key) == value
+        again = pipeline.evaluate_run(manifest, var_cfg, tmp_path / "x.csv")
+        np.testing.assert_equal(vars(again), vars(result[variant]))
+
+    def test_cli_writes_comparison(self, tmp_path):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(ABLATE_CONFIG)
+        out = tmp_path / "out"
+        assert main(["ablate", "--config", str(cfg_path), "--out", str(out),
+                     "--variant", "drop_k"]) == EXIT_OK
+        lines = (out / "comparison.csv").read_text().splitlines()
+        assert len(lines) == 3  # header, default, drop_k
+        assert [line.split(",")[0] for line in lines[1:]] == ["default",
+                                                              "drop_k"]

@@ -188,7 +188,7 @@ class TestFieldRmse:
         assert field_rmse(a, b, grid) == pytest.approx(np.sqrt(2.0))
 
     def test_grid_shape(self):
-        grid = metrics.default_grid(toy_spec(), resolution=41)
+        grid = metrics.default_grid(toy_spec())
         assert grid.shape == (41 * 41, 2)
 
 

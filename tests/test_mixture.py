@@ -11,8 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from subflow import mixture
-from subflow.mixture import (ConditionFilter, MixtureComponent, MixtureSpec,
-                             toy_spec)
+from subflow.mixture import MixtureComponent, MixtureSpec, toy_spec
 
 
 def single_gaussian(mean=(1.0, -2.0), std=0.7, source_std=1.0) -> MixtureSpec:
@@ -102,37 +101,16 @@ class TestSampling:
         np.testing.assert_allclose(xs.std(axis=0), [0.5, 0.5], atol=0.02)
 
 
-class TestInterpolate:
-    def test_endpoints(self):
-        x0 = np.array([1.0, 2.0])
-        x1 = np.array([-3.0, 0.5])
-        xt, v = mixture.interpolate(x0, x1, 0.0)
-        np.testing.assert_array_equal(xt, x0)
-        xt, v = mixture.interpolate(x0, x1, 1.0)
-        np.testing.assert_array_equal(xt, x1)
-        np.testing.assert_array_equal(v, x1 - x0)
-
-    def test_out_of_range_t(self):
-        with pytest.raises(ValueError):
-            mixture.interpolate([0, 0], [1, 1], 1.5)
-
-    @given(t=st.floats(0.0, 1.0))
-    def test_path_is_affine(self, t):
-        x0 = np.array([0.0, -1.0])
-        x1 = np.array([2.0, 5.0])
-        xt, v = mixture.interpolate(x0, x1, t)
-        np.testing.assert_allclose(xt, x0 + t * v, atol=1e-12)
-
-
-def oracle_at(spec, x, t, cond=ConditionFilter.all()):
+def oracle_at(spec, x, t, class_id=None, submode_id=None):
     """The batched oracle at one point."""
-    return mixture.oracle_velocity_batch(spec, np.asarray(x)[None], t, cond)[0]
+    return mixture.oracle_velocity_batch(spec, np.asarray(x)[None], t,
+                                         class_id, submode_id)[0]
 
 
-def weights_at(spec, x, t, cond=ConditionFilter.all()):
+def weights_at(spec, x, t, class_id=None, submode_id=None):
     """(indices, weights, underflowed) of the batched posterior at one point."""
     idx, w, under = mixture.posterior_weights_batch(spec, np.asarray(x)[None],
-                                                    t, cond)
+                                                    t, class_id, submode_id)
     return idx, w[0], bool(under[0])
 
 
@@ -150,8 +128,7 @@ class TestPosteriorWeights:
 
     def test_t_zero_gives_renormalized_priors(self):
         spec = toy_spec()
-        idx, w, _ = weights_at(spec, np.array([0.3, -0.8]), 0.0,
-                               ConditionFilter.for_class(1))
+        idx, w, _ = weights_at(spec, np.array([0.3, -0.8]), 0.0, class_id=1)
         np.testing.assert_allclose(w, [0.7, 0.3], atol=1e-12)
 
     def test_matches_quadrature(self):
@@ -175,7 +152,7 @@ class TestPosteriorWeights:
     def test_condition_filter_restricts(self):
         spec = toy_spec()
         idx, w, _ = weights_at(spec, np.array([0.0, 0.0]), 0.5,
-                               ConditionFilter.for_submode(0, 1))
+                               class_id=0, submode_id=1)
         assert list(idx) == [1]
         np.testing.assert_allclose(w, [1.0])
 
@@ -195,8 +172,7 @@ class TestOracleVelocity:
         # at t=0 the pairing is independent, so E[x1 - x0 | x0 = x] = mu - x
         spec = toy_spec()
         x = np.array([0.5, 1.5])
-        cond = ConditionFilter.for_submode(1, 0)
-        v = oracle_at(spec, x, 0.0, cond)
+        v = oracle_at(spec, x, 0.0, class_id=1, submode_id=0)
         np.testing.assert_allclose(v, np.array([4.0, 2.0]) - x, atol=1e-12)
 
     def test_batch_matches_single(self):
@@ -245,16 +221,13 @@ class TestOracleVelocity:
         worst = 0.0
         for t in rng.uniform(0.0, 0.999, size=10):
             for c in (0, 1):
-                cond = ConditionFilter.for_class(c)
-                v_class = mixture.oracle_velocity_batch(spec, xs, t, cond)
-                idx, w, _ = mixture.posterior_weights_batch(spec, xs, t, cond)
+                v_class = mixture.oracle_velocity_batch(spec, xs, t, c)
+                idx, w, _ = mixture.posterior_weights_batch(spec, xs, t, c)
                 mix = np.zeros_like(xs)
                 for col, j in enumerate(idx):
                     comp = spec.components[j]
-                    sub = ConditionFilter.for_submode(comp.class_id,
-                                                      comp.submode_id)
                     mix += w[:, col, None] * mixture.oracle_velocity_batch(
-                        spec, xs, t, sub)
+                        spec, xs, t, comp.class_id, comp.submode_id)
                 worst = max(worst, float(np.max(np.abs(v_class - mix))))
         assert worst < 1e-10
 
@@ -297,10 +270,19 @@ class TestOracleVelocity:
 
 
 class TestConditionFilter:
+    """A context (class_id, submode_id) selects the components it names."""
+
     def test_empty_selection_rejected(self):
         spec = toy_spec()
         with pytest.raises(ValueError, match="no component"):
-            ConditionFilter.for_class(7).select(spec)
+            mixture.posterior_weights_batch(spec, np.zeros((1, 2)), 0.5,
+                                            class_id=7)
+
+    def test_submode_without_class_rejected(self):
+        spec = toy_spec()
+        with pytest.raises(ValueError, match="without its class"):
+            mixture.oracle_velocity_batch(spec, np.zeros((1, 2)), 0.5,
+                                          submode_id=0)
 
     def test_bounding_box_covers_means(self):
         spec = toy_spec()
