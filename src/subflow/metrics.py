@@ -28,13 +28,20 @@ class MetricReport:
     coverage_count: int
     field_rmse: Optional[float] = None
 
-    CSV_HEADER = ["run_id", "nfe", "w", "frechet", "precision", "recall",
-                  "mode_tv", "coverage_count", "field_rmse"]
+    CSV_FIELDS = ["frechet", "precision", "recall", "mode_tv",
+                  "coverage_count", "field_rmse"]
+    CSV_HEADER = ["run_id", "nfe", "w", *CSV_FIELDS]
+
+    def csv_fields(self) -> list:
+        """The CSV_FIELDS of this report, floats as their shortest repr."""
+        return [repr(float(self.frechet)), repr(float(self.precision)),
+                repr(float(self.recall)), repr(float(self.mode_tv)),
+                self.coverage_count,
+                "" if self.field_rmse is None
+                else repr(float(self.field_rmse))]
 
     def csv_row(self, run_id: str, nfe: int, w: float) -> list:
-        return [run_id, nfe, repr(w), repr(self.frechet), repr(self.precision),
-                repr(self.recall), repr(self.mode_tv), self.coverage_count,
-                "" if self.field_rmse is None else repr(self.field_rmse)]
+        return [run_id, nfe, repr(w), *self.csv_fields()]
 
 
 _CHUNK = 1024
@@ -105,7 +112,7 @@ def frechet_2d(real: np.ndarray, gen: np.ndarray) -> float:
     tr_sqrt = np.sqrt(max(float(np.trace(prod)) + 2.0 * np.sqrt(det), 0.0))
     d2 = (float(np.sum((mu1 - mu2) ** 2)) + float(np.trace(s1))
           + float(np.trace(s2)) - 2.0 * tr_sqrt)
-    return max(d2, 0.0)
+    return max(float(d2), 0.0)
 
 
 def mode_shares(spec: MixtureSpec, gen: np.ndarray, tau: float = 0.5):

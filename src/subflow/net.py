@@ -27,6 +27,13 @@ FREQ_MIN = 1.0
 FREQ_MAX = 30.0
 TIME_ENC_DIM = 1 + 2 * N_FREQS
 
+# The primal sweep evaluates rows in fixed blocks of this many, the last one
+# padded, so row i always sits at position i % BLOCK_ROWS of a block of the
+# same shape and its bits do not depend on the batch size.  It equals the
+# training batch, so a training step is one unpadded block; at thousands of
+# rows, blocks also keep the elementwise work in cache.
+BLOCK_ROWS = 256
+
 
 @dataclass(frozen=True)
 class NetConfig:
@@ -129,7 +136,7 @@ class VelocityNet:
         return np.concatenate(
             [dt[:, None], np.cos(phase) * dphase, -np.sin(phase) * dphase], axis=1)
 
-    def _features(self, x, t, r, c, k) -> np.ndarray:
+    def _check_inputs(self, r, c, k) -> None:
         cfg = self.config
         if cfg.uses_interval:
             if r is None:
@@ -140,37 +147,82 @@ class VelocityNet:
             raise IndexError("class index out of range")
         if np.any(k < -1) or np.any(k >= cfg.num_submodes):
             raise IndexError("submode index out of range")
+
+    def _features(self, x, t, r, c, k, out: np.ndarray) -> None:
+        """Write the input features of a block of rows into `out`."""
         parts = [x, self._time_enc(t)]
-        if cfg.uses_interval:
+        if r is not None:
             parts.append(self._time_enc(r))
         parts.append(self.view("class_emb")[c])
         kemb = np.where((k >= 0)[:, None], self.view("submode_emb")[np.maximum(k, 0)], 0.0)
         parts.append(kemb)
-        return np.concatenate(parts, axis=1)
+        np.concatenate(parts, axis=1, out=out)
 
     # ---- forward / reverse / forward-mode -------------------------------
 
-    def _sweep(self, x, t, r, c, k):
-        """The primal pass: (n,2) output and the (hs, zs, c, k) activation cache.
+    def _sweep(self, x, t, r, c, k, cache: bool):
+        """The primal pass: (n,2) output and, when `cache`, the (hs, zs, c, k)
+        activation cache of the n rows (None otherwise).
 
         hs holds the input of every layer and the last hidden state; zs holds
-        each hidden layer's (pre-activation, sigmoid) pair.
+        each hidden layer's (pre-activation, sigmoid) pair.  Rows run in
+        blocks of BLOCK_ROWS; a short last block is padded with rows whose
+        results are dropped.  Without a cache, every block reuses one
+        block-sized set of buffers.
         """
         x = np.asarray(x, dtype=np.float64)
         t = np.asarray(t, dtype=np.float64)
         r = None if r is None else np.asarray(r, dtype=np.float64)
         c = np.asarray(c, dtype=np.int64)
         k = np.asarray(k, dtype=np.int64)
-        h = self._features(x, t, r, c, k)
-        zs, hs = [], [h]
-        for layer in range(self.config.hidden_layers):
-            z = h @ self.view(f"w{layer}").T + self.view(f"b{layer}")
-            sig = 1.0 / (1.0 + np.exp(-z))
-            h = z * sig
-            zs.append((z, sig))
-            hs.append(h)
-        out = h @ self.view("w_out").T + self.view("b_out")
-        return out, (hs, zs, c, k)
+        self._check_inputs(r, c, k)
+        n = len(x)
+        pad = -n % BLOCK_ROWS
+        rows = [x, t, r, c, k]
+        if pad:  # all-zero rows are valid inputs: class 0, sub-mode 0
+            rows = [None if a is None else np.concatenate(
+                [a, np.zeros((pad, *a.shape[1:]), dtype=a.dtype)])
+                for a in rows]
+        total = n + pad
+        depth = self.config.hidden_layers
+        width = self.config.hidden_width
+        held = total if cache else BLOCK_ROWS
+        # Every array of the pass is a view of one allocation: hs, then each
+        # layer's (z, sig).  Once a block that large is freed, glibc raises
+        # its dynamic mmap and trim thresholds, so later passes (each
+        # training step) reuse heap pages instead of faulting in fresh ones.
+        widths = [self.config.input_dim] + [width] * (3 * depth)
+        work = np.empty(held * sum(widths))
+        ends = np.cumsum([held * w for w in widths])[:-1]
+        arrays = [a.reshape(held, w)
+                  for a, w in zip(np.split(work, ends), widths)]
+        hs = arrays[:depth + 1]
+        zs = list(zip(arrays[depth + 1::2], arrays[depth + 2::2]))
+        out = np.empty((total, 2))
+        layers = [(self.view(f"w{layer}").T, self.view(f"b{layer}"))
+                  for layer in range(depth)]
+        for lo in range(0, total, BLOCK_ROWS):
+            block = slice(lo, lo + BLOCK_ROWS)
+            at = block if cache else slice(None)
+            self._features(*(None if a is None else a[block] for a in rows),
+                           out=hs[0][at])
+            for layer, (w_t, b) in enumerate(layers):
+                z, sig = zs[layer][0][at], zs[layer][1][at]
+                np.matmul(hs[layer][at], w_t, out=z)
+                z += b
+                # sig = 1 / (1 + exp(-z)), in place
+                np.negative(z, out=sig)
+                np.exp(sig, out=sig)
+                sig += 1.0
+                np.divide(1.0, sig, out=sig)
+                np.multiply(z, sig, out=hs[layer + 1][at])
+            np.matmul(hs[-1][at], self.view("w_out").T, out=out[block])
+            out[block] += self.view("b_out")
+        if not cache:
+            return out[:n], None
+        hs = [h[:n] for h in hs]
+        zs = [(z[:n], sig[:n]) for z, sig in zs]
+        return out[:n], (hs, zs, c, k)
 
     def forward_batch(self, x, t, r, c, k, *, cache: bool = False):
         """Evaluate the net on a batch.
@@ -180,7 +232,7 @@ class VelocityNet:
         Returns the (n,2) output, plus the activation cache when requested;
         `backward(..., cache=...)` consumes that cache without a second pass.
         """
-        out, act = self._sweep(x, t, r, c, k)
+        out, act = self._sweep(x, t, r, c, k, cache)
         return (out, act) if cache else out
 
     def backward(self, x, t, r, c, k, cotangents: np.ndarray, *,
@@ -231,7 +283,7 @@ class VelocityNet:
         dt = np.asarray(dt, dtype=np.float64)
         if dx.shape != np.shape(x) or dt.shape != np.shape(t):
             raise ValueError("tangent shape mismatch")
-        out, act = self._sweep(x, t, r, c, k)
+        out, act = self._sweep(x, t, r, c, k, cache=True)
         n = len(dx)
         parts = [dx, self._time_enc_dot(np.asarray(t, dtype=np.float64), dt)]
         if self.config.uses_interval:

@@ -104,7 +104,12 @@ def train_run(cfg: ExperimentConfig, out_dir, run_prefix: str = "train",
 
 
 def load_run(manifest_path):
-    """(net with EMA parameters, table or None, meta) for a finished run."""
+    """(net with EMA parameters, table or None, meta) for a finished run.
+
+    A priors table whose classes are not exactly the net's 0..C-1, or with
+    a class of more sub-modes than the net embeds, raises ValueError naming
+    the priors file.
+    """
     manifest = io.RunManifest.read(manifest_path)
     if "checkpoint" not in manifest.files:
         raise ValueError(f"{manifest_path}: manifest lists no checkpoint")
@@ -112,7 +117,19 @@ def load_run(manifest_path):
     eval_net = net.__class__(net.config, ema)  # evaluation uses EMA weights
     table = None
     if "priors" in manifest.files:
-        table = io.read_priors_table(manifest.files["priors"])
+        priors_path = manifest.files["priors"]
+        table = io.read_priors_table(priors_path)
+        classes = sorted(table.per_class)
+        if classes != list(range(net.config.num_classes)):
+            raise ValueError(
+                f"{priors_path}: classes {classes} do not match the "
+                f"checkpoint's {net.config.num_classes} classes")
+        for c in classes:
+            n_sub = len(table.per_class[c].priors)
+            if n_sub > net.config.num_submodes:
+                raise ValueError(
+                    f"{priors_path}: class {c} has {n_sub} sub-modes, the "
+                    f"checkpoint's net embeds {net.config.num_submodes}")
     return eval_net, table, meta
 
 
@@ -266,11 +283,6 @@ def ablate(cfg: ExperimentConfig, variant: str, out_dir) -> dict:
 def write_comparison_csv(path, rows: dict[str, metrics.MetricReport]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["variant", "frechet", "precision", "recall",
-                         "mode_tv", "coverage_count", "field_rmse"])
+        writer.writerow(["variant", *metrics.MetricReport.CSV_FIELDS])
         for name, rep in rows.items():
-            writer.writerow([name, repr(rep.frechet), repr(rep.precision),
-                             repr(rep.recall), repr(rep.mode_tv),
-                             rep.coverage_count,
-                             "" if rep.field_rmse is None
-                             else repr(rep.field_rmse)])
+            writer.writerow([name, *rep.csv_fields()])

@@ -5,6 +5,7 @@ exercised end to end on a shrunken config so every subcommand runs in a few
 seconds.
 """
 
+import csv
 import json
 import shutil
 import struct
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from subflow import cli, io, metrics, mixture, pipeline
-from subflow.cli import EXIT_OK, EXIT_VALIDATION, main
+from subflow.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 from subflow.config import (ConfigError, ExperimentConfig, emit_config,
                             load_config, parse_config)
 from subflow.net import NetConfig, VelocityNet
@@ -361,6 +362,15 @@ def _set_line(i, text):
     return damage
 
 
+def _class_rows(class_id, rows):
+    """Damage that replaces every row of one class in a priors CSV."""
+    def damage(path):
+        lines = [line for line in path.read_text().splitlines()
+                 if not line.startswith(f"{class_id},")]
+        path.write_text("\n".join(lines + rows) + "\n")
+    return damage
+
+
 def _run_with_damaged(trained_dir, tmp_path, label, damage):
     """Copy of the trained run whose `label` file is damaged; returns
     (manifest path, damaged file path)."""
@@ -438,9 +448,11 @@ class TestDamagedInputs:
         _set_line(1, "0,0,1,0.9"),
         _set_line(1, "0,0,1,nan"),
         _set_line(0, "class,submode_id,count,prior"),
+        _class_rows(1, []),
+        _class_rows(0, ["0,0,1,0.25", "0,1,1,0.25", "0,2,2,0.5"]),
     ], ids=["submode_gap", "submode_repeated", "submode_0_missing",
             "non_numeric", "field_missing", "not_normalised", "nan_prior",
-            "column_missing"])
+            "column_missing", "class_missing", "more_submodes_than_net"])
     def test_priors(self, trained_dir, tmp_path, capsys, damage):
         manifest, bad = _run_with_damaged(trained_dir, tmp_path, "priors",
                                           damage)
@@ -482,6 +494,27 @@ class TestCli:
         assert rc == EXIT_OK
         assert "mode_tv=" in capsys.readouterr().out
         assert (out / "metrics.csv").exists()
+
+    def test_metric_csvs_write_numbers(self, trained_dir, tmp_path):
+        """Every metric field of an evaluate CSV parses with float(), and a
+        comparison CSV writes a report's fields the same way."""
+        cfg_path, _, manifest = trained_dir
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--config", str(cfg_path), "--out", str(out),
+                     "--manifest", str(manifest)]) == EXIT_OK
+        with open(out / "metrics.csv", newline="") as fh:
+            (row,) = list(csv.DictReader(fh))
+        for field in ("frechet", "precision", "recall", "mode_tv",
+                      "field_rmse"):
+            float(row[field])
+        report = pipeline.evaluate_run(manifest, load_config(cfg_path),
+                                       tmp_path / "again.csv")
+        pipeline.write_comparison_csv(tmp_path / "comparison.csv",
+                                      {"run": report})
+        with open(tmp_path / "comparison.csv", newline="") as fh:
+            (compared,) = list(csv.DictReader(fh))
+        assert compared.pop("variant") == "run"
+        assert compared == {k: row[k] for k in metrics.MetricReport.CSV_FIELDS}
 
     def test_sweep_nfe(self, trained_dir, tmp_path):
         cfg_path, _, manifest = trained_dir
@@ -533,6 +566,19 @@ class TestCli:
         assert rc == EXIT_OK
         assert (out / "assignments.csv").exists()
         assert (out / "priors.csv").exists()
+
+    def test_internal_key_error_is_runtime_failure(self, tmp_path,
+                                                    monkeypatch, capsys):
+        """Outside input is checked before it reaches a dict lookup, so a
+        KeyError is a fault of the program: exit 2, not 1."""
+        def fail(*args, **kwargs):
+            raise KeyError("lost")
+        monkeypatch.setattr(pipeline, "train_run", fail)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(TINY_CONFIG)
+        assert main(["train", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == EXIT_RUNTIME
+        assert capsys.readouterr().err.startswith("runtime failure:")
 
     def test_missing_config_is_validation_error(self, tmp_path):
         rc = main(["train", "--config", str(tmp_path / "nope.cfg"),

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subflow.net import (FREQ_MAX, FREQ_MIN, N_FREQS, TIME_ENC_DIM, NetConfig,
-                         VelocityNet)
+from subflow.net import (BLOCK_ROWS, FREQ_MAX, FREQ_MIN, N_FREQS, TIME_ENC_DIM,
+                         NetConfig, VelocityNet)
 
 
 def tiny_config(uses_interval=False) -> NetConfig:
@@ -102,6 +102,47 @@ class TestForward:
         assert np.all(net.view("b_out") == 0.0)
         out = net.forward_batch(np.array([[3.0, -2.0]]), [0.8], None, [1], [1])
         np.testing.assert_array_equal(out, np.zeros((1, 2)))
+
+
+class TestBatchInvariance:
+    """Rows run in fixed blocks of BLOCK_ROWS, so a row's bits do not depend
+    on how many rows share its call."""
+
+    @staticmethod
+    def wide_net_and_rows(uses_interval, n=5000):
+        cfg = NetConfig(num_classes=2, num_submodes=2,
+                        uses_interval=uses_interval)
+        assert cfg.hidden_width == 128
+        net = random_net(cfg, seed=12, scale=0.1)
+        rng = np.random.default_rng(13)
+        t = rng.uniform(0, 1, n)
+        return net, (rng.standard_normal((n, 2)), t,
+                     t * rng.uniform(0, 1, n) if uses_interval else None,
+                     rng.integers(0, 3, n), rng.integers(-1, 2, n))
+
+    @pytest.mark.parametrize("uses_interval", [False, True])
+    def test_rows_independent_of_batch_size(self, uses_interval):
+        net, rows = self.wide_net_and_rows(uses_interval)
+        full = net.forward_batch(*rows)
+        for n in (1, 7, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 5000):
+            head = [None if a is None else a[:n] for a in rows]
+            assert np.array_equal(net.forward_batch(*head), full[:n]), n
+
+    @pytest.mark.parametrize("uses_interval", [False, True])
+    def test_cached_block_matches_uncached(self, uses_interval):
+        """At one full block the cached passes return the uncached output,
+        and their cache holds exactly the block's rows."""
+        net, rows = self.wide_net_and_rows(uses_interval, n=BLOCK_ROWS)
+        out = net.forward_batch(*rows)
+        tangents = (np.ones((BLOCK_ROWS, 2)), np.ones(BLOCK_ROWS),
+                    np.ones(BLOCK_ROWS) if uses_interval else None)
+        fwd_out, fwd_cache = net.forward_batch(*rows, cache=True)
+        jvp_out, _, jvp_cache = net.jvp_batch(*rows, *tangents, cache=True)
+        for got, (hs, zs, c, k) in ((fwd_out, fwd_cache),
+                                    (jvp_out, jvp_cache)):
+            assert np.array_equal(got, out)
+            arrays = [*hs, *(a for pair in zs for a in pair), c, k]
+            assert all(len(a) == BLOCK_ROWS for a in arrays)
 
 
 class TestBackward:
