@@ -31,13 +31,8 @@ def main():
     base = load_config(args.config)
     for variant in args.variants.split(","):
         out_dir = Path(args.out) / variant
-        result = pipeline.ablate(copy.deepcopy(base), variant, out_dir)
-        pipeline.write_comparison_csv(
-            out_dir / "comparison.csv",
-            {k: v for k, v in result.items() if k != "csv"})
-        for name, rep in result.items():
-            if name == "csv":
-                continue
+        reports = pipeline.ablate(copy.deepcopy(base), variant, out_dir)
+        for name, rep in reports.items():
             print(f"{variant}/{name}: mode_tv {rep.mode_tv:.3f} "
                   f"coverage {rep.coverage_count} recall {rep.recall:.3f}")
         print(f"wrote {out_dir}/comparison.csv")

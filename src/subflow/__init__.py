@@ -7,7 +7,7 @@ from .net import NetConfig, VelocityNet
 from .objectives import TrainConfig, TrainState, cfm_loss, meanflow_loss, \
     train
 from .clustering import SubmodeTable, assign_submodes, random_assignment
-from .sampler import GenerationBatch, SampleRequest, euler_integrate, \
+from .sampler import GenerationBatch, SampleConfig, euler_integrate, \
     generate, sample_submode
 from .metrics import MetricReport, field_rmse, frechet_2d, \
     knn_precision_recall, mode_shares
@@ -18,7 +18,7 @@ __all__ = [
     "NetConfig", "VelocityNet",
     "TrainConfig", "TrainState", "cfm_loss", "meanflow_loss", "train",
     "SubmodeTable", "assign_submodes", "random_assignment",
-    "GenerationBatch", "SampleRequest", "euler_integrate", "generate",
+    "GenerationBatch", "SampleConfig", "euler_integrate", "generate",
     "sample_submode",
     "MetricReport", "field_rmse", "frechet_2d", "knn_precision_recall",
     "mode_shares",

@@ -42,12 +42,8 @@ def cmd_train(args) -> int:
 def cmd_generate(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     net, table, meta = pipeline.load_run(args.manifest)
-    request = sampler.SampleRequest(
-        class_id=args.class_id, count=cfg.sample.count, nfe=cfg.sample.nfe,
-        guidance_scale=cfg.sample.guidance_scale,
-        submode_strategy=cfg.sample.submode_strategy,
-        fixed_submode=args.fixed_submode, seed=cfg.train.seed)
-    batch = pipeline.generate_batch(net, table, meta, request)
+    batch = sampler.generate(net, table, meta, cfg.sample, args.class_id,
+                             cfg.train.seed, args.fixed_submode)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     samples_path = out_dir / f"samples-class{args.class_id}.csv"
@@ -88,11 +84,8 @@ def cmd_sweep_nfe(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    result = pipeline.ablate(cfg, args.variant, args.out)
-    comparison = Path(args.out) / "comparison.csv"
-    pipeline.write_comparison_csv(
-        comparison, {k: v for k, v in result.items() if k != "csv"})
-    print(f"wrote {comparison}")
+    pipeline.ablate(cfg, args.variant, args.out)
+    print(f"wrote {Path(args.out) / 'comparison.csv'}")
     return EXIT_OK
 
 

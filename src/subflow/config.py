@@ -22,7 +22,7 @@ from typing import get_type_hints
 
 from .mixture import MixtureComponent, MixtureSpec, toy_spec
 from .objectives import TrainConfig
-from .sampler import check_sample_settings
+from .sampler import SampleConfig
 
 
 class ConfigError(ValueError):
@@ -50,18 +50,6 @@ class ClusterConfig:
             raise ValueError("k must be >= 1")
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
-
-
-@dataclass
-class SampleConfig:
-    count: int = 10000
-    nfe: int = 1
-    guidance_scale: float = 1.0
-    submode_strategy: str = "prior"
-
-    def __post_init__(self):
-        check_sample_settings(self.count, self.nfe, self.guidance_scale,
-                              self.submode_strategy)
 
 
 @dataclass

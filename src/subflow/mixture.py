@@ -46,6 +46,16 @@ class MixtureSpec:
         keys = [(c.class_id, c.submode_id) for c in self.components]
         if len(set(keys)) != len(keys):
             raise ValueError("duplicate (class_id, submode_id) pair in mixture")
+        # the net embeds classes and sub-modes by index: class id C would
+        # be the guidance null token
+        if self.class_ids != list(range(len(self.class_ids))):
+            raise ValueError(f"class ids {self.class_ids} are not "
+                             f"0..{len(self.class_ids) - 1}")
+        for c in self.class_ids:
+            subs = sorted(k for cid, k in keys if cid == c)
+            if subs != list(range(len(subs))):
+                raise ValueError(f"class {c}: submode ids {subs} are not "
+                                 f"0..{len(subs) - 1}")
         if not self.source_std > 0:
             raise ValueError("source_std must be positive")
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import dataclasses
 import time
 from pathlib import Path
 
@@ -133,22 +134,12 @@ def load_run(manifest_path):
     return eval_net, table, meta
 
 
-def generate_batch(net, table, meta,
-                   request: sampler.SampleRequest) -> sampler.GenerationBatch:
-    return sampler.generate(net, table, request,
-                            source_std=meta["source_std"],
-                            conditioning=meta["conditioning"])
-
-
 def generate_all_classes(net, table, meta, cfg: ExperimentConfig, count: int,
                          nfe: int, w: float, strategy: str, seed: int):
-    """Generate `count` samples spread over classes by their true mass."""
+    """Generate `count` samples spread over classes by their true mass,
+    with seed + c for class c."""
     spec = cfg.mixture
-    if meta["conditioning"] == "uncond":
-        req = sampler.SampleRequest(class_id=0, count=count, nfe=nfe,
-                                    guidance_scale=w, submode_strategy=strategy,
-                                    seed=seed)
-        return generate_batch(net, table, meta, req)
+    sample = sampler.SampleConfig(count, nfe, w, strategy)
     class_mass = {c: sum(comp.weight for comp in spec.components
                          if comp.class_id == c) for c in spec.class_ids}
     xs, cs, ks = [], [], []
@@ -159,10 +150,9 @@ def generate_all_classes(net, table, meta, cfg: ExperimentConfig, count: int,
         allotted += n_c
         if n_c == 0:
             continue
-        req = sampler.SampleRequest(class_id=c, count=n_c, nfe=nfe,
-                                    guidance_scale=w, submode_strategy=strategy,
-                                    seed=seed + c)
-        batch = generate_batch(net, table, meta, req)
+        batch = sampler.generate(net, table, meta,
+                                 dataclasses.replace(sample, count=n_c), c,
+                                 seed + c)
         xs.append(batch.xs)
         cs.append(batch.class_ids)
         ks.append(batch.submode_ids)
@@ -191,16 +181,23 @@ def net_field(net, class_id=None, submode_id=None):
     return field
 
 
-def model_field_rmse(net, meta, cfg: ExperimentConfig) -> float:
+def model_field_rmse(net, meta, cfg: ExperimentConfig) -> float | None:
     """Learned-field error against the analytic oracle, averaged over the
-    conditioning contexts the model was trained with.
+    conditioning contexts the model was trained with, or None.
 
     A context is a (class_id, submode_id) pair, None where the label is not
-    conditioned on; each pair drives both the net and the oracle.
+    conditioned on; each pair drives both the net and the oracle.  A subflow
+    net is given the generating sub-mode id as its cluster id, which
+    assumes K-Means numbered its clusters in the mixture's order; with a
+    different number of sub-modes per class there is no such pairing, and
+    the result is None.
     """
     spec = cfg.mixture
     grid = metrics.default_grid(spec)
     conditioning = meta["conditioning"]
+    if conditioning == "subflow" and net.config.num_submodes != 1 + max(
+            comp.submode_id for comp in spec.components):
+        return None
     contexts = list(dict.fromkeys(
         (None if conditioning == "uncond" else comp.class_id,
          comp.submode_id if conditioning == "subflow" else None)
@@ -255,7 +252,9 @@ ABLATION_VARIANTS = ("random_assignment", "uniform_sampling", "drop_k")
 
 
 def ablate(cfg: ExperimentConfig, variant: str, out_dir) -> dict:
-    """Train/evaluate the default configuration and one ablation variant."""
+    """Train/evaluate the default configuration and one ablation variant;
+    writes ablation.csv and comparison.csv into `out_dir` and returns
+    {name: report}."""
     if variant not in ABLATION_VARIANTS:
         raise ValidationError(f"unknown ablation variant {variant!r}")
     out_dir = Path(out_dir)
@@ -276,8 +275,9 @@ def ablate(cfg: ExperimentConfig, variant: str, out_dir) -> dict:
         out_dir / f"{base_manifest.run_id}.manifest.json", base_cfg, out_csv)
     var_report = evaluate_run(
         out_dir / f"{var_manifest.run_id}.manifest.json", var_cfg, out_csv)
-    return {"default": base_report, variant: var_report,
-            "csv": str(out_csv)}
+    reports = {"default": base_report, variant: var_report}
+    write_comparison_csv(out_dir / "comparison.csv", reports)
+    return reports
 
 
 def write_comparison_csv(path, rows: dict[str, metrics.MetricReport]) -> None:

@@ -20,34 +20,24 @@ from .rng import stream
 STRATEGIES = ("prior", "uniform", "fixed")
 
 
-@dataclass(frozen=True)
-class SampleRequest:
-    class_id: int
-    count: int
+@dataclass
+class SampleConfig:
+    """The [sample] config section: how many samples to draw and how."""
+    count: int = 10000
     nfe: int = 1
     guidance_scale: float = 1.0
     submode_strategy: str = "prior"
-    fixed_submode: int = -1
-    seed: int = 0
 
     def __post_init__(self):
-        check_sample_settings(self.count, self.nfe, self.guidance_scale,
-                              self.submode_strategy)
-        if self.submode_strategy == "fixed" and self.fixed_submode < 0:
-            raise ValueError("fixed strategy needs a submode index")
-
-
-def check_sample_settings(count: int, nfe: int, guidance_scale: float,
-                          submode_strategy: str) -> None:
-    """The checks shared by a SampleRequest and the [sample] config section."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if nfe < 1:
-        raise ValueError("nfe must be >= 1")
-    if guidance_scale < 0.0:
-        raise ValueError("guidance scale must be >= 0")
-    if submode_strategy not in STRATEGIES:
-        raise ValueError(f"unknown submode strategy {submode_strategy!r}")
+        if self.count < 1:
+            raise ValueError("count must be >= 1")
+        if self.nfe < 1:
+            raise ValueError("nfe must be >= 1")
+        if self.guidance_scale < 0.0:
+            raise ValueError("guidance scale must be >= 0")
+        if self.submode_strategy not in STRATEGIES:
+            raise ValueError(
+                f"unknown submode strategy {self.submode_strategy!r}")
 
 
 @dataclass
@@ -72,6 +62,8 @@ def sample_submode(table: SubmodeTable, class_id: int, strategy: str,
         live = np.flatnonzero(table.per_class[class_id].counts > 0)
         return live[rng.integers(len(live), size=count)]
     if strategy == "fixed":
+        if fixed < 0:
+            raise ValueError("fixed strategy needs a submode index")
         if fixed >= len(prior) or table.per_class[class_id].counts[fixed] == 0:
             raise ValueError(f"fixed submode {fixed} has no training mass")
         return np.full(count, fixed, dtype=np.int64)
@@ -104,47 +96,48 @@ def euler_integrate(field: Callable[[np.ndarray, float], np.ndarray],
     return x
 
 
-def generate(net: VelocityNet, table: Optional[SubmodeTable],
-             request: SampleRequest, source_std: float = 1.0,
-             conditioning: str = "subflow") -> GenerationBatch:
-    """Generate a batch of samples for one class.
+def generate(net: VelocityNet, table: Optional[SubmodeTable], meta: dict,
+             sample: SampleConfig, class_id: int, seed: int,
+             fixed_submode: int = -1) -> GenerationBatch:
+    """Generate `sample.count` samples for one class.
 
-    The noise and the sub-modes come from one stream each, keyed by
-    (seed, purpose): sample i takes the i-th draw of each, so each sample
-    index gets the same draws at any count.
+    `conditioning` and `source_std` come from the checkpoint's `meta`; only
+    subflow runs read the sub-mode strategy and `fixed_submode`.  The noise
+    and the sub-modes come from one stream each, keyed by (seed, purpose):
+    sample i takes the i-th draw of each, so each sample index gets the
+    same draws at any count.
     """
-    n = request.count
-    c_id = request.class_id
+    n = sample.count
+    conditioning = meta["conditioning"]
     if conditioning == "uncond":
         cs = np.full(n, net.config.null_class, dtype=np.int64)
     else:
-        if not 0 <= c_id < net.config.num_classes:
-            raise ValueError(f"class {c_id} out of range")
-        cs = np.full(n, c_id, dtype=np.int64)
+        if not 0 <= class_id < net.config.num_classes:
+            raise ValueError(f"class {class_id} out of range")
+        cs = np.full(n, class_id, dtype=np.int64)
     if conditioning == "subflow":
         if table is None:
             raise ValueError("subflow generation needs a SubmodeTable")
-        ks = sample_submode(table, c_id, request.submode_strategy,
-                            stream(request.seed, "sample.submode"), n,
-                            request.fixed_submode)
+        ks = sample_submode(table, class_id, sample.submode_strategy,
+                            stream(seed, "sample.submode"), n, fixed_submode)
     else:
         ks = np.full(n, -1, dtype=np.int64)
-    x0 = source_std * stream(request.seed, "sample.noise").standard_normal(
+    x0 = meta["source_std"] * stream(seed, "sample.noise").standard_normal(
         (n, 2))
 
-    h = 1.0 / request.nfe
+    h = 1.0 / sample.nfe
 
     def field(x, s):
         t_arr = np.full(n, s)
         if net.config.uses_interval:
             # average-velocity head over the step's endpoints (s, s+h)
             return _cfg_velocity_batch(net, x, np.full(n, s + h), t_arr, cs,
-                                       ks, request.guidance_scale)
+                                       ks, sample.guidance_scale)
         return _cfg_velocity_batch(net, x, t_arr, None, cs, ks,
-                                   request.guidance_scale)
+                                   sample.guidance_scale)
 
     return GenerationBatch(
-        xs=euler_integrate(field, x0, request.nfe),
-        class_ids=np.full(n, c_id if conditioning != "uncond" else -1,
+        xs=euler_integrate(field, x0, sample.nfe),
+        class_ids=np.full(n, class_id if conditioning != "uncond" else -1,
                           dtype=np.int64),
         submode_ids=ks)

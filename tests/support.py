@@ -1,5 +1,5 @@
-"""Helpers shared by the test modules: the repository root and in-memory
-training of one configuration.
+"""Helpers shared by the test modules: the repository root, a tiny config
+and in-memory training of one configuration.
 
 A plain module rather than conftest.py, so that test modules can import it
 by name while another suite's conftest.py is collected in the same process.
@@ -14,6 +14,27 @@ from subflow.objectives import train
 from subflow.pipeline import build_dataset, cluster_dataset
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# a subflow run small enough for the CLI and the scripts to finish in
+# about a second
+TINY_CONFIG = """\
+[data]
+n_train = 2000
+
+[train]
+objective = meanflow
+conditioning = subflow
+steps = 60
+batch_size = 128
+seed = 3
+
+[sample]
+count = 200
+nfe = 1
+
+[metrics]
+n_real = 400
+"""
 
 
 def train_variant(base_cfg, objective, conditioning, steps=None,

@@ -45,13 +45,11 @@ def within_class_minority_shares(spec, xs):
 
 def one_step_per_class(run, count, nfe=1):
     """Generate `count` samples for each class and concatenate them."""
-    batches = []
-    for c in run.cfg.mixture.class_ids:
-        req = sampler.SampleRequest(class_id=c, count=count, nfe=nfe,
-                                    seed=run.cfg.train.seed + c)
-        batches.append(pipeline.generate_batch(run.net, run.table, run.meta,
-                                               req))
-    return np.concatenate([b.xs for b in batches])
+    sample = sampler.SampleConfig(count=count, nfe=nfe)
+    return np.concatenate([
+        sampler.generate(run.net, run.table, run.meta, sample, c,
+                         run.cfg.train.seed + c).xs
+        for c in run.cfg.mixture.class_ids])
 
 
 def test_criterion_01_one_step_collapse(meanflow_class_run):
@@ -299,9 +297,8 @@ def test_criterion_10_pipeline_determinism(tmp_path):
         manifest = pipeline.train_run(copy.deepcopy(cfg), out)
         manifest_path = out / f"{manifest.run_id}.manifest.json"
         net, table, meta = pipeline.load_run(manifest_path)
-        req = sampler.SampleRequest(class_id=0, count=cfg.sample.count,
-                                    nfe=cfg.sample.nfe, seed=cfg.train.seed)
-        batch = pipeline.generate_batch(net, table, meta, req)
+        batch = sampler.generate(net, table, meta, cfg.sample, 0,
+                                 cfg.train.seed)
         io.write_samples_csv(out / "samples.csv", batch)
         pipeline.evaluate_run(manifest_path, cfg, out / "metrics.csv")
         outputs.append(out)

@@ -21,26 +21,7 @@ from subflow.config import (ConfigError, ExperimentConfig, emit_config,
 from subflow.net import NetConfig, VelocityNet
 from subflow.mixture import toy_spec
 
-from support import ROOT
-
-TINY_CONFIG = """\
-[data]
-n_train = 2000
-
-[train]
-objective = meanflow
-conditioning = subflow
-steps = 60
-batch_size = 128
-seed = 3
-
-[sample]
-count = 200
-nfe = 1
-
-[metrics]
-n_real = 400
-"""
+from support import ROOT, TINY_CONFIG
 
 
 # the run metadata load_checkpoint requires
@@ -247,6 +228,12 @@ def test_overrides_set_their_keys():
     (lambda: parse_config("[mixture]\ncomponent_0 = 0.5 0 0 1 0 0\n"
                           "component_2 = 0.5 1 0 1 0 1\n"), ConfigError,
      "component_2"),
+    (lambda: parse_config("[mixture]\ncomponent_0 = 0.5 0 0 1 0 0\n"
+                          "component_1 = 0.5 1 0 1 2 0\n"), ConfigError,
+     "class ids"),
+    (lambda: parse_config("[mixture]\ncomponent_0 = 0.5 0 0 1 0 0\n"
+                          "component_1 = 0.5 1 0 1 0 2\n"), ConfigError,
+     "submode ids"),
     (lambda: overridden("evaluate", "--nfe", "0"), ConfigError, "nfe"),
     (lambda: overridden("generate", "--class-id", "0", "--count", "0"),
      ConfigError, "count"),
@@ -259,7 +246,7 @@ def test_overrides_set_their_keys():
 ], ids=["knn_k", "n_real", "count", "nfe", "strategy", "cluster_k",
         "n_train", "bool", "unknown_key", "unknown_section",
         "default_section", "unknown_mixture_key", "component_gap",
-        "override_nfe", "override_count",
+        "class_id_gap", "submode_id_gap", "override_nfe", "override_count",
         "override_guidance", "override_cluster_k", "knn_k_call"])
 def test_invalid_setting_rejected(call, error, match):
     with pytest.raises(error, match=match):
@@ -516,6 +503,24 @@ class TestCli:
         assert compared.pop("variant") == "run"
         assert compared == {k: row[k] for k in metrics.MetricReport.CSV_FIELDS}
 
+    def test_field_rmse_empty_when_cluster_k_differs(self, tmp_path):
+        """With one cluster per class, a subflow net's cluster ids cannot be
+        paired with the mixture's two sub-modes per class: evaluate writes
+        an empty field_rmse."""
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY_CONFIG.replace("steps = 60", "steps = 20")
+                            + "\n[cluster]\nk = 1\n")
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(cfg_path),
+                     "--out", str(run)]) == EXIT_OK
+        manifest = next(run.glob("*.manifest.json"))
+        assert main(["evaluate", "--config", str(cfg_path), "--out",
+                     str(tmp_path / "eval"), "--manifest",
+                     str(manifest)]) == EXIT_OK
+        with open(tmp_path / "eval" / "metrics.csv", newline="") as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert row["field_rmse"] == ""
+
     def test_sweep_nfe(self, trained_dir, tmp_path):
         cfg_path, _, manifest = trained_dir
         out = tmp_path / "sweep"
@@ -612,7 +617,8 @@ ABLATE_CONFIG = (TINY_CONFIG.replace("steps = 60", "steps = 20")
 class TestAblate:
     """ablate trains the default config and one variant side by side; the
     variant's setting is recorded in its manifest's config, and its report
-    is evaluate_run on that manifest."""
+    is evaluate_run on that manifest.  It returns only the two reports and
+    writes comparison.csv itself."""
 
     @pytest.mark.parametrize("variant, section, key, value", [
         ("uniform_sampling", "sample", "submode_strategy", "uniform"),
@@ -623,6 +629,8 @@ class TestAblate:
         cfg = parse_config(ABLATE_CONFIG)
         assert getattr(getattr(cfg, section), key) != value
         result = pipeline.ablate(cfg, variant, tmp_path)
+        assert list(result) == ["default", variant]
+        assert (tmp_path / "comparison.csv").exists()
         manifest = next(tmp_path.glob(f"ablate-{variant}-*.manifest.json"))
         var_cfg = parse_config(io.RunManifest.read(manifest).config_text)
         assert getattr(getattr(var_cfg, section), key) == value

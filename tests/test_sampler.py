@@ -14,7 +14,7 @@ from subflow.clustering import assign_submodes
 from subflow.mixture import oracle_velocity_batch, toy_spec
 from subflow.net import NetConfig, VelocityNet
 from subflow.rng import stream
-from subflow.sampler import (SampleRequest, _cfg_velocity_batch,
+from subflow.sampler import (SampleConfig, _cfg_velocity_batch,
                              euler_integrate, generate, sample_submode)
 
 
@@ -24,24 +24,28 @@ def tiny_net(uses_interval=False, seed=0):
     return VelocityNet.initialized(cfg, seed)
 
 
+def meta(conditioning="subflow"):
+    """Run metadata as a checkpoint holds it."""
+    return {"objective": "meanflow", "conditioning": conditioning,
+            "source_std": 1.0}
+
+
 def toy_table(n=4000, seed=0):
     data = mixture.sample_dataset(toy_spec(), n, seed)
     xs, cs, _ = mixture.dataset_arrays(data)
     return assign_submodes({c: xs[cs == c] for c in (0, 1)}, 2, seed=seed)
 
 
-class TestSampleRequest:
+class TestSampleConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            SampleRequest(class_id=0, count=0)
+            SampleConfig(count=0)
         with pytest.raises(ValueError):
-            SampleRequest(class_id=0, count=1, nfe=0)
+            SampleConfig(count=1, nfe=0)
         with pytest.raises(ValueError):
-            SampleRequest(class_id=0, count=1, guidance_scale=-0.5)
+            SampleConfig(count=1, guidance_scale=-0.5)
         with pytest.raises(ValueError):
-            SampleRequest(class_id=0, count=1, submode_strategy="magic")
-        with pytest.raises(ValueError):
-            SampleRequest(class_id=0, count=1, submode_strategy="fixed")
+            SampleConfig(count=1, submode_strategy="magic")
 
 
 class TestEulerIntegrate:
@@ -166,6 +170,11 @@ class TestSampleSubmode:
         np.testing.assert_array_equal(draws, np.ones(5, dtype=np.int64))
         assert draws.dtype == np.int64
 
+    def test_fixed_needs_index(self):
+        """The default index -1 would mean no sub-mode conditioning."""
+        with pytest.raises(ValueError, match="needs a submode index"):
+            sample_submode(toy_table(), 0, "fixed", stream(0, "t"), 5)
+
     def test_fixed_out_of_range(self):
         table = toy_table()
         with pytest.raises(ValueError):
@@ -177,44 +186,45 @@ class TestGenerate:
         """A zero-output net leaves the source points unchanged."""
         net = tiny_net()
         zero = VelocityNet(net.config, np.zeros_like(net.params))
-        req = SampleRequest(class_id=0, count=16, nfe=4, seed=1)
-        batch = generate(zero, toy_table(), req, source_std=1.0)
+        batch = generate(zero, toy_table(), meta(),
+                         SampleConfig(count=16, nfe=4), 0, 1)
         x0 = stream(1, "sample.noise").standard_normal((16, 2))
         np.testing.assert_allclose(batch.xs, x0, atol=1e-15)
 
     def test_deterministic(self):
         net = tiny_net(uses_interval=True)
         table = toy_table()
-        req = SampleRequest(class_id=1, count=32, nfe=2, seed=5)
-        a = generate(net, table, req)
-        b = generate(net, table, req)
+        sample = SampleConfig(count=32, nfe=2)
+        a = generate(net, table, meta(), sample, 1, 5)
+        b = generate(net, table, meta(), sample, 1, 5)
         np.testing.assert_array_equal(a.xs, b.xs)
         np.testing.assert_array_equal(a.submode_ids, b.submode_ids)
 
     def test_class_conditioning_without_table(self):
+        """A class run needs no table and ignores the sub-mode strategy,
+        even `fixed` without an index."""
         net = tiny_net()
-        req = SampleRequest(class_id=0, count=4, nfe=1, seed=0)
-        batch = generate(net, None, req, conditioning="class")
+        batch = generate(net, None, meta("class"),
+                         SampleConfig(count=4, submode_strategy="fixed"), 0, 0)
         assert np.all(batch.submode_ids == -1)
         assert np.all(batch.class_ids == 0)
 
     def test_subflow_without_table_rejected(self):
         net = tiny_net()
-        req = SampleRequest(class_id=0, count=4)
         with pytest.raises(ValueError):
-            generate(net, None, req, conditioning="subflow")
+            generate(net, None, meta(), SampleConfig(count=4), 0, 0)
 
     @pytest.mark.parametrize("conditioning", ["class", "subflow"])
     def test_class_out_of_range(self, conditioning):
         net = tiny_net()
-        req = SampleRequest(class_id=7, count=4)
         with pytest.raises(ValueError, match="class 7 out of range"):
-            generate(net, toy_table(), req, conditioning=conditioning)
+            generate(net, toy_table(), meta(conditioning),
+                     SampleConfig(count=4), 7, 0)
 
     def test_uncond_uses_null_class(self):
         net = tiny_net()
-        req = SampleRequest(class_id=0, count=4, seed=3)
-        batch = generate(net, None, req, conditioning="uncond")
+        batch = generate(net, None, meta("uncond"), SampleConfig(count=4), 0,
+                         3)
         assert np.all(batch.class_ids == -1)
 
     def test_results_independent_of_count(self):
@@ -230,10 +240,10 @@ class TestGenerate:
         table = toy_table()
         for strategy in ("prior", "uniform", "fixed"):
             for nfe in (1, 4):
-                big, small = (generate(net, table, SampleRequest(
-                    class_id=0, count=n, nfe=nfe, seed=11,
-                    submode_strategy=strategy,
-                    fixed_submode=1 if strategy == "fixed" else -1))
+                big, small = (generate(
+                    net, table, meta(), SampleConfig(
+                        count=n, nfe=nfe, submode_strategy=strategy), 0, 11,
+                    fixed_submode=1 if strategy == "fixed" else -1)
                     for n in (4000, 7))
                 assert np.array_equal(big.xs[:7], small.xs), (strategy, nfe)
                 assert np.array_equal(big.submode_ids[:7], small.submode_ids)
@@ -241,8 +251,8 @@ class TestGenerate:
     def test_interval_single_step_uses_full_interval(self):
         """At nfe=1 an interval net is queried with (r, t) = (0, 1)."""
         net = tiny_net(uses_interval=True)
-        req = SampleRequest(class_id=0, count=4, nfe=1, seed=4)
-        batch = generate(net, toy_table(), req)
+        batch = generate(net, toy_table(), meta(), SampleConfig(count=4), 0,
+                         4)
         x0 = stream(4, "sample.noise").standard_normal((4, 2))
         u = net.forward_batch(x0, np.ones(4), np.zeros(4),
                               np.zeros(4, dtype=np.int64), batch.submode_ids)

@@ -1,0 +1,37 @@
+"""Smoke tests for scripts/: each script runs as its own process on a tiny
+config and writes its CSVs, one row per panel, NFE or model."""
+
+import subprocess
+import sys
+
+import pytest
+
+from subflow.pipeline import ABLATION_VARIANTS
+
+from support import ROOT, TINY_CONFIG
+
+# script, extra flags, {CSV written: lines including the header}
+SCRIPTS = [
+    ("reproduce_figure.py", ["--baseline-steps", "20", "--baseline-nfe", "4"],
+     {"mode_shares.csv": 4}),
+    ("nfe_sweep.py", ["--nfe-list", "1,2"],
+     {"nfe_sweep_class.csv": 3, "nfe_sweep_subflow.csv": 3}),
+    ("run_ablations.py", [],
+     {f"{variant}/{name}": 3 for variant in ABLATION_VARIANTS
+      for name in ("ablation.csv", "comparison.csv")}),
+]
+
+
+@pytest.mark.parametrize("script, flags, csvs", SCRIPTS,
+                         ids=[entry[0] for entry in SCRIPTS])
+def test_script_runs(tmp_path, script, flags, csvs):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY_CONFIG)
+    out = tmp_path / "out"
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), "--config", str(cfg),
+         "--out", str(out), *flags],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    for name, lines in csvs.items():
+        assert len((out / name).read_text().splitlines()) == lines, name
