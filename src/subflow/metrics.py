@@ -2,9 +2,10 @@
 
 Fidelity/diversity follow the k-NN manifold protocol (precision: generated
 points inside the real manifold; recall: real points inside the generated
-manifold).  The Fréchet distance is the moment-based Gaussian distance on
-raw coordinates with the closed-form 2x2 matrix square root.  Mode shares
-quantify collapse directly against the known mixture weights.
+manifold), found by an exact search over a grid of square cells.  The
+Fréchet distance is the moment-based Gaussian distance on raw coordinates
+with the closed-form 2x2 matrix square root.  Mode shares quantify collapse
+directly against the known mixture weights.
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ class MetricReport:
         return [run_id, nfe, repr(w), *self.csv_fields()]
 
 
-_CHUNK = 1024
+# Upper bound on the padded (query, candidate) pairs of one batch.
+_PAIR_BUDGET = 1 << 16
 
 
 def _pairwise_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -53,35 +55,155 @@ def _pairwise_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.maximum(d2, 0.0)
 
 
+def _check_points(name: str, points) -> np.ndarray:
+    """`points` as an (n, 2) float64 array of finite coordinates."""
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 2 or points.shape[1] != 2:
+        raise ValueError(f"{name} must have shape (n, 2), got {points.shape}")
+    bad = int(np.count_nonzero(~np.isfinite(points).all(axis=1)))
+    if bad:
+        raise ValueError(f"{name} has {bad} rows with non-finite coordinates")
+    return points
+
+
+def _frame(*sets: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Anchor, span and starting cell side shared by the grids of a search.
+
+    The start is 2^-12 of the extent of the central 98 % of the points, so
+    a far outlier does not coarsen the grid of the rest, but at least 2^-24
+    of the span, which keeps cell keys far inside int64.
+    """
+    pts = np.concatenate(sets)
+    lo = pts.min(axis=0)
+    span = float(np.max(pts.max(axis=0) - lo))
+    q_lo, q_hi = np.percentile(pts, [1.0, 99.0], axis=0)
+    h = max(float(np.max(q_hi - q_lo)) * 2.0 ** -12, span * 2.0 ** -24)
+    return lo, span, (h if h > 0.0 else 1.0)
+
+
+def _reach_sq(span: float, h: float) -> float:
+    """Squared distance within which a point lies in a query's block.
+
+    The cell index floor((p - lo) / h) carries a rounding error of about
+    4 * 2^-53 * span / h cells, so a point outside the 3 x 3 block can sit
+    as near as h * (1 - 4 * 2^-53 * span / h); the distance itself rounds
+    by a few ulp more.  The margin (span / h + 1) * 2^-50 covers both
+    twice over, and stays below 2^-26 because span / h <= 2^24.
+    """
+    return (h * (1.0 - (span / h + 1.0) * 2.0 ** -50)) ** 2
+
+
+class _Grid:
+    """Points bucketed into square cells of side h, as a table sorted by
+    cell key.  A query's block is the 3 x 3 cells around its own, which in
+    key order are three runs of the table, one per cell column."""
+
+    def __init__(self, points: np.ndarray, lo: np.ndarray, span: float,
+                 h: float):
+        self.lo, self.h = lo, h
+        # one spare column: a cell index can round up past span / h
+        self.width = int(span / h) + 4
+        keys = self.keys(points)
+        self.order = np.argsort(keys, kind="stable")
+        self.table = keys[self.order]
+        # a sentinel at infinity pads blocks of unequal size
+        self.xs = np.append(points[self.order, 0], np.inf)
+        self.ys = np.append(points[self.order, 1], np.inf)
+
+    def keys(self, points: np.ndarray) -> np.ndarray:
+        cells = np.floor((points - self.lo) / self.h).astype(np.int64)
+        return (cells[:, 0] + 1) * self.width + cells[:, 1] + 1
+
+    def blocks(self, queries: np.ndarray):
+        """Yield (rows, idx, d2) batches.  Row i pairs query rows[i] with
+        the table positions idx[i] of its block, padded with the sentinel
+        (position len(table)); d2 holds their squared distances, inf on
+        the padding.  Rows are batched in order of block size, with at most
+        _PAIR_BUDGET padded pairs per batch (one row if its block alone is
+        larger)."""
+        cols = self.keys(queries)[:, None] + self.width * np.arange(-1, 2)
+        starts = np.searchsorted(self.table, cols - 1, side="left")
+        counts = np.searchsorted(self.table, cols + 1, side="right") - starts
+        ends = np.cumsum(counts, axis=1)
+        # table position = run start + offset into the run; run 3 is padding
+        shift = np.column_stack([starts - (ends - counts),
+                                 np.full(len(queries), len(self.table))])
+        by_size = np.argsort(ends[:, 2], kind="stable")
+        sizes = ends[by_size, 2]
+        first = 0
+        while first < len(by_size):
+            rest = sizes[first:]
+            fits = np.arange(1, len(rest) + 1) * rest <= _PAIR_BUDGET
+            last = first + max(1, int(np.count_nonzero(fits)))
+            rows = by_size[first:last]
+            pos = np.arange(sizes[last - 1])
+            run = ((pos >= ends[rows, 0:1]).astype(np.int64)
+                   + (pos >= ends[rows, 1:2]) + (pos >= ends[rows, 2:3]))
+            idx = np.minimum(np.take_along_axis(shift[rows], run, axis=1)
+                             + pos, len(self.table))
+            dx = queries[rows, 0:1] - self.xs[idx]
+            dy = queries[rows, 1:2] - self.ys[idx]
+            yield rows, idx, dx * dx + dy * dy
+            first = last
+
+
 def _knn_radii_sq(points: np.ndarray, k: int) -> np.ndarray:
-    """Squared distance from each point to its k-th nearest neighbor (self excluded)."""
+    """Squared distance from each point to its k-th nearest neighbor (self
+    excluded).  A row is final once its block holds its k-th neighbour
+    within reach; the others try again with cells twice as wide."""
+    lo, span, h = _frame(points)
     radii = np.empty(len(points))
-    for lo in range(0, len(points), _CHUNK):
-        d2 = _pairwise_sq(points[lo:lo + _CHUNK], points)
-        rows = np.arange(d2.shape[0])
-        d2[rows, lo + rows] = np.inf
-        radii[lo:lo + _CHUNK] = np.partition(d2, k - 1, axis=1)[:, k - 1]
+    todo = np.arange(len(points))
+    while len(todo):
+        grid = _Grid(points, lo, span, h)
+        kth = np.full(len(todo), np.inf)
+        for rows, _, d2 in grid.blocks(points[todo]):
+            # a block holds its own point, at distance 0: index k is the
+            # k-th neighbour
+            if d2.shape[1] > k:
+                kth[rows] = np.partition(d2, k, axis=1)[:, k]
+        done = kth <= _reach_sq(span, h)
+        radii[todo[done]] = kth[done]
+        todo = todo[~done]
+        h *= 2.0
     return radii
 
 
 def _in_manifold(queries: np.ndarray, support: np.ndarray,
                  radii_sq: np.ndarray) -> np.ndarray:
-    hits = np.empty(len(queries), dtype=bool)
-    for lo in range(0, len(queries), _CHUNK):
-        d2 = _pairwise_sq(queries[lo:lo + _CHUNK], support)
-        hits[lo:lo + _CHUNK] = np.any(d2 <= radii_sq[None, :], axis=1)
+    """Whether each query lies in some ball support[j] of squared radius
+    radii_sq[j].  Balls are visited in levels of doubling cell side h; a
+    ball within reach of h can only hold queries whose block contains its
+    centre."""
+    lo, span, h = _frame(queries, support)
+    hits = np.zeros(len(queries), dtype=bool)
+    balls = np.arange(len(support))
+    while len(balls) and not hits.all():
+        level = radii_sq[balls] <= _reach_sq(span, h)
+        if level.any():
+            grid = _Grid(support[balls[level]], lo, span, h)
+            r2 = np.append(radii_sq[balls[level]][grid.order], -np.inf)
+            open_rows = np.flatnonzero(~hits)
+            for rows, idx, d2 in grid.blocks(queries[open_rows]):
+                hits[open_rows[rows]] = np.any(d2 <= r2[idx], axis=1)
+            balls = balls[~level]
+        h *= 2.0
     return hits
 
 
 def knn_precision_recall(real: np.ndarray, gen: np.ndarray,
                          k: int = 3) -> tuple[float, float]:
     """k-NN manifold precision and recall between two point sets."""
-    real = np.asarray(real, dtype=np.float64)
-    gen = np.asarray(gen, dtype=np.float64)
+    real = _check_points("real", real)
+    gen = _check_points("gen", gen)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if len(real) <= k or len(gen) <= k:
         raise ValueError(f"need more than k={k} points per set")
+    span = float(np.max(np.ptp(np.concatenate([real, gen]), axis=0)))
+    if not np.isfinite(span * span):
+        raise ValueError(f"real and gen span {span:g}: squared distances "
+                         f"overflow float64")
     precision = float(np.mean(_in_manifold(gen, real, _knn_radii_sq(real, k))))
     recall = float(np.mean(_in_manifold(real, gen, _knn_radii_sq(gen, k))))
     return precision, recall

@@ -137,17 +137,22 @@ def load_run(manifest_path):
 def generate_all_classes(net, table, meta, cfg: ExperimentConfig, count: int,
                          nfe: int, w: float, strategy: str, seed: int):
     """Generate `count` samples spread over classes by their true mass,
-    with seed + c for class c."""
+    with seed + c for class c.
+
+    Counts are apportioned by largest remainder: each class gets the floor
+    of its quota, and the classes with the largest fractional parts (ties
+    to the lowest class id) one more each, so they sum to `count`.
+    """
     spec = cfg.mixture
     sample = sampler.SampleConfig(count, nfe, w, strategy)
-    class_mass = {c: sum(comp.weight for comp in spec.components
-                         if comp.class_id == c) for c in spec.class_ids}
+    mass = np.array([sum(comp.weight for comp in spec.components
+                         if comp.class_id == c) for c in spec.class_ids])
+    quotas = count * mass / mass.sum()
+    counts = np.floor(quotas).astype(np.int64)
+    by_remainder = np.argsort(-(quotas - counts), kind="stable")
+    counts[by_remainder[:count - int(counts.sum())]] += 1
     xs, cs, ks = [], [], []
-    allotted = 0
-    for i, c in enumerate(spec.class_ids):
-        n_c = (count - allotted if i == len(spec.class_ids) - 1
-               else int(round(count * class_mass[c])))
-        allotted += n_c
+    for c, n_c in zip(spec.class_ids, counts.tolist()):
         if n_c == 0:
             continue
         batch = sampler.generate(net, table, meta,

@@ -482,6 +482,25 @@ class TestCli:
         assert "mode_tv=" in capsys.readouterr().out
         assert (out / "metrics.csv").exists()
 
+    def test_evaluate_rejects_non_finite_samples(self, trained_dir,
+                                                 tmp_path, capsys):
+        """A checkpoint whose weights are finite but near the float64 limit
+        loads, and the net's outputs overflow to inf or NaN; the metrics
+        refuse such samples, naming the set, and evaluate exits 1."""
+        def scale(path):
+            net, ema_params, step, meta = io.load_checkpoint(path)
+            net.params *= 1e306
+            io.save_checkpoint(path, net, ema_params * 1e306, step, meta)
+
+        manifest, _ = _run_with_damaged(trained_dir, tmp_path, "checkpoint",
+                                        scale)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["evaluate", "--config", str(trained_dir[0]),
+                       "--out", str(tmp_path / "eval"),
+                       "--manifest", str(manifest), "--count", "200"])
+        assert rc == EXIT_VALIDATION
+        assert "error: gen has" in capsys.readouterr().err
+
     def test_metric_csvs_write_numbers(self, trained_dir, tmp_path):
         """Every metric field of an evaluate CSV parses with float(), and a
         comparison CSV writes a report's fields the same way."""

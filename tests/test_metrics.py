@@ -1,19 +1,25 @@
 """Metric tests with exhaustive and spectral oracles.
 
 knn_precision_recall is compared to a brute-force pairwise-ball membership
-check on small sets; frechet_2d to an eigendecomposition-based matrix
+check on small sets, and its grid search to a difference-formula brute
+force (radii and hit masks, bit for bit) on large and degenerate sets and
+to scipy's k-d tree; frechet_2d to an eigendecomposition-based matrix
 square root.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
+from scipy.spatial import cKDTree
 
 from subflow import metrics
 from subflow.metrics import (field_rmse, frechet_2d, knn_precision_recall,
                              mode_shares)
-from subflow.mixture import MixtureComponent, MixtureSpec, toy_spec
+from subflow.mixture import (MixtureComponent, MixtureSpec, sample_dataset,
+                             toy_spec)
 
 
 def brute_force_pr(real, gen, k):
@@ -29,6 +35,44 @@ def brute_force_pr(real, gen, k):
     precision = np.mean([covered(g, real) for g in gen])
     recall = np.mean([covered(r, gen) for r in real])
     return float(precision), float(recall)
+
+
+def sq_dist(a, b):
+    """Squared distances between the rows of a and b, by the difference
+    formula dx*dx + dy*dy the grid search uses."""
+    dx = a[:, None, 0] - b[None, :, 0]
+    dy = a[:, None, 1] - b[None, :, 1]
+    return dx * dx + dy * dy
+
+
+def brute_radii_sq(points, k):
+    """Squared k-th neighbour distance of every point, self excluded."""
+    radii = np.empty(len(points))
+    for lo in range(0, len(points), 500):
+        d2 = sq_dist(points[lo:lo + 500], points)
+        rows = np.arange(len(d2))
+        d2[rows, lo + rows] = np.inf
+        radii[lo:lo + 500] = np.partition(d2, k - 1, axis=1)[:, k - 1]
+    return radii
+
+
+def brute_hits(queries, support, radii_sq):
+    """Whether each query lies in some support ball (distance <= radius)."""
+    return np.concatenate([np.any(sq_dist(queries[lo:lo + 500], support)
+                                  <= radii_sq[None, :], axis=1)
+                           for lo in range(0, len(queries), 500)])
+
+
+def assert_grid_search_exact(real, gen, k):
+    """Radii, hit masks, precision and recall equal the brute force."""
+    hits = []
+    for support, queries in ((real, gen), (gen, real)):
+        radii = metrics._knn_radii_sq(support, k)
+        np.testing.assert_array_equal(radii, brute_radii_sq(support, k))
+        hit = metrics._in_manifold(queries, support, radii)
+        np.testing.assert_array_equal(hit, brute_hits(queries, support, radii))
+        hits.append(float(np.mean(hit)))
+    assert knn_precision_recall(real, gen, k) == tuple(hits)
 
 
 def spectral_frechet(real, gen):
@@ -79,7 +123,7 @@ class TestKnnPrecisionRecall:
             knn_precision_recall(np.zeros((3, 2)), np.zeros((10, 2)), k=3)
 
     def test_chunking_agrees_with_direct(self):
-        """Sets larger than the internal chunk size give the same answer."""
+        """Sets of over a thousand points give the brute-force answer."""
         rng = np.random.default_rng(9)
         real = rng.standard_normal((1500, 2))
         gen = rng.standard_normal((1300, 2)) + 0.5
@@ -90,6 +134,127 @@ class TestKnnPrecisionRecall:
         d_rg = np.linalg.norm(gen[:, None] - real[None], axis=2)
         p_ref = float(np.mean(np.any(d_rg <= radii[None, :], axis=1)))
         assert p == pytest.approx(p_ref, abs=1e-12)
+
+    @pytest.mark.parametrize("name", ["real", "gen"])
+    @pytest.mark.parametrize("bad, count", [
+        (np.nan, 1), (np.inf, 2), (-np.inf, 1)])
+    def test_non_finite_rejected(self, name, bad, count):
+        """The grid floors coordinates: a NaN or inf is refused first,
+        naming the set and counting its bad rows."""
+        sets = {"real": np.zeros((10, 2)), "gen": np.ones((10, 2))}
+        sets[name][3:3 + count, count % 2] = bad
+        with pytest.raises(ValueError,
+                           match=f"{name} has {count} rows with non-finite"):
+            knn_precision_recall(sets["real"], sets["gen"], k=3)
+
+    @pytest.mark.parametrize("shape", [(10,), (10, 3), (2, 5, 2)])
+    def test_wrong_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"gen must have shape \(n, 2\)"):
+            knn_precision_recall(np.zeros((10, 2)), np.zeros(shape), k=3)
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("gen_kind", ["collapsed", "realistic"])
+    def test_matches_kd_tree_at_scale(self, gen_kind, k):
+        """3000 toy-mixture points: every radius equals the difference
+        formula at the k-th neighbour a k-d tree finds, and every hit mask
+        the brute-force membership."""
+        spec = toy_spec()
+        real = sample_dataset(spec, 3000, seed=5).xs
+        if gen_kind == "collapsed":
+            rng = np.random.default_rng(6)
+            idx = rng.choice(4, size=3000, p=spec.weights())
+            gen = spec.means()[idx] + 1e-3 * rng.standard_normal((3000, 2))
+        else:
+            gen = sample_dataset(spec, 3000, seed=6).xs
+        for support, queries in ((real, gen), (gen, real)):
+            _, nbr = cKDTree(support).query(support, k=k + 1)
+            diff = support[nbr[:, k]] - support
+            tree_radii = diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1]
+            radii = metrics._knn_radii_sq(support, k)
+            np.testing.assert_array_equal(radii, tree_radii)
+            np.testing.assert_array_equal(
+                metrics._in_manifold(queries, support, radii),
+                brute_hits(queries, support, radii))
+
+
+class TestGridSearchDegenerateSets:
+    """Sets that stress the cell grid, against the brute force."""
+
+    def test_all_points_identical(self):
+        """One cell holds all 3000 points, every block all of them; the
+        pair budget keeps the search far below the 3000 x 3000 matrix."""
+        same = np.full((3000, 2), 1.5)
+        tracemalloc.start()
+        try:
+            p, r = knn_precision_recall(same, same.copy(), k=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (p, r) == (1.0, 1.0)
+        assert peak < 3000 * 3000, peak  # 1/8 of that matrix's bytes
+        assert not metrics._knn_radii_sq(same, 3).any()
+
+    def test_points_on_one_line(self):
+        """Zero span on one axis: every point in one row of cells."""
+        rng = np.random.default_rng(11)
+        real = np.column_stack([rng.standard_normal(400), np.full(400, 2.0)])
+        gen = np.column_stack([rng.standard_normal(300) * 1.5,
+                               np.full(300, 2.0)])
+        assert_grid_search_exact(real, gen, 3)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_lattice_on_cell_edges_with_ties(self, k):
+        """Integer lattices whose coordinates sit on cell edges; each inner
+        point has four neighbours at distance 1, tied at the k-th, and
+        queries at exactly a ball's radius count as inside."""
+        xs, ys = np.meshgrid(np.arange(17.0), np.arange(17.0))
+        real = np.column_stack([xs.ravel(), ys.ravel()])
+        inner = real[(real[:, 0] < 16) & (real[:, 1] < 15)]
+        gen = np.concatenate([inner[::3] + [0.5, 0.0], real[1::5],
+                              inner[::7] + [0.0, 2.0]])
+        for sets in ((real,), (real, gen)):
+            lo, _, h = metrics._frame(*sets)
+            assert np.all(np.mod(np.concatenate(sets) - lo, h) == 0.0)
+        assert_grid_search_exact(real, gen, k)
+
+    def test_far_outlier(self):
+        """A real point 1e6 away, whose ball reaches back to the bulk and
+        so covers every generated point, also those far from the bulk."""
+        rng = np.random.default_rng(12)
+        real = np.concatenate([rng.standard_normal((500, 2)), [[1e6, 0.0]]])
+        gen = np.concatenate([
+            rng.standard_normal((300, 2)) + [10.0, 0.0],
+            np.column_stack([rng.uniform(20.0, 9e5, 100), np.zeros(100)])])
+        assert_grid_search_exact(real, gen, 3)
+        assert knn_precision_recall(real, gen, k=3)[0] == 1.0
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_exact_duplicate_pairs(self, k):
+        """Each point twice: its first neighbour is its copy, at 0."""
+        rng = np.random.default_rng(13)
+        real = np.repeat(rng.standard_normal((200, 2)), 2, axis=0)
+        gen = np.concatenate([real[::4], rng.standard_normal((150, 2))])
+        assert_grid_search_exact(real, gen, k)
+        if k == 1:
+            assert not metrics._knn_radii_sq(real, 1).any()
+
+    def test_margin_covers_cell_rounding(self):
+        """Two points (1 - 5.2e-11) h apart that floor((p - lo) / h) puts
+        two cells apart, in a grid 1.05e6 cells wide: their distance lies
+        past the grid's reach, which a bare h, or a fixed 1e-12 margin,
+        would not ensure."""
+        h = 0.19427836032550444
+        pts = np.array([[-243.44605407958443, 0.0],
+                        [203472.37418095686, 0.0],
+                        [203472.56845931718, 0.0]])
+        lo = pts.min(axis=0)
+        span = float(pts[2, 0] - lo[0])
+        grid = metrics._Grid(pts, lo, span, h)
+        cells = grid.keys(pts) // grid.width
+        d2 = (pts[2, 0] - pts[1, 0]) ** 2
+        assert cells[2] - cells[1] == 2
+        assert d2 <= (h * (1.0 - 1e-12)) ** 2
+        assert d2 > metrics._reach_sq(span, h)
 
 
 class TestFrechet:

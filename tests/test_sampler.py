@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subflow import mixture, sampler
+from subflow import mixture, pipeline, sampler
 from subflow.clustering import assign_submodes
+from subflow.config import parse_config
 from subflow.mixture import oracle_velocity_batch, toy_spec
 from subflow.net import NetConfig, VelocityNet
 from subflow.rng import stream
@@ -257,3 +258,30 @@ class TestGenerate:
         u = net.forward_batch(x0, np.ones(4), np.zeros(4),
                               np.zeros(4, dtype=np.int64), batch.submode_ids)
         np.testing.assert_allclose(batch.xs, x0 + u, atol=1e-14)
+
+
+class TestGenerateAllClasses:
+    """generate_all_classes splits a count over the classes by largest
+    remainder of their mass, ties to the lowest class id."""
+
+    FOUR_CLASSES = ("[mixture]\n"
+                    "component_0 = 0.3 -4 0 0.5 0 0\n"
+                    "component_1 = 0.3 0 0 0.5 1 0\n"
+                    "component_2 = 0.3 4 0 0.5 2 0\n"
+                    "component_3 = 0.1 8 0 0.5 3 0\n")
+
+    @pytest.mark.parametrize("count, per_class", [
+        (5, [2, 2, 1, 0]),   # rounded quotas 2 + 2 + 2 left the last -1
+        (3, [1, 1, 1, 0]),   # fewer samples than classes
+        (10, [3, 3, 3, 1]),
+        (11, [4, 3, 3, 1]),
+    ])
+    def test_counts_sum_and_never_go_negative(self, count, per_class):
+        cfg = parse_config(self.FOUR_CLASSES)
+        net = VelocityNet.initialized(
+            NetConfig(num_classes=4, num_submodes=1, hidden_width=8,
+                      hidden_layers=1, embed_dim=2), seed=0)
+        batch = pipeline.generate_all_classes(net, None, meta("class"), cfg,
+                                              count, 1, 1.0, "prior", 0)
+        assert len(batch.xs) == count
+        assert np.bincount(batch.class_ids, minlength=4).tolist() == per_class
