@@ -24,7 +24,8 @@ def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--config", default="configs/toy.cfg")
     parser.add_argument("--out", default="runs/sweep")
-    parser.add_argument("--nfe-list", default="1,2,4,8,16,32,64,128")
+    parser.add_argument("--nfe-list",
+                        default=",".join(map(str, pipeline.NFE_LADDER)))
     args = parser.parse_args()
 
     base = load_config(args.config)

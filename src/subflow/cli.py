@@ -162,7 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep-nfe", help="evaluate across NFE values")
     common(p, manifest=True)
-    p.add_argument("--nfe-list", default="1,2,4,8,16,32,64,128")
+    p.add_argument("--nfe-list",
+                   default=",".join(map(str, pipeline.NFE_LADDER)))
     p.set_defaults(func=cmd_sweep_nfe)
 
     p = sub.add_parser("ablate", help="train + evaluate default vs variant")

@@ -111,7 +111,6 @@ class RunManifest:
     files: dict[str, str] = field(default_factory=dict)
     checksums: dict[str, str] = field(default_factory=dict)
     duration_s: float = 0.0
-    extra: dict = field(default_factory=dict)
 
     def add_file(self, label: str, path) -> None:
         path = Path(path)
@@ -128,7 +127,6 @@ class RunManifest:
             "files": self.files,
             "checksums": self.checksums,
             "duration_s": self.duration_s,
-            "extra": self.extra,
         }
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
@@ -143,8 +141,7 @@ class RunManifest:
                                config_text=payload["config"],
                                seed=payload["seed"], files=payload["files"],
                                checksums=payload["checksums"],
-                               duration_s=payload["duration_s"],
-                               extra=payload.get("extra", {}))
+                               duration_s=payload["duration_s"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: not a run manifest: {exc!r}") from exc
 

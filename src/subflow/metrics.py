@@ -244,7 +244,7 @@ def mode_shares(spec: MixtureSpec, gen: np.ndarray, tau: float = 0.5):
     A component counts as covered when its share is at least tau times its
     true weight.
     """
-    gen = np.asarray(gen, dtype=np.float64)
+    gen = _check_points("gen", gen)
     if len(gen) == 0:
         raise ValueError("gen must be nonempty")
     d2 = _pairwise_sq(gen, spec.means())

@@ -12,10 +12,12 @@ Supported objectives:
   along the path (a forward-mode jvp along (v, 1, 0) for (x, r, t)), and no
   gradient flows through the target.
 
-Classifier-free-guidance dropout replaces the class label with the null
-token with probability p_drop_class; the sub-mode index is kept unless the
-drop-k ablation is enabled.  Optimization is plain Adam plus an EMA of the
-parameters, all deterministic for a fixed seed.
+The losses take the class and sub-mode indices the net actually sees.
+`train` resolves them once per step, in `_condition_inputs`, from the
+run's TrainConfig: classifier-free-guidance dropout replaces the class label
+with the null token with probability p_drop_class, and the sub-mode index is
+kept unless the drop-k ablation is enabled.  Optimization is plain Adam plus
+an EMA of the parameters, all deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -84,31 +86,29 @@ class TrainState:
 
 
 def _condition_inputs(net: VelocityNet, c: np.ndarray, k: np.ndarray,
-                      conditioning: str, p_drop_class: float,
-                      p_drop_submode: float, rng: np.random.Generator):
+                      cfg: TrainConfig, rng: np.random.Generator):
     """Resolve the (class, submode) inputs actually fed to the net."""
     n = len(c)
     null = net.config.null_class
-    if conditioning == "uncond":
+    if cfg.conditioning == "uncond":
         return np.full(n, null, dtype=np.int64), np.full(n, -1, dtype=np.int64)
-    drop = rng.random(n) < p_drop_class
+    drop = rng.random(n) < cfg.p_drop_class
     c_in = np.where(drop, null, c)
-    if conditioning == "class":
+    if cfg.conditioning == "class":
         return c_in, np.full(n, -1, dtype=np.int64)
     if np.any(k < 0):
         raise ValueError("subflow conditioning needs submode labels on every sample")
     k_in = k
-    if p_drop_submode > 0.0:
-        k_in = np.where(rng.random(n) < p_drop_submode, -1, k)
+    if cfg.p_drop_submode > 0.0:
+        k_in = np.where(rng.random(n) < cfg.p_drop_submode, -1, k)
     return c_in, k_in
 
 
-def cfm_loss(net: VelocityNet, x0, x1, c, k, t, conditioning: str = "class",
-             p_drop_class: float = 0.0, p_drop_submode: float = 0.0,
-             rng: Optional[np.random.Generator] = None):
+def cfm_loss(net: VelocityNet, x0, x1, c, k, t):
     """Flow-matching MSE loss and its parameter gradient.
 
-    loss = mean_i || net(x_t_i, t_i, c'_i, k'_i) - (x1_i - x0_i) ||^2.
+    loss = mean_i || net(x_t_i, t_i, c_i, k_i) - (x1_i - x0_i) ||^2, with
+    c and k the resolved inputs (null token and -1 already in place).
     """
     x0 = np.asarray(x0, dtype=np.float64)
     x1 = np.asarray(x1, dtype=np.float64)
@@ -117,27 +117,18 @@ def cfm_loss(net: VelocityNet, x0, x1, c, k, t, conditioning: str = "class",
         raise ValueError("batch must be nonempty")
     if np.any(t < 0.0) or np.any(t > 1.0):
         raise ValueError("t must be in [0,1]")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    c_in, k_in = _condition_inputs(net, np.asarray(c), np.asarray(k),
-                                   conditioning, p_drop_class,
-                                   p_drop_submode, rng)
     x_t = (1.0 - t)[:, None] * x0 + t[:, None] * x1
     v = x1 - x0
     # an interval net evaluated at r = t degenerates to the instantaneous field
     r_in = t if net.config.uses_interval else None
-    pred, cache = net.forward_batch(x_t, t, r_in, c_in, k_in, cache=True)
+    pred, cache = net.forward_batch(x_t, t, r_in, c, k, cache=True)
     resid = pred - v
     loss = float(np.mean(np.sum(resid ** 2, axis=1)))
-    grad = net.backward(x_t, t, r_in, c_in, k_in, 2.0 * resid / len(x0),
-                        cache=cache)
+    grad = net.backward(x_t, t, r_in, c, k, 2.0 * resid / len(x0), cache=cache)
     return loss, grad
 
 
-def meanflow_loss(net: VelocityNet, x0, x1, c, k, r, t,
-                  conditioning: str = "class", p_drop_class: float = 0.0,
-                  p_drop_submode: float = 0.0,
-                  rng: Optional[np.random.Generator] = None):
+def meanflow_loss(net: VelocityNet, x0, x1, c, k, r, t):
     """Average-velocity regression loss and gradient (r <= t per element).
 
     Differentiating the defining identity (t - r) * u(x_r, r, t) =
@@ -145,7 +136,7 @@ def meanflow_loss(net: VelocityNet, x0, x1, c, k, r, t,
     along the path, gives u = v + (t - r) * du/dr.  Regressing onto that
     identity with the per-pair velocity standing in for v yields a
     one-step-consistent average-velocity field; at r = t it reduces to the
-    plain flow-matching loss.
+    plain flow-matching loss.  c and k are the resolved inputs.
     """
     if not net.config.uses_interval:
         raise ValueError("meanflow_loss needs a net built with uses_interval")
@@ -159,22 +150,16 @@ def meanflow_loss(net: VelocityNet, x0, x1, c, k, r, t,
         raise ValueError("r must not exceed t")
     if np.any(r < 0.0) or np.any(t > 1.0):
         raise ValueError("times must be in [0,1]")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    c_in, k_in = _condition_inputs(net, np.asarray(c), np.asarray(k),
-                                   conditioning, p_drop_class,
-                                   p_drop_submode, rng)
     x_r = (1.0 - r)[:, None] * x0 + r[:, None] * x1
     v = x1 - x0
     # one pass yields the prediction, the path derivative and the cache
-    u, dudr, cache = net.jvp_batch(x_r, t, r, c_in, k_in, dx=v,
+    u, dudr, cache = net.jvp_batch(x_r, t, r, c, k, dx=v,
                                    dt=np.zeros_like(t), dr=np.ones_like(r),
                                    cache=True)
     u_tgt = v + (t - r)[:, None] * dudr  # constant: no gradient through it
     resid = u - u_tgt
     loss = float(np.mean(np.sum(resid ** 2, axis=1)))
-    grad = net.backward(x_r, t, r, c_in, k_in, 2.0 * resid / len(x0),
-                        cache=cache)
+    grad = net.backward(x_r, t, r, c, k, 2.0 * resid / len(x0), cache=cache)
     return loss, grad
 
 
@@ -219,22 +204,20 @@ def train(dataset: Dataset, spec: MixtureSpec, cfg: TrainConfig,
     losses = np.zeros(cfg.steps)
     n = len(dataset)
     for step in range(cfg.steps):
+        # the training bits depend on this draw order: rows, source noise,
+        # times, then the conditioning
         rng = stream(cfg.seed, "train.step", step)
         idx = rng.integers(0, n, size=cfg.batch_size)
-        x1 = xs[idx]
-        c = cs[idx]
-        k = ks[idx]
         x0 = spec.source_std * rng.standard_normal((cfg.batch_size, 2))
         if cfg.objective == "meanflow":
             r, t = draw_times(cfg.batch_size, cfg.rt_equal_fraction, rng)
-            loss, grad = meanflow_loss(
-                net, x0, x1, c, k, r, t, cfg.conditioning,
-                cfg.p_drop_class, cfg.p_drop_submode, rng)
         else:
             t = rng.random(cfg.batch_size)
-            loss, grad = cfm_loss(
-                net, x0, x1, c, k, t, cfg.conditioning,
-                cfg.p_drop_class, cfg.p_drop_submode, rng)
+        c, k = _condition_inputs(net, cs[idx], ks[idx], cfg, rng)
+        if cfg.objective == "meanflow":
+            loss, grad = meanflow_loss(net, x0, xs[idx], c, k, r, t)
+        else:
+            loss, grad = cfm_loss(net, x0, xs[idx], c, k, t)
         if not np.isfinite(loss):
             raise RuntimeError(
                 f"non-finite loss at step {step} "

@@ -217,19 +217,18 @@ def model_field_rmse(net, meta, cfg: ExperimentConfig) -> float | None:
     return float(np.sqrt(total_sq / len(contexts)))
 
 
+# the default NFE values of a sweep: a doubling ladder from one step
+NFE_LADDER = (1, 2, 4, 8, 16, 32, 64, 128)
+
+
 def evaluate_run(manifest_path, cfg: ExperimentConfig,
                  out_csv) -> metrics.MetricReport:
     """One report (and CSV row) at the config's NFE."""
-    return _evaluate_nfes(manifest_path, cfg, out_csv, [cfg.sample.nfe])[0]
+    return sweep_nfe(manifest_path, cfg, out_csv, [cfg.sample.nfe])[0]
 
 
 def sweep_nfe(manifest_path, cfg: ExperimentConfig, out_csv,
-              nfe_list=(1, 2, 4, 8, 16, 32, 64, 128)) -> list:
-    return _evaluate_nfes(manifest_path, cfg, out_csv, nfe_list)
-
-
-def _evaluate_nfes(manifest_path, cfg: ExperimentConfig, out_csv,
-                   nfe_list) -> list:
+              nfe_list=NFE_LADDER) -> list:
     """One report (and CSV row) per NFE, with the sampling settings of
     `cfg`.  The run, the real set and the field RMSE do not depend on the
     NFE, so they are computed once."""

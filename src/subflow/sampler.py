@@ -8,6 +8,7 @@ step's endpoints, so a single step reproduces one-step generation exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -33,8 +34,8 @@ class SampleConfig:
             raise ValueError("count must be >= 1")
         if self.nfe < 1:
             raise ValueError("nfe must be >= 1")
-        if self.guidance_scale < 0.0:
-            raise ValueError("guidance scale must be >= 0")
+        if not 0.0 <= self.guidance_scale < math.inf:  # NaN fails too
+            raise ValueError("guidance scale must be finite and >= 0")
         if self.submode_strategy not in STRATEGIES:
             raise ValueError(
                 f"unknown submode strategy {self.submode_strategy!r}")

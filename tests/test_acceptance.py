@@ -161,7 +161,7 @@ def test_criterion_07_differentiation_suite():
 
     # 1) loss gradient vs central differences on 50 random coordinates,
     #    with the bootstrap target frozen at the base parameters
-    _, grad = meanflow_loss(net, x0, x1, c, k, r, t, conditioning="subflow")
+    _, grad = meanflow_loss(net, x0, x1, c, k, r, t)
     x_r = (1 - r)[:, None] * x0 + r[:, None] * x1
     v = x1 - x0
     dudr = net.jvp_batch(x_r, t, r, c, k, dx=v, dt=np.zeros(n), dr=np.ones(n))

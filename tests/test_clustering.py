@@ -206,3 +206,17 @@ class TestCsvRoundTrip:
         assert set(feats) == {0, 1}
         np.testing.assert_allclose(feats[0], [[0, 1], [2, 3]])
         np.testing.assert_allclose(feats[1], [[4, 5]])
+
+    @pytest.mark.parametrize("text, match", [
+        ("0,1,0\n2,3,0\n4,5,0.5\n", "1 rows with class ids.*row 3"),
+        ("0,1,0\n2,3,0\n4,5,1.7\n", "1 rows with class ids.*row 3"),
+        ("0,1,0\n2,3,-1\n4,5,-1\n", "2 rows with class ids.*row 2"),
+        ("0,1,0\n2,nan,0\n4,5,1\n", "1 rows with non-finite.*row 2"),
+        ("0,1,0\n2,3,0\ninf,5,1\n", "1 rows with non-finite.*row 3"),
+        ("0,1,0\nabc,3,0\n", "could not convert"),
+        ("0\n1\n", "need feature columns")])
+    def test_feature_csv_rejects_bad_input(self, tmp_path, text, match):
+        path = tmp_path / "features.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"features.csv: {match}"):
+            clustering.read_feature_csv(path)

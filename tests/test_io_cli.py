@@ -97,6 +97,17 @@ class TestRunManifest:
         assert m2.checksums == m.checksums
         assert m2.check() == []
 
+    def test_older_manifest_with_extra_key_read(self, tmp_path):
+        """Manifests no longer carry an "extra" key; older ones that do
+        still read."""
+        m = io.RunManifest(run_id="r5", config_text="", seed=1)
+        mp = tmp_path / "m.json"
+        m.write(mp)
+        payload = json.loads(mp.read_text())
+        assert "extra" not in payload
+        mp.write_text(json.dumps({**payload, "extra": {}}))
+        assert io.RunManifest.read(mp) == m
+
     def test_detects_stale_file(self, tmp_path):
         f = tmp_path / "artifact.csv"
         f.write_text("original")
@@ -239,6 +250,10 @@ def test_overrides_set_their_keys():
      ConfigError, "count"),
     (lambda: overridden("evaluate", "--guidance-scale", "-1"), ConfigError,
      "guidance"),
+    (lambda: overridden("evaluate", "--guidance-scale", "nan"), ConfigError,
+     "guidance"),
+    (lambda: overridden("evaluate", "--guidance-scale", "inf"), ConfigError,
+     "guidance"),
     (lambda: overridden("train", "--cluster-k", "0"), ConfigError, "k must"),
     (lambda: metrics.knn_precision_recall(np.zeros((5, 2)),
                                           np.ones((5, 2)), 0),
@@ -247,7 +262,8 @@ def test_overrides_set_their_keys():
         "n_train", "bool", "unknown_key", "unknown_section",
         "default_section", "unknown_mixture_key", "component_gap",
         "class_id_gap", "submode_id_gap", "override_nfe", "override_count",
-        "override_guidance", "override_cluster_k", "knn_k_call"])
+        "override_guidance", "override_guidance_nan",
+        "override_guidance_inf", "override_cluster_k", "knn_k_call"])
 def test_invalid_setting_rejected(call, error, match):
     with pytest.raises(error, match=match):
         call()
@@ -590,6 +606,18 @@ class TestCli:
         assert rc == EXIT_OK
         assert (out / "assignments.csv").exists()
         assert (out / "priors.csv").exists()
+
+    @pytest.mark.parametrize("row", ["5.1,5.0,0.5", "5.1,nan,0"])
+    def test_cluster_bad_feature_row_is_validation_error(self, tmp_path,
+                                                         capsys, row):
+        feats = tmp_path / "features.csv"
+        rows = ["0.0,0.0,0", "0.1,0.0,0", "5.0,5.0,0", row]
+        feats.write_text("\n".join(rows) + "\n")
+        rc = main(["cluster", "--features", str(feats), "--k", "2",
+                   "--out", str(tmp_path / "clust")])
+        assert rc == EXIT_VALIDATION
+        assert str(feats) in capsys.readouterr().err
+        assert not (tmp_path / "clust").exists()
 
     def test_internal_key_error_is_runtime_failure(self, tmp_path,
                                                     monkeypatch, capsys):

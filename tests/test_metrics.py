@@ -329,6 +329,15 @@ class TestModeShares:
         with pytest.raises(ValueError):
             mode_shares(toy_spec(), np.zeros((0, 2)))
 
+    def test_non_finite_rejected(self):
+        """A NaN row is not assigned to component 0: it is refused."""
+        with pytest.raises(ValueError, match="gen has 10 rows"):
+            mode_shares(toy_spec(), np.full((10, 2), np.nan))
+        gen = np.tile(toy_spec().means()[0], (5, 1))
+        gen[3, 1] = np.inf
+        with pytest.raises(ValueError, match="gen has 1 rows"):
+            mode_shares(toy_spec(), gen)
+
     def test_coverage_threshold(self):
         spec = toy_spec()
         # minority modes get just under half their weight

@@ -14,6 +14,7 @@ from subflow.net import NetConfig, VelocityNet
 from subflow.objectives import (TrainConfig, TrainState, _condition_inputs,
                                 adam_update, cfm_loss, draw_times,
                                 meanflow_loss, train)
+from subflow.rng import stream
 
 
 def small_net(uses_interval=False, seed=0, scale=0.3) -> VelocityNet:
@@ -62,9 +63,12 @@ class TestCfgDropout:
         k = np.array([1, 0, 1, 0])
         null = net.config.null_class
         for conditioning in ("class", "subflow"):
-            kept, _ = _condition_inputs(net, c, k, conditioning, 0.0, 0.0, rng)
-            dropped, k_in = _condition_inputs(net, c, k, conditioning, 1.0,
-                                              0.0, rng)
+            kept, _ = _condition_inputs(
+                net, c, k, TrainConfig(conditioning=conditioning,
+                                       p_drop_class=0.0), rng)
+            dropped, k_in = _condition_inputs(
+                net, c, k, TrainConfig(conditioning=conditioning,
+                                       p_drop_class=1.0), rng)
             np.testing.assert_array_equal(kept, c)
             np.testing.assert_array_equal(dropped, np.full(4, null))
         # under subflow conditioning the sub-mode index survives class dropout
@@ -74,8 +78,8 @@ class TestCfgDropout:
         net = small_net()
         rng = np.random.default_rng(1)
         c = np.zeros(100000, dtype=np.int64)
-        c_in, k_in = _condition_inputs(net, c, np.full(100000, -1), "class",
-                                       0.1, 0.0, rng)
+        c_in, k_in = _condition_inputs(net, c, np.full(100000, -1),
+                                       TrainConfig(p_drop_class=0.1), rng)
         assert abs(np.mean(c_in == net.config.null_class) - 0.1) < 0.01
         assert np.all(c_in[c_in != net.config.null_class] == 0)
         assert np.all(k_in == -1)
@@ -120,13 +124,13 @@ class TestCfmLoss:
         t = rng.uniform(0, 1, 5)
         c = rng.integers(0, 2, 5)
         k = rng.integers(0, 2, 5)
-        _, grad = cfm_loss(net, x0, x1, c, k, t, conditioning="subflow")
+        _, grad = cfm_loss(net, x0, x1, c, k, t)
         eps = 1e-6
         for i in rng.choice(net.num_params, size=25, replace=False):
             net.params[i] += eps
-            up, _ = cfm_loss(net, x0, x1, c, k, t, conditioning="subflow")
+            up, _ = cfm_loss(net, x0, x1, c, k, t)
             net.params[i] -= 2 * eps
-            dn, _ = cfm_loss(net, x0, x1, c, k, t, conditioning="subflow")
+            dn, _ = cfm_loss(net, x0, x1, c, k, t)
             net.params[i] += eps
             fd = (up - dn) / (2 * eps)
             denom = max(abs(fd), abs(grad[i]), 1e-8)
@@ -153,16 +157,16 @@ class TestCfmLoss:
         t = np.full(4, 0.5)
         c = np.array([0, 0, 1, 1])
         k = np.array([0, 1, 0, 1])
-        loss_a, _ = cfm_loss(net, x0, x1, c, k, t, conditioning="subflow")
-        loss_b, _ = cfm_loss(net, x0, x1, c, k[::-1].copy(), t,
-                             conditioning="subflow")
+        loss_a, _ = cfm_loss(net, x0, x1, c, k, t)
+        loss_b, _ = cfm_loss(net, x0, x1, c, k[::-1].copy(), t)
         assert abs(loss_a - loss_b) > 1e-8
 
     def test_subflow_requires_labels(self):
         net = small_net()
         with pytest.raises(ValueError, match="submode"):
-            cfm_loss(net, [[0, 0]], [[1, 1]], [0], [-1], [0.5],
-                     conditioning="subflow")
+            _condition_inputs(net, np.array([0]), np.array([-1]),
+                              TrainConfig(conditioning="subflow"),
+                              np.random.default_rng(0))
 
     def test_empty_batch_rejected(self):
         net = small_net()
@@ -239,7 +243,7 @@ class TestMeanflowLoss:
         r, t = np.minimum(a, b), np.maximum(a, b)
         c = rng.integers(0, 2, n)
         k = rng.integers(0, 2, n)
-        _, grad = meanflow_loss(net, x0, x1, c, k, r, t, conditioning="subflow")
+        _, grad = meanflow_loss(net, x0, x1, c, k, r, t)
 
         x_r = (1 - r)[:, None] * x0 + r[:, None] * x1
         v = x1 - x0
@@ -305,19 +309,17 @@ class TestFusedPass:
         # meanflow rows with r < t and rows with r = t; cfm sits at r = t
         r = (np.where(rng.random(n) < 0.5, t, t * rng.uniform(0, 1, n))
              if objective == "meanflow" else t)
-        conditioning = ("subflow", 0.3, p_drop_submode)
-        c_in, k_in = _condition_inputs(net, c, k, *conditioning,
+        cfg = TrainConfig(conditioning="subflow", p_drop_class=0.3,
+                          p_drop_submode=p_drop_submode)
+        c_in, k_in = _condition_inputs(net, c, k, cfg,
                                        np.random.default_rng(23))
         assert np.any(c_in == net.config.null_class)
         assert np.any(k_in == -1) == (p_drop_submode > 0)
 
         if objective == "meanflow":
-            loss, grad = meanflow_loss(net, x0, x1, c, k, r, t,
-                                       *conditioning,
-                                       rng=np.random.default_rng(23))
+            loss, grad = meanflow_loss(net, x0, x1, c_in, k_in, r, t)
         else:
-            loss, grad = cfm_loss(net, x0, x1, c, k, t, *conditioning,
-                                  rng=np.random.default_rng(23))
+            loss, grad = cfm_loss(net, x0, x1, c_in, k_in, t)
         ref_loss, ref_grad = three_pass_loss(net, objective, x0, x1, c_in,
                                              k_in, r, t)
         assert loss == ref_loss
@@ -395,6 +397,47 @@ class TestTrainLoop:
             tail = losses[-20:].mean()
             wins += tail < head
         assert wins == 10
+
+    @pytest.mark.parametrize("objective, conditioning, p_drop_submode", [
+        ("meanflow", "subflow", 0.3), ("cfm", "class", 0.0)])
+    def test_matches_step_composed_by_hand(self, objective, conditioning,
+                                           p_drop_submode):
+        """A few steps of `train` equal the step written out, bit for bit:
+        the stream's row and source draws, the times, `_condition_inputs`,
+        the loss, then `adam_update`."""
+        spec = mixture.toy_spec()
+        data = mixture.sample_dataset(spec, 500, 0)
+        cfg = TrainConfig(objective=objective, conditioning=conditioning,
+                          p_drop_submode=p_drop_submode, steps=3,
+                          batch_size=64, seed=7)
+        state, losses = train(data, spec, cfg)
+
+        xs, cs, ks = mixture.dataset_arrays(data)
+        net = VelocityNet.initialized(state.net.config, cfg.seed)
+        ref = TrainState.fresh(net)
+        null = net.config.null_class
+        saw_null_class = saw_null_submode = False
+        for step in range(cfg.steps):
+            rng = stream(cfg.seed, "train.step", step)
+            idx = rng.integers(0, len(xs), size=cfg.batch_size)
+            x0 = spec.source_std * rng.standard_normal((cfg.batch_size, 2))
+            if objective == "meanflow":
+                r, t = draw_times(cfg.batch_size, cfg.rt_equal_fraction, rng)
+            else:
+                t = rng.random(cfg.batch_size)
+            c, k = _condition_inputs(net, cs[idx], ks[idx], cfg, rng)
+            saw_null_class |= bool(np.any(c == null))
+            saw_null_submode |= bool(np.any(k == -1))
+            if objective == "meanflow":
+                loss, grad = meanflow_loss(net, x0, xs[idx], c, k, r, t)
+            else:
+                loss, grad = cfm_loss(net, x0, xs[idx], c, k, t)
+            adam_update(ref, grad, cfg)
+            assert loss == losses[step]
+        # class dropout, and a sub-mode slot left empty, were exercised
+        assert saw_null_class and saw_null_submode
+        assert np.array_equal(ref.net.params, state.net.params)
+        assert np.array_equal(ref.ema_params, state.ema_params)
 
     def test_subflow_needs_labels(self):
         spec, data = self.single_gaussian_dataset(100)
