@@ -11,6 +11,7 @@ Usage:
 
 import argparse
 import copy
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -29,9 +30,13 @@ def main():
     args = parser.parse_args()
 
     base = load_config(args.config)
+    try:  # every NFE is checked before the first training run
+        nfe_list = [dataclasses.replace(base.sample, nfe=int(x)).nfe
+                    for x in args.nfe_list.split(",")]
+    except ValueError as exc:
+        parser.error(f"--nfe-list: {exc}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    nfe_list = [int(x) for x in args.nfe_list.split(",")]
 
     for conditioning in ("class", "subflow"):
         cfg = copy.deepcopy(base)

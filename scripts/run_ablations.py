@@ -28,8 +28,12 @@ def main():
         pipeline.ABLATION_VARIANTS))
     args = parser.parse_args()
 
+    variants = args.variants.split(",")
+    unknown = [v for v in variants if v not in pipeline.ABLATION_VARIANTS]
+    if unknown:  # checked before the first training run
+        parser.error(f"--variants: unknown {', '.join(unknown)}")
     base = load_config(args.config)
-    for variant in args.variants.split(","):
+    for variant in variants:
         out_dir = Path(args.out) / variant
         reports = pipeline.ablate(copy.deepcopy(base), variant, out_dir)
         for name, rep in reports.items():

@@ -11,9 +11,7 @@ import sys
 from pathlib import Path
 
 from . import clustering, io, mixture, objectives, pipeline, sampler
-from .config import (ConfigError, ExperimentConfig, key_parser, load_config,
-                     validate)
-from .pipeline import ValidationError
+from .config import ExperimentConfig, key_parser, load_config, validate
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -93,11 +91,13 @@ def cmd_cluster(args) -> int:
     features = clustering.read_feature_csv(args.features)
     if args.standardize:
         features = {c: clustering.standardize(f) for c, f in features.items()}
-    table = clustering.assign_submodes(features, args.k, args.seed)
+    labels = clustering.assign_submodes(features, args.k, args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    clustering.write_assignments_csv(table, out_dir / "assignments.csv")
-    clustering.write_priors_csv(table, out_dir / "priors.csv")
+    clustering.write_assignments_csv(labels, out_dir / "assignments.csv")
+    clustering.write_priors_csv(
+        clustering.SubmodeTable.from_labels(labels, args.k),
+        out_dir / "priors.csv")
     print(f"wrote assignments.csv and priors.csv to {out_dir}")
     return EXIT_OK
 
@@ -193,8 +193,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValidationError, ValueError,
-            FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as exc:  # runtime failure

@@ -4,43 +4,52 @@ Sub-mode labels come from clustering each class separately: k-means++
 seeding followed by Lloyd iterations over squared Euclidean distance
 (arg-min assignment, ties to the lowest index).  At toy scale the features
 are the raw 2D coordinates; externally supplied feature vectors of any
-dimension are accepted through the same interface.
+dimension are accepted through the same interface.  A `SubmodeTable`
+holds what a priors CSV holds: per class, each sub-mode's count and prior.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .rng import stream
 
 
-@dataclass
-class ClassClusters:
-    centroids: np.ndarray        # (K_eff, d)
-    assignments: np.ndarray      # (n_c,) indices into centroids
-    counts: np.ndarray           # (K_eff,)
-    priors: np.ndarray           # (K_eff,), counts / n_c
+@dataclass(frozen=True)
+class ClassCounts:
+    counts: np.ndarray           # (K_c,) training points per sub-mode
+    priors: np.ndarray           # (K_c,), counts / counts.sum()
 
 
 @dataclass
 class SubmodeTable:
-    per_class: dict[int, ClassClusters] = field(default_factory=dict)
+    per_class: dict[int, ClassCounts]
+
+    @classmethod
+    def from_counts(cls, counts_by_class: dict) -> "SubmodeTable":
+        """The one constructor: each class's priors are its counts' share.
+        Negative counts, or counts with a zero sum, raise ValueError."""
+        per_class = {}
+        for class_id in sorted(counts_by_class):
+            counts = np.asarray(counts_by_class[class_id], dtype=np.int64)
+            if np.any(counts < 0) or counts.sum() == 0:
+                raise ValueError(f"class {class_id}: counts {counts.tolist()}"
+                                 f" are not >= 0 with a positive sum")
+            per_class[class_id] = ClassCounts(counts, counts / counts.sum())
+        return cls(per_class)
+
+    @classmethod
+    def from_labels(cls, labels_by_class: dict, k: int) -> "SubmodeTable":
+        """Counts of each class's labels over its min(k, n_c) sub-modes."""
+        return cls.from_counts({
+            class_id: np.bincount(labels, minlength=min(k, len(labels)))
+            for class_id, labels in labels_by_class.items()})
 
     def num_submodes(self) -> int:
-        return max(len(cc.centroids) for cc in self.per_class.values())
-
-    def validate(self) -> None:
-        for cid, cc in self.per_class.items():
-            # phrased so that a NaN prior fails it too
-            if not (np.all(cc.priors >= 0)
-                    and abs(cc.priors.sum() - 1.0) <= 1e-12):
-                raise ValueError(f"class {cid}: priors must be a distribution")
-            if np.any(cc.assignments < 0) or np.any(
-                    cc.assignments >= len(cc.centroids)):
-                raise ValueError(f"class {cid}: assignment index out of range")
+        return max(len(cc.counts) for cc in self.per_class.values())
 
 
 def _kmeanspp_seeds(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -102,49 +111,47 @@ def lloyd(points: np.ndarray, k: int, rng: np.random.Generator,
 
 
 def assign_submodes(features_by_class: dict[int, np.ndarray], k: int,
-                    seed: int, max_iters: int = 100) -> SubmodeTable:
-    """Cluster each class into k sub-modes and estimate empirical priors.
+                    seed: int, max_iters: int = 100) -> dict[int, np.ndarray]:
+    """Cluster each class into k sub-modes; returns its labels per class.
 
     A class with fewer samples than k gets its effective k reduced to the
     sample count.
     """
     if k < 1:
         raise ValueError("K must be >= 1")
-    table = SubmodeTable()
+    labels = {}
     for class_id in sorted(features_by_class):
         points = np.asarray(features_by_class[class_id], dtype=np.float64)
-        k_eff = min(k, len(points))
         rng = stream(seed, "clustering.kmeans", class_id)
-        centroids, labels = lloyd(points, k_eff, rng, max_iters=max_iters)
-        counts = np.bincount(labels, minlength=k_eff).astype(np.int64)
-        table.per_class[class_id] = ClassClusters(
-            centroids=centroids, assignments=labels, counts=counts,
-            priors=counts / counts.sum())
-    table.validate()
-    return table
+        _, labels[class_id] = lloyd(points, min(k, len(points)), rng,
+                                    max_iters=max_iters)
+    return labels
 
 
 def random_assignment(features_by_class: dict[int, np.ndarray], k: int,
-                      seed: int) -> SubmodeTable:
-    """Ablation baseline: uniform random sub-mode labels, semantics ignored."""
+                      seed: int) -> dict[int, np.ndarray]:
+    """Ablation baseline: uniform random labels over min(k, n_c) sub-modes."""
     if k < 1:
         raise ValueError("K must be >= 1")
-    table = SubmodeTable()
+    labels = {}
     for class_id in sorted(features_by_class):
-        points = np.asarray(features_by_class[class_id], dtype=np.float64)
+        n = len(features_by_class[class_id])
         rng = stream(seed, "clustering.random_assignment", class_id)
-        labels = rng.integers(0, k, size=len(points))
-        centroids = np.zeros((k, points.shape[1]))
-        for j in range(k):
-            mask = labels == j
-            if np.any(mask):
-                centroids[j] = points[mask].mean(axis=0)
-        counts = np.bincount(labels, minlength=k).astype(np.int64)
-        table.per_class[class_id] = ClassClusters(
-            centroids=centroids, assignments=labels, counts=counts,
-            priors=counts / counts.sum())
-    table.validate()
-    return table
+        labels[class_id] = rng.integers(0, min(k, n), size=n)
+    return labels
+
+
+def match_labels(labels: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """Renumber each cluster after the reference label most of its points
+    carry (ties to the lowest), when that map is one-to-one onto the
+    cluster ids; otherwise the labels are returned as they are.  Cluster
+    membership never changes."""
+    k, m = int(labels.max()) + 1, int(reference.max()) + 1
+    votes = np.bincount(labels * m + reference, minlength=k * m)
+    majority = votes.reshape(k, m).argmax(axis=1)
+    if np.array_equal(np.sort(majority), np.arange(k)):
+        return majority[labels]
+    return labels
 
 
 def standardize(features: np.ndarray) -> np.ndarray:
@@ -157,12 +164,13 @@ def standardize(features: np.ndarray) -> np.ndarray:
 
 # ---- CSV serialization ---------------------------------------------------
 
-def write_assignments_csv(table: SubmodeTable, path) -> None:
+def write_assignments_csv(labels_by_class: dict[int, np.ndarray],
+                          path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sample_index", "class_id", "submode_id"])
-        for class_id in sorted(table.per_class):
-            for i, label in enumerate(table.per_class[class_id].assignments):
+        for class_id in sorted(labels_by_class):
+            for i, label in enumerate(labels_by_class[class_id]):
                 writer.writerow([i, class_id, int(label)])
 
 
@@ -172,21 +180,20 @@ def write_priors_csv(table: SubmodeTable, path) -> None:
         writer.writerow(["class_id", "submode_id", "count", "prior"])
         for class_id in sorted(table.per_class):
             cc = table.per_class[class_id]
-            for j in range(len(cc.centroids)):
-                writer.writerow([class_id, j, int(cc.counts[j]),
-                                 repr(float(cc.priors[j]))])
+            for j, (count, prior) in enumerate(zip(cc.counts, cc.priors)):
+                writer.writerow([class_id, j, int(count), repr(float(prior))])
 
 
 def read_feature_csv(path) -> dict[int, np.ndarray]:
     """External feature file: one row per sample, last column is the class id.
 
-    A non-numeric cell, a file without a feature column, a class id that is
-    not a non-negative integer, or a non-finite feature raises ValueError
-    naming the path (and the first bad row, from 1).
+    A directory, a non-numeric cell, a file without a feature column, a
+    class id that is not a non-negative integer, or a non-finite feature
+    raises ValueError naming the path (and the first bad row, from 1).
     """
     try:
         rows = np.loadtxt(path, delimiter=",", ndmin=2)
-    except ValueError as exc:
+    except (IsADirectoryError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
     if rows.shape[1] < 2:
         raise ValueError(f"{path}: need feature columns before the class id")

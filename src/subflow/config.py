@@ -42,8 +42,6 @@ class DataConfig:
 class ClusterConfig:
     k: int = 2
     max_iters: int = 100
-    enabled: bool = True
-    standardize_features: bool = False
 
     def __post_init__(self):
         if self.k < 1:
@@ -75,15 +73,8 @@ class ExperimentConfig:
     metrics: MetricsConfig = field(default_factory=MetricsConfig)
 
 
-def _to_bool(raw: str) -> bool:
-    try:
-        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
-    except KeyError:
-        raise ValueError(f"not a boolean: {raw!r}") from None
-
-
-_FROM_TEXT = {int: int, float: float, str: str, bool: _to_bool}
-_TO_TEXT = {int: str, float: repr, str: str, bool: lambda v: str(v).lower()}
+_FROM_TEXT = {int: int, float: float, str: str}
+_TO_TEXT = {int: str, float: repr, str: str}
 
 
 def _declared(cls) -> dict[str, type]:
@@ -182,8 +173,12 @@ def validate(cfg: ExperimentConfig) -> None:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path) as fh:
-        return parse_config(fh.read())
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except IsADirectoryError as exc:  # exit 1, as a missing file does
+        raise ConfigError(f"{path}: {exc.strerror}") from exc
+    return parse_config(text)
 
 
 def emit_config(cfg: ExperimentConfig) -> str:

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .clustering import ClassClusters, SubmodeTable
+from .clustering import SubmodeTable
 from .net import NetConfig, VelocityNet
 from .objectives import CONDITIONINGS, OBJECTIVES
 
@@ -133,7 +133,8 @@ class RunManifest:
 
     @staticmethod
     def read(path) -> "RunManifest":
-        """A file that is not JSON or lacks a key raises ValueError naming it."""
+        """A directory, or a file that is not JSON or lacks a key, raises
+        ValueError naming it."""
         try:
             with open(path) as fh:
                 payload = json.load(fh)
@@ -142,7 +143,7 @@ class RunManifest:
                                seed=payload["seed"], files=payload["files"],
                                checksums=payload["checksums"],
                                duration_s=payload["duration_s"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (IsADirectoryError, KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: not a run manifest: {exc!r}") from exc
 
     def check(self) -> list[str]:
@@ -178,13 +179,13 @@ def write_samples_csv(path, batch) -> None:
 
 
 def read_priors_table(path) -> SubmodeTable:
-    """Rebuild the sampling-relevant part of a SubmodeTable from priors CSV.
+    """The SubmodeTable a priors CSV holds, built from its counts.
 
     A missing or non-numeric field, a class whose sub-mode ids are not
-    exactly 0..K-1, or priors that are not a distribution raise ValueError
-    naming the path.
+    exactly 0..K-1, counts that are negative or sum to zero, or a prior
+    column that is not its counts' share (within 1e-12) raise ValueError
+    naming the path and, where there is one, the class.
     """
-    table = SubmodeTable()
     rows: dict[int, list[tuple[int, int, float]]] = {}
     try:
         with open(path, newline="") as fh:
@@ -197,12 +198,16 @@ def read_priors_table(path) -> SubmodeTable:
             if [e[0] for e in entries] != list(range(len(entries))):
                 raise ValueError(f"class {class_id}: submode ids are not "
                                  f"0..{len(entries) - 1}, each once")
-            table.per_class[class_id] = ClassClusters(
-                centroids=np.zeros((len(entries), 0)),
-                assignments=np.zeros(0, dtype=np.int64),
-                counts=np.array([e[1] for e in entries], dtype=np.int64),
-                priors=np.array([e[2] for e in entries]))
-        table.validate()
+        table = SubmodeTable.from_counts(
+            {c: [e[1] for e in entries] for c, entries in rows.items()})
+        for class_id, entries in rows.items():
+            written = np.array([e[2] for e in entries])
+            share = table.per_class[class_id].priors
+            # phrased so that a NaN prior fails it too
+            if not np.all(np.abs(written - share) <= 1e-12):
+                raise ValueError(
+                    f"class {class_id}: priors {written.tolist()} are not "
+                    f"the counts' share {share.tolist()}")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: bad priors file: {exc}") from exc
     return table

@@ -19,10 +19,6 @@ from . import clustering, io, metrics, mixture, objectives, sampler
 from .config import ExperimentConfig, emit_config
 
 
-class ValidationError(ValueError):
-    """User-facing configuration problem (CLI exit code 1)."""
-
-
 def build_dataset(cfg: ExperimentConfig):
     return mixture.sample_dataset(cfg.mixture, cfg.data.n_train,
                                   cfg.train.seed)
@@ -32,35 +28,34 @@ def cluster_dataset(cfg: ExperimentConfig, dataset, random_labels: bool = False)
     """Cluster the dataset per class and write the labels into its
     submode_ids, in place.
 
-    Returns (table, per-class global index arrays).  Sub-mode ids assigned by
-    the generating mixture component are discarded; training consumes the
-    discovered labels, exactly as the offline pre-processing stage would.
+    Returns (table, per-class labels).  Each class's K-Means clusters are
+    first renumbered after the generating sub-mode most of their points
+    came from, where that map is one-to-one (`clustering.match_labels`),
+    so that cluster k is sub-mode k wherever the two can be paired; random
+    labels keep their numbers.  The generating sub-mode ids are then
+    discarded: training consumes the discovered labels, exactly as the
+    offline pre-processing stage would.
     """
     xs, cs, ks = mixture.dataset_arrays(dataset)
-    features_by_class = {}
-    index_by_class = {}
-    for c in np.unique(cs):
-        idx = np.flatnonzero(cs == c)
-        feats = xs[idx]
-        if cfg.cluster.standardize_features:
-            feats = clustering.standardize(feats)
-        features_by_class[int(c)] = feats
-        index_by_class[int(c)] = idx
+    index_by_class = {int(c): np.flatnonzero(cs == c) for c in np.unique(cs)}
+    features = {c: xs[idx] for c, idx in index_by_class.items()}
     if random_labels:
-        table = clustering.random_assignment(features_by_class, cfg.cluster.k,
-                                             cfg.train.seed)
+        labels = clustering.random_assignment(features, cfg.cluster.k,
+                                              cfg.train.seed)
     else:
-        table = clustering.assign_submodes(features_by_class, cfg.cluster.k,
-                                           cfg.train.seed,
-                                           max_iters=cfg.cluster.max_iters)
+        labels = clustering.assign_submodes(features, cfg.cluster.k,
+                                            cfg.train.seed,
+                                            max_iters=cfg.cluster.max_iters)
+        labels = {c: clustering.match_labels(labels[c], ks[idx])
+                  for c, idx in index_by_class.items()}
     for c, idx in index_by_class.items():
-        ks[idx] = table.per_class[c].assignments
-    return table, index_by_class
+        ks[idx] = labels[c]
+    return clustering.SubmodeTable.from_labels(labels, cfg.cluster.k), labels
 
 
 def train_run(cfg: ExperimentConfig, out_dir, run_prefix: str = "train",
               random_labels: bool = False) -> io.RunManifest:
-    """Cluster (when enabled), train, and persist all artifacts."""
+    """Cluster, train, and persist all artifacts."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     config_text = emit_config(cfg)
@@ -68,14 +63,7 @@ def train_run(cfg: ExperimentConfig, out_dir, run_prefix: str = "train",
     started = time.monotonic()
 
     dataset = build_dataset(cfg)
-    table = None
-    if cfg.cluster.enabled:
-        table, _ = cluster_dataset(cfg, dataset, random_labels=random_labels)
-    elif cfg.train.conditioning == "subflow":
-        raise ValidationError(
-            "conditioning=subflow requires a SubmodeTable: enable [cluster] "
-            "or provide assignments")
-
+    table, labels = cluster_dataset(cfg, dataset, random_labels=random_labels)
     state, losses = objectives.train(dataset, cfg.mixture, cfg.train, table)
 
     ckpt_path = out_dir / f"{run_id}.checkpoint.bin"
@@ -87,18 +75,17 @@ def train_run(cfg: ExperimentConfig, out_dir, run_prefix: str = "train",
     io.save_checkpoint(ckpt_path, state.net, state.ema_params, state.step, meta)
     loss_path = out_dir / f"{run_id}.loss.csv"
     io.write_loss_csv(loss_path, losses)
+    assign_path = out_dir / f"{run_id}.assignments.csv"
+    clustering.write_assignments_csv(labels, assign_path)
+    priors_path = out_dir / f"{run_id}.priors.csv"
+    clustering.write_priors_csv(table, priors_path)
 
     manifest = io.RunManifest(run_id=run_id, config_text=config_text,
                               seed=cfg.train.seed)
     manifest.add_file("checkpoint", ckpt_path)
     manifest.add_file("loss_curve", loss_path)
-    if table is not None:
-        assign_path = out_dir / f"{run_id}.assignments.csv"
-        priors_path = out_dir / f"{run_id}.priors.csv"
-        clustering.write_assignments_csv(table, assign_path)
-        clustering.write_priors_csv(table, priors_path)
-        manifest.add_file("assignments", assign_path)
-        manifest.add_file("priors", priors_path)
+    manifest.add_file("assignments", assign_path)
+    manifest.add_file("priors", priors_path)
     manifest.duration_s = time.monotonic() - started
     manifest.write(out_dir / f"{run_id}.manifest.json")
     return manifest
@@ -232,21 +219,22 @@ def sweep_nfe(manifest_path, cfg: ExperimentConfig, out_csv,
     """One report (and CSV row) per NFE, with the sampling settings of
     `cfg`.  The run, the real set and the field RMSE do not depend on the
     NFE, so they are computed once."""
+    # every NFE is checked before the first generation
+    samples = [dataclasses.replace(cfg.sample, nfe=nfe) for nfe in nfe_list]
     net, table, meta = load_run(manifest_path)
     run_id = io.RunManifest.read(manifest_path).run_id
-    sample = cfg.sample
     real = mixture.sample_dataset(cfg.mixture, cfg.metrics.n_real,
                                   cfg.train.seed + 1)
     rmse = model_field_rmse(net, meta, cfg)
     reports = []
-    for nfe in nfe_list:
-        batch = generate_all_classes(net, table, meta, cfg, sample.count, nfe,
-                                     sample.guidance_scale,
+    for sample in samples:
+        batch = generate_all_classes(net, table, meta, cfg, sample.count,
+                                     sample.nfe, sample.guidance_scale,
                                      sample.submode_strategy, cfg.train.seed)
         report = metrics.evaluate_all(cfg.mixture, real.xs, batch.xs,
                                       k=cfg.metrics.knn_k,
                                       tau=cfg.metrics.coverage_tau, rmse=rmse)
-        metrics.append_report_csv(out_csv, report, run_id, nfe,
+        metrics.append_report_csv(out_csv, report, run_id, sample.nfe,
                                   sample.guidance_scale)
         reports.append(report)
     return reports
@@ -260,7 +248,7 @@ def ablate(cfg: ExperimentConfig, variant: str, out_dir) -> dict:
     writes ablation.csv and comparison.csv into `out_dir` and returns
     {name: report}."""
     if variant not in ABLATION_VARIANTS:
-        raise ValidationError(f"unknown ablation variant {variant!r}")
+        raise ValueError(f"unknown ablation variant {variant!r}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

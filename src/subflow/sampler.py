@@ -18,7 +18,7 @@ from .clustering import SubmodeTable
 from .net import VelocityNet
 from .rng import stream
 
-STRATEGIES = ("prior", "uniform", "fixed")
+STRATEGIES = ("prior", "uniform")
 
 
 @dataclass
@@ -51,23 +51,23 @@ class GenerationBatch:
 def sample_submode(table: SubmodeTable, class_id: int, strategy: str,
                    rng: np.random.Generator, count: int,
                    fixed: int = -1) -> np.ndarray:
-    """Draw `count` sub-mode indices for a class under the given strategy.
+    """Draw `count` sub-mode indices for a class under the given strategy,
+    or return sub-mode `fixed` every time unless it is the default -1.
 
     Returns an (count,) int64 array; numpy fills it in order, so draw i is
     the same at any count.
     """
-    prior = table.per_class[class_id].priors
-    if strategy == "prior":
-        return rng.choice(len(prior), size=count, p=prior)
-    if strategy == "uniform":
-        live = np.flatnonzero(table.per_class[class_id].counts > 0)
-        return live[rng.integers(len(live), size=count)]
-    if strategy == "fixed":
-        if fixed < 0:
-            raise ValueError("fixed strategy needs a submode index")
-        if fixed >= len(prior) or table.per_class[class_id].counts[fixed] == 0:
-            raise ValueError(f"fixed submode {fixed} has no training mass")
+    cc = table.per_class[class_id]
+    if fixed != -1:
+        if not 0 <= fixed < len(cc.counts) or cc.counts[fixed] == 0:
+            raise ValueError(f"fixed submode {fixed}: class {class_id} has "
+                             f"no training mass there")
         return np.full(count, fixed, dtype=np.int64)
+    if strategy == "prior":
+        return rng.choice(len(cc.priors), size=count, p=cc.priors)
+    if strategy == "uniform":
+        live = np.flatnonzero(cc.counts > 0)
+        return live[rng.integers(len(live), size=count)]
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
@@ -103,7 +103,8 @@ def generate(net: VelocityNet, table: Optional[SubmodeTable], meta: dict,
     """Generate `sample.count` samples for one class.
 
     `conditioning` and `source_std` come from the checkpoint's `meta`; only
-    subflow runs read the sub-mode strategy and `fixed_submode`.  The noise
+    subflow runs read the sub-mode strategy and `fixed_submode`, which
+    overrides the strategy when it is not -1.  The noise
     and the sub-modes come from one stream each, keyed by (seed, purpose):
     sample i takes the i-th draw of each, so each sample index gets the
     same draws at any count.

@@ -238,8 +238,8 @@ def test_criterion_08_clustering_suite():
     spec = mixture.toy_spec()
     data = mixture.sample_dataset(spec, 100000, seed=0)
     xs, cs, _ = mixture.dataset_arrays(data)
-    table = clustering.assign_submodes({c: xs[cs == c] for c in (0, 1)},
-                                       2, seed=0)
+    table = clustering.SubmodeTable.from_labels(clustering.assign_submodes(
+        {c: xs[cs == c] for c in (0, 1)}, 2, seed=0), 2)
     for c in (0, 1):
         prior = np.sort(table.per_class[c].priors)[::-1]
         err = float(np.max(np.abs(prior - [0.7, 0.3])))

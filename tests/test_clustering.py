@@ -10,10 +10,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subflow import clustering, mixture
-from subflow.clustering import assign_submodes, lloyd, random_assignment
+from subflow import clustering, mixture, pipeline
+from subflow.clustering import (SubmodeTable, assign_submodes, lloyd,
+                                match_labels, random_assignment)
+from subflow.config import load_config
 from subflow.mixture import toy_spec
 from subflow.rng import stream
+
+from support import ROOT
 
 
 def two_blobs(n_per=10, sep=20.0, std=1.0, seed=0):
@@ -104,7 +108,7 @@ class TestAssignSubmodes:
         data = mixture.sample_dataset(spec, 100000, seed=0)
         xs, cs, _ = mixture.dataset_arrays(data)
         feats = {c: xs[cs == c] for c in (0, 1)}
-        table = assign_submodes(feats, 2, seed=0)
+        table = SubmodeTable.from_labels(assign_submodes(feats, 2, seed=0), 2)
         for c in (0, 1):
             prior = np.sort(table.per_class[c].priors)[::-1]
             np.testing.assert_allclose(prior, [0.7, 0.3], atol=0.02)
@@ -113,14 +117,16 @@ class TestAssignSubmodes:
         spec = toy_spec()
         data = mixture.sample_dataset(spec, 50000, seed=1)
         xs, cs, _ = mixture.dataset_arrays(data)
-        table = assign_submodes({c: xs[cs == c] for c in (0, 1)}, 2, seed=0)
-        cents = np.sort(table.per_class[0].centroids[:, 1])
+        points = xs[cs == 0]
+        labels = assign_submodes({0: points}, 2, seed=0)[0]
+        cents = np.sort([points[labels == j, 1].mean() for j in (0, 1)])
         np.testing.assert_allclose(cents, [-2.0, 2.0], atol=0.05)
 
     def test_reduced_k_flagged(self):
         feats = {0: np.array([[0.0, 0.0], [1.0, 1.0]])}
-        table = assign_submodes(feats, 5, seed=0)
-        assert len(table.per_class[0].centroids) == 2
+        table = SubmodeTable.from_labels(assign_submodes(feats, 5, seed=0), 5)
+        np.testing.assert_array_equal(table.per_class[0].counts, [1, 1])
+        assert table.num_submodes() == 2
 
     def test_k_below_one_rejected(self):
         with pytest.raises(ValueError):
@@ -128,45 +134,102 @@ class TestAssignSubmodes:
 
     def test_priors_consistent_with_assignments(self):
         feats = {0: two_blobs(n_per=15), 1: two_blobs(n_per=7, seed=3)}
-        table = assign_submodes(feats, 2, seed=5)
+        labels = assign_submodes(feats, 2, seed=5)
+        table = SubmodeTable.from_labels(labels, 2)
         for c, cc in table.per_class.items():
-            counts = np.bincount(cc.assignments, minlength=len(cc.centroids))
+            counts = np.bincount(labels[c], minlength=2)
             np.testing.assert_array_equal(counts, cc.counts)
-            np.testing.assert_allclose(cc.priors, counts / counts.sum())
+            assert np.array_equal(cc.priors, counts / counts.sum())
 
     def test_deterministic(self):
         feats = {0: two_blobs(seed=9)}
-        a = assign_submodes(feats, 2, seed=4).per_class[0].assignments
-        b = assign_submodes(feats, 2, seed=4).per_class[0].assignments
+        a = assign_submodes(feats, 2, seed=4)[0]
+        b = assign_submodes(feats, 2, seed=4)[0]
         np.testing.assert_array_equal(a, b)
 
 
 class TestEmpiricalPrior:
     def test_simple_counts(self):
         feats = {0: np.concatenate([np.zeros((7, 2)), np.full((3, 2), 10.0)])}
-        table = assign_submodes(feats, 2, seed=0)
+        table = SubmodeTable.from_labels(assign_submodes(feats, 2, seed=0), 2)
         prior = np.sort(table.per_class[0].priors)[::-1]
         np.testing.assert_allclose(prior, [0.7, 0.3])
+
+    def test_empty_sub_mode_kept(self):
+        """A sub-mode without points keeps its row, with prior 0."""
+        table = SubmodeTable.from_labels({0: np.zeros(5, dtype=np.int64)}, 2)
+        np.testing.assert_array_equal(table.per_class[0].counts, [5, 0])
+        np.testing.assert_array_equal(table.per_class[0].priors, [1.0, 0.0])
+
+    @pytest.mark.parametrize("counts", [[3, -1], [0, 0]])
+    def test_counts_without_mass_rejected(self, counts):
+        with pytest.raises(ValueError, match="class 4: counts"):
+            SubmodeTable.from_counts({4: counts})
 
 
 class TestRandomAssignment:
     def test_label_frequencies_uniform(self):
         feats = {0: np.random.default_rng(0).standard_normal((100000, 2))}
-        table = random_assignment(feats, 4, seed=2)
-        np.testing.assert_allclose(table.per_class[0].priors, 0.25, atol=0.01)
+        labels = random_assignment(feats, 4, seed=2)[0]
+        np.testing.assert_allclose(np.bincount(labels) / len(labels), 0.25,
+                                   atol=0.01)
 
     def test_reproducible(self):
         feats = {0: np.zeros((50, 2))}
-        a = random_assignment(feats, 3, seed=1).per_class[0].assignments
-        b = random_assignment(feats, 3, seed=1).per_class[0].assignments
+        a = random_assignment(feats, 3, seed=1)[0]
+        b = random_assignment(feats, 3, seed=1)[0]
         np.testing.assert_array_equal(a, b)
 
     def test_k1_matches_kmeans_k1(self):
         feats = {0: two_blobs(seed=8)}
-        ra = random_assignment(feats, 1, seed=0).per_class[0]
-        km = assign_submodes(feats, 1, seed=0).per_class[0]
-        np.testing.assert_array_equal(ra.assignments, km.assignments)
-        np.testing.assert_allclose(ra.centroids, km.centroids, atol=1e-12)
+        np.testing.assert_array_equal(random_assignment(feats, 1, seed=0)[0],
+                                      assign_submodes(feats, 1, seed=0)[0])
+
+    def test_reduced_k(self):
+        """Like K-Means, a class of fewer points than k draws from that
+        many sub-modes."""
+        labels = random_assignment({0: np.zeros((2, 2))}, 5, seed=0)[0]
+        assert np.all((labels >= 0) & (labels < 2))
+
+
+class TestMatchLabels:
+    def test_swapped_clusters_renumbered(self):
+        labels = np.array([0, 0, 0, 1, 1])
+        reference = np.array([1, 1, 0, 0, 0])
+        np.testing.assert_array_equal(match_labels(labels, reference),
+                                      [1, 1, 1, 0, 0])
+
+    @pytest.mark.parametrize("labels, reference", [
+        ([0, 0, 1, 1], [0, 0, 0, 0]),      # both clusters mostly sub-mode 0
+        ([0, 0, 1, 1], [2, 2, 0, 0]),      # sub-mode 2 is not a cluster id
+        ([0, 1, 2, 2], [1, 0, 1, 1]),      # three clusters, two sub-modes
+    ])
+    def test_no_one_to_one_map_keeps_numbers(self, labels, reference):
+        labels = np.array(labels)
+        assert match_labels(labels, np.array(reference)) is labels
+
+
+class TestClusterDataset:
+    def test_clusters_numbered_after_generating_sub_modes(self):
+        """toy.cfg at seed 13: K-Means numbers both classes' clusters in the
+        opposite order to the mixture; cluster_dataset renumbers them, so
+        cluster j is mostly generating sub-mode j in both classes, and the
+        table counts the renumbered labels."""
+        cfg = load_config(ROOT / "configs" / "toy.cfg")
+        cfg.train.seed = 13
+        dataset = pipeline.build_dataset(cfg)
+        xs, cs, ks = mixture.dataset_arrays(dataset)
+        generating = ks.copy()
+        raw = assign_submodes({c: xs[cs == c] for c in (0, 1)}, 2, seed=13)
+        table, labels = pipeline.cluster_dataset(cfg, dataset)
+        for c in (0, 1):
+            np.testing.assert_array_equal(labels[c], 1 - raw[c])
+            np.testing.assert_array_equal(ks[cs == c], labels[c])
+            for j in (0, 1):
+                from_j = generating[cs == c][labels[c] == j]
+                assert np.mean(from_j == j) > 0.99, (c, j)
+            np.testing.assert_array_equal(table.per_class[c].counts,
+                                          np.bincount(labels[c]))
 
 
 class TestStandardize:
@@ -187,11 +250,11 @@ class TestStandardize:
 class TestCsvRoundTrip:
     def test_assignments_and_priors(self, tmp_path):
         feats = {0: two_blobs(seed=1), 1: two_blobs(seed=2)}
-        table = assign_submodes(feats, 2, seed=0)
+        labels = assign_submodes(feats, 2, seed=0)
         ap = tmp_path / "assignments.csv"
         pp = tmp_path / "priors.csv"
-        clustering.write_assignments_csv(table, ap)
-        clustering.write_priors_csv(table, pp)
+        clustering.write_assignments_csv(labels, ap)
+        clustering.write_priors_csv(SubmodeTable.from_labels(labels, 2), pp)
         lines = ap.read_text().strip().splitlines()
         assert lines[0] == "sample_index,class_id,submode_id"
         assert len(lines) == 1 + 40

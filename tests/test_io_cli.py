@@ -175,13 +175,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config("[train]\nobjective = diffusion\n")
 
-    # run ids of emit_config(...) as recorded before the config schema was
-    # declared once; a changed byte in the emitted text changes the run id
+    # run ids of emit_config(...); a changed byte in the emitted text
+    # changes the run id
     PINNED_RUN_IDS = {
-        "single_gaussian.cfg": "train-13f29af68e",
-        "toy.cfg": "train-0663a23078",
-        "toy_cfm.cfg": "train-6b3a745015",
-        "": "train-1ca93ccb24",
+        "single_gaussian.cfg": "train-cd340ed69c",
+        "toy.cfg": "train-24f038df67",
+        "toy_cfm.cfg": "train-b955e9d24c",
+        "": "train-455e818a4e",
     }
 
     @pytest.mark.parametrize("name", sorted(PINNED_RUN_IDS))
@@ -228,8 +228,8 @@ def test_overrides_set_their_keys():
      ConfigError, "bogus"),
     (lambda: parse_config("[cluster]\nk = 0\n"), ConfigError, "k must"),
     (lambda: parse_config("[data]\nn_train = -5\n"), ConfigError, "n_train"),
-    (lambda: parse_config("[cluster]\nenabled = ture\n"), ConfigError,
-     "ture"),
+    (lambda: parse_config("[cluster]\nenabled = true\n"), ConfigError,
+     "enabled"),
     (lambda: parse_config("[train]\nstesp = 10\n"), ConfigError, "stesp"),
     (lambda: parse_config("[trian]\nsteps = 10\n"), ConfigError, "trian"),
     (lambda: parse_config("[DEFAULT]\nsteps = 10\n"), ConfigError,
@@ -259,7 +259,7 @@ def test_overrides_set_their_keys():
                                           np.ones((5, 2)), 0),
      ValueError, "k must"),
 ], ids=["knn_k", "n_real", "count", "nfe", "strategy", "cluster_k",
-        "n_train", "bool", "unknown_key", "unknown_section",
+        "n_train", "cluster_enabled_unknown", "unknown_key", "unknown_section",
         "default_section", "unknown_mixture_key", "component_gap",
         "class_id_gap", "submode_id_gap", "override_nfe", "override_count",
         "override_guidance", "override_guidance_nan",
@@ -288,17 +288,19 @@ class TestCsvEmission:
             "0,0,1,1.0,1.0", "1,1,-1,2.0,-0.5"]
 
     def test_priors_round_trip(self, tmp_path):
+        """A trained table and its reloaded priors file hold equal counts,
+        bit-equal priors and the same number of sub-modes."""
         from subflow import clustering
-        rng = np.random.default_rng(0)
-        feats = {0: rng.standard_normal((40, 2)),
-                 1: rng.standard_normal((30, 2)) + 4}
-        table = clustering.assign_submodes(feats, 2, seed=0)
+        cfg = parse_config(TINY_CONFIG + "[cluster]\nk = 3\n")
+        table, _ = pipeline.cluster_dataset(cfg, pipeline.build_dataset(cfg))
         path = tmp_path / "priors.csv"
         clustering.write_priors_csv(table, path)
         loaded = io.read_priors_table(path)
+        assert sorted(loaded.per_class) == sorted(table.per_class) == [0, 1]
+        assert loaded.num_submodes() == table.num_submodes() == 3
         for c in (0, 1):
-            np.testing.assert_allclose(loaded.per_class[c].priors,
-                                       table.per_class[c].priors)
+            assert np.array_equal(loaded.per_class[c].priors,
+                                  table.per_class[c].priors)
             np.testing.assert_array_equal(loaded.per_class[c].counts,
                                           table.per_class[c].counts)
 
@@ -453,9 +455,13 @@ class TestDamagedInputs:
         _set_line(0, "class,submode_id,count,prior"),
         _class_rows(1, []),
         _class_rows(0, ["0,0,1,0.25", "0,1,1,0.25", "0,2,2,0.5"]),
+        _class_rows(0, ["0,0,706,0.7", "0,1,0,0.3"]),
+        _class_rows(0, ["0,0,0,0.5", "0,1,0,0.5"]),
+        _class_rows(0, ["0,0,-1,-0.5", "0,1,3,1.5"]),
     ], ids=["submode_gap", "submode_repeated", "submode_0_missing",
             "non_numeric", "field_missing", "not_normalised", "nan_prior",
-            "column_missing", "class_missing", "more_submodes_than_net"])
+            "column_missing", "class_missing", "more_submodes_than_net",
+            "prior_not_counts_share", "zero_counts", "negative_count"])
     def test_priors(self, trained_dir, tmp_path, capsys, damage):
         manifest, bad = _run_with_damaged(trained_dir, tmp_path, "priors",
                                           damage)
@@ -566,6 +572,17 @@ class TestCli:
         lines = (out / "nfe_sweep.csv").read_text().strip().splitlines()
         assert len(lines) == 3  # header + one row per nfe
 
+    def test_sweep_checks_every_nfe_first(self, trained_dir, tmp_path):
+        """A bad NFE anywhere in the list exits 1 before any row is
+        written."""
+        cfg_path, _, manifest = trained_dir
+        out = tmp_path / "sweep"
+        rc = main(["sweep-nfe", "--config", str(cfg_path),
+                   "--out", str(out), "--manifest", str(manifest),
+                   "--nfe-list", "1,2,0"])
+        assert rc == EXIT_VALIDATION
+        assert not (out / "nfe_sweep.csv").exists()
+
     def test_sweep_matches_evaluate_per_nfe(self, trained_dir, tmp_path):
         """sweep_nfe loads the run, the real set and the field RMSE once;
         its reports and CSV rows equal one evaluate_run per NFE."""
@@ -643,11 +660,37 @@ class TestCli:
         rc = main(["train", "--config", str(cfg), "--out", str(tmp_path)])
         assert rc == EXIT_VALIDATION
 
-    def test_subflow_without_clustering_rejected(self, tmp_path):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text(TINY_CONFIG + "\n[cluster]\nenabled = false\n")
-        rc = main(["train", "--config", str(cfg), "--out", str(tmp_path)])
-        assert rc == EXIT_VALIDATION
+    @pytest.mark.parametrize("flag", ["--config", "--manifest",
+                                      "--features"])
+    def test_directory_as_input_is_validation_error(self, trained_dir,
+                                                     tmp_path, capsys, flag):
+        """A directory where an input file belongs exits 1 naming it, as a
+        missing path does."""
+        cfg_path, _, manifest = trained_dir
+        inputs = {"--config": str(cfg_path), "--manifest": str(manifest),
+                  flag: str(tmp_path)}
+        if flag == "--features":
+            argv = ["cluster", "--features", str(tmp_path)]
+        else:
+            argv = ["generate", "--class-id", "0", "--config",
+                    inputs["--config"], "--manifest", inputs["--manifest"]]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(f"error: {tmp_path}")
+        assert not (tmp_path / "out").exists()
+
+    def test_fixed_submode_alone_fixes_the_submode(self, trained_dir,
+                                                   tmp_path, capsys):
+        """--fixed-submode k needs no strategy flag; -1 is the default and
+        other negatives exit 1."""
+        cfg_path, _, manifest = trained_dir
+        argv = ["generate", "--config", str(cfg_path), "--out",
+                str(tmp_path), "--manifest", str(manifest), "--class-id",
+                "0", "--count", "40", "--fixed-submode"]
+        assert main([*argv, "1"]) == EXIT_OK
+        with open(tmp_path / "samples-class0.csv", newline="") as fh:
+            assert {row["submode_id"] for row in csv.DictReader(fh)} == {"1"}
+        assert main([*argv, "-2"]) == EXIT_VALIDATION
+        assert "fixed submode -2" in capsys.readouterr().err
 
     def test_count_zero_rejected(self, trained_dir, tmp_path):
         cfg_path, _, manifest = trained_dir

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from subflow import mixture, pipeline, sampler
-from subflow.clustering import assign_submodes
+from subflow.clustering import SubmodeTable, assign_submodes
 from subflow.config import parse_config
 from subflow.mixture import oracle_velocity_batch, toy_spec
 from subflow.net import NetConfig, VelocityNet
@@ -34,7 +34,8 @@ def meta(conditioning="subflow"):
 def toy_table(n=4000, seed=0):
     data = mixture.sample_dataset(toy_spec(), n, seed)
     xs, cs, _ = mixture.dataset_arrays(data)
-    return assign_submodes({c: xs[cs == c] for c in (0, 1)}, 2, seed=seed)
+    return SubmodeTable.from_labels(
+        assign_submodes({c: xs[cs == c] for c in (0, 1)}, 2, seed=seed), 2)
 
 
 class TestSampleConfig:
@@ -47,6 +48,8 @@ class TestSampleConfig:
             SampleConfig(count=1, guidance_scale=-0.5)
         with pytest.raises(ValueError):
             SampleConfig(count=1, submode_strategy="magic")
+        with pytest.raises(ValueError, match="unknown submode strategy"):
+            SampleConfig(count=1, submode_strategy="fixed")
 
 
 class TestEulerIntegrate:
@@ -166,20 +169,30 @@ class TestSampleSubmode:
         np.testing.assert_allclose(freq, 0.5, atol=0.01)
 
     def test_fixed_returns_index(self):
+        """A fixed sub-mode overrides either strategy."""
         table = toy_table()
-        draws = sample_submode(table, 0, "fixed", stream(0, "t"), 5, fixed=1)
-        np.testing.assert_array_equal(draws, np.ones(5, dtype=np.int64))
-        assert draws.dtype == np.int64
+        for strategy in sampler.STRATEGIES:
+            draws = sample_submode(table, 0, strategy, stream(0, "t"), 5,
+                                   fixed=1)
+            np.testing.assert_array_equal(draws, np.ones(5, dtype=np.int64))
+            assert draws.dtype == np.int64
 
     def test_fixed_needs_index(self):
-        """The default index -1 would mean no sub-mode conditioning."""
-        with pytest.raises(ValueError, match="needs a submode index"):
-            sample_submode(toy_table(), 0, "fixed", stream(0, "t"), 5)
+        """-1 is the default, no fixed sub-mode; other negatives are not
+        sub-mode indices."""
+        with pytest.raises(ValueError, match="fixed submode -2"):
+            sample_submode(toy_table(), 0, "prior", stream(0, "t"), 5,
+                           fixed=-2)
 
     def test_fixed_out_of_range(self):
         table = toy_table()
         with pytest.raises(ValueError):
-            sample_submode(table, 0, "fixed", stream(0, "t"), 5, fixed=9)
+            sample_submode(table, 0, "prior", stream(0, "t"), 5, fixed=9)
+
+    def test_fixed_without_mass_rejected(self):
+        table = SubmodeTable.from_counts({0: [706, 0]})
+        with pytest.raises(ValueError, match="no training mass"):
+            sample_submode(table, 0, "prior", stream(0, "t"), 5, fixed=1)
 
 
 class TestGenerate:
@@ -202,11 +215,12 @@ class TestGenerate:
         np.testing.assert_array_equal(a.submode_ids, b.submode_ids)
 
     def test_class_conditioning_without_table(self):
-        """A class run needs no table and ignores the sub-mode strategy,
-        even `fixed` without an index."""
+        """A class run needs no table and ignores the sub-mode strategy and
+        the fixed sub-mode."""
         net = tiny_net()
         batch = generate(net, None, meta("class"),
-                         SampleConfig(count=4, submode_strategy="fixed"), 0, 0)
+                         SampleConfig(count=4, submode_strategy="uniform"), 0,
+                         0, fixed_submode=1)
         assert np.all(batch.submode_ids == -1)
         assert np.all(batch.class_ids == 0)
 
@@ -232,19 +246,20 @@ class TestGenerate:
         """Sample i takes the i-th draw of each (seed, purpose) stream, and
         the net runs rows in fixed blocks: rows 0-6 of a 4000-sample run
         equal a 7-sample run bit for bit, on a 128-wide net with nonzero
-        parameters, for every strategy at NFE 1 and 4."""
+        parameters, for every strategy and a fixed sub-mode at NFE 1 and
+        4."""
         cfg = NetConfig(num_classes=2, num_submodes=2, uses_interval=True)
         assert cfg.hidden_width == 128
         net = VelocityNet.initialized(cfg, seed=5)
         net.view("w_out")[:] = 0.1 * stream(6, "test.w_out").standard_normal(
             net.view("w_out").shape)
         table = toy_table()
-        for strategy in ("prior", "uniform", "fixed"):
+        for strategy, fixed in (("prior", -1), ("uniform", -1), ("prior", 1)):
             for nfe in (1, 4):
                 big, small = (generate(
                     net, table, meta(), SampleConfig(
                         count=n, nfe=nfe, submode_strategy=strategy), 0, 11,
-                    fixed_submode=1 if strategy == "fixed" else -1)
+                    fixed_submode=fixed)
                     for n in (4000, 7))
                 assert np.array_equal(big.xs[:7], small.xs), (strategy, nfe)
                 assert np.array_equal(big.submode_ids[:7], small.submode_ids)

@@ -35,3 +35,21 @@ def test_script_runs(tmp_path, script, flags, csvs):
     assert done.returncode == 0, done.stderr
     for name, lines in csvs.items():
         assert len((out / name).read_text().splitlines()) == lines, name
+
+
+@pytest.mark.parametrize("script, flags, match", [
+    ("nfe_sweep.py", ["--nfe-list", "1,2,0"], "nfe must be >= 1"),
+    ("run_ablations.py", ["--variants", "random_assignment,typo"],
+     "unknown typo"),
+], ids=["nfe_list", "variants"])
+def test_script_checks_its_list_before_training(tmp_path, script, flags,
+                                                 match):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY_CONFIG)
+    out = tmp_path / "out"
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), "--config", str(cfg),
+         "--out", str(out), *flags],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 2 and match in done.stderr, done.stderr
+    assert not out.exists()
