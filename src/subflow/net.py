@@ -13,6 +13,9 @@ are exact, which the tests verify against finite differences.
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +36,35 @@ TIME_ENC_DIM = 1 + 2 * N_FREQS
 # training batch, so a training step is one unpadded block; at thousands of
 # rows, blocks also keep the elementwise work in cache.
 BLOCK_ROWS = 256
+
+# Blocks are independent, so the sweep runs them on one worker per CPU with
+# unchanged bits, but only when BLAS runs one thread: on top of a
+# multi-threaded BLAS, block workers oversubscribe the cores.  The package
+# does not pin BLAS itself, because training bits depend on its thread count.
+_BLAS_THREADS = os.environ.get("OPENBLAS_NUM_THREADS",
+                               os.environ.get("OMP_NUM_THREADS"))
+if _BLAS_THREADS != "1":
+    SWEEP_WORKERS = 1
+elif hasattr(os, "sched_getaffinity"):  # not on macOS or Windows
+    SWEEP_WORKERS = len(os.sched_getaffinity(0))
+else:
+    SWEEP_WORKERS = os.cpu_count() or 1
+
+# (pid, threads, executor): the sweep's helper threads, created on first use
+# and again in a forked child, which inherits the executor but not its threads
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _executor(threads: int) -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[:2] != (os.getpid(), threads):
+            if _pool is not None and _pool[0] == os.getpid():
+                _pool[2].shutdown(wait=False)
+            _pool = (os.getpid(), threads, ThreadPoolExecutor(
+                threads, thread_name_prefix="subflow-sweep"))
+        return _pool[2]
 
 
 @dataclass(frozen=True)
@@ -74,9 +106,22 @@ def _layout(cfg: NetConfig) -> list[tuple[str, tuple[int, ...]]]:
     return entries
 
 
-def _silu_grad(z: np.ndarray, sig: np.ndarray) -> np.ndarray:
-    """Derivative of z * sigmoid(z), given sig = sigmoid(z)."""
-    return sig * (1.0 + z * (1.0 - sig))
+def _silu_grad(z: np.ndarray, sig: np.ndarray, out: np.ndarray) -> None:
+    """Write sig * (1 + z * (1 - sig)), the derivative of z * sigmoid(z)
+    given sig = sigmoid(z), into `out`."""
+    np.subtract(1.0, sig, out=out)
+    out *= z
+    out += 1.0
+    out *= sig
+
+
+def _row_sums(index: np.ndarray, values: np.ndarray, num_rows: int) -> np.ndarray:
+    """(num_rows, d) table whose row j sums the `values` rows with index j,
+    added in batch order onto zero, as np.add.at onto a zero table does."""
+    d = values.shape[1]
+    flat = (index[:, None] * d + np.arange(d)).ravel()
+    return np.bincount(flat, weights=values.ravel(),
+                       minlength=num_rows * d).reshape(num_rows, d)
 
 
 class VelocityNet:
@@ -130,12 +175,6 @@ class VelocityNet:
         phase = t[:, None] * self._freqs[None, :]
         return np.concatenate([t[:, None], np.sin(phase), np.cos(phase)], axis=1)
 
-    def _time_enc_dot(self, t: np.ndarray, dt: np.ndarray) -> np.ndarray:
-        phase = t[:, None] * self._freqs[None, :]
-        dphase = dt[:, None] * self._freqs[None, :]
-        return np.concatenate(
-            [dt[:, None], np.cos(phase) * dphase, -np.sin(phase) * dphase], axis=1)
-
     def _check_inputs(self, r, c, k) -> None:
         cfg = self.config
         if cfg.uses_interval:
@@ -161,14 +200,16 @@ class VelocityNet:
     # ---- forward / reverse / forward-mode -------------------------------
 
     def _sweep(self, x, t, r, c, k, cache: bool):
-        """The primal pass: (n,2) output and, when `cache`, the (hs, zs, c, k)
+        """The primal pass: (n,2) output and, when `cache`, the (hs, ds, c, k)
         activation cache of the n rows (None otherwise).
 
-        hs holds the input of every layer and the last hidden state; zs holds
-        each hidden layer's (pre-activation, sigmoid) pair.  Rows run in
-        blocks of BLOCK_ROWS; a short last block is padded with rows whose
-        results are dropped.  Without a cache, every block reuses one
-        block-sized set of buffers.
+        hs holds the input of every layer and the last hidden state; ds holds
+        each hidden layer's SiLU derivative.  Rows run in blocks of
+        BLOCK_ROWS; a short last block is padded with rows whose results are
+        dropped.  Up to SWEEP_WORKERS workers run the blocks: the calling
+        thread and helper threads, each claiming the next block when free.
+        Each worker reuses one block-sized set of scratch buffers, and
+        without a cache also of hs.
         """
         x = np.asarray(x, dtype=np.float64)
         t = np.asarray(t, dtype=np.float64)
@@ -184,30 +225,66 @@ class VelocityNet:
                 [a, np.zeros((pad, *a.shape[1:]), dtype=a.dtype)])
                 for a in rows]
         total = n + pad
+        starts = range(0, total, BLOCK_ROWS)
+        workers = min(SWEEP_WORKERS, len(starts))
         depth = self.config.hidden_layers
         width = self.config.hidden_width
-        held = total if cache else BLOCK_ROWS
-        # Every array of the pass is a view of one allocation: hs, then each
-        # layer's (z, sig).  Once a block that large is freed, glibc raises
-        # its dynamic mmap and trim thresholds, so later passes (each
-        # training step) reuse heap pages instead of faulting in fresh ones.
-        widths = [self.config.input_dim] + [width] * (3 * depth)
-        work = np.empty(held * sum(widths))
-        ends = np.cumsum([held * w for w in widths])[:-1]
-        arrays = [a.reshape(held, w)
-                  for a, w in zip(np.split(work, ends), widths)]
-        hs = arrays[:depth + 1]
-        zs = list(zip(arrays[depth + 1::2], arrays[depth + 2::2]))
+        held = total if cache else BLOCK_ROWS * workers
+        # Every array of the pass is a view of one allocation: hs, then with
+        # a cache ds, then each worker's block of (z, sigmoid(z)).  Once a
+        # block that large is freed, glibc raises its dynamic mmap and trim
+        # thresholds, so later passes (each training step) reuse heap pages
+        # instead of faulting in fresh ones.
+        shapes = ([(held, self.config.input_dim)]
+                  + [(held, width)] * (depth * (2 if cache else 1))
+                  + [(BLOCK_ROWS * workers, width)] * 2)
+        sizes = [a * b for a, b in shapes]
+        work = np.empty(sum(sizes))
+        arrays = [a.reshape(shape) for a, shape
+                  in zip(np.split(work, np.cumsum(sizes)[:-1]), shapes)]
+        hs, ds, scratch = arrays[:depth + 1], arrays[depth + 1:-2], arrays[-2:]
         out = np.empty((total, 2))
         layers = [(self.view(f"w{layer}").T, self.view(f"b{layer}"))
                   for layer in range(depth)]
-        for lo in range(0, total, BLOCK_ROWS):
+        # workers claim the next block as they become free, so one that the
+        # OS deschedules does not hold back the others
+        claim = threading.Lock()
+        todo = iter(starts)
+
+        def next_block():
+            with claim:
+                return next(todo, None)
+
+        args = (rows, layers, hs, ds, scratch, out, next_block)
+        slots = [slice(j * BLOCK_ROWS, (j + 1) * BLOCK_ROWS)
+                 for j in range(workers)]
+        futures = [_executor(workers - 1).submit(self._run_blocks, *args, slot)
+                   for slot in slots[1:]]
+        try:
+            self._run_blocks(*args, slots[0])
+        finally:
+            wait(futures)
+        for future in futures:
+            future.result()
+        if not cache:
+            return out[:n], None
+        return out[:n], ([h[:n] for h in hs], [d[:n] for d in ds], c, k)
+
+    def _run_blocks(self, rows, layers, hs, ds, scratch, out, next_block,
+                    slot):
+        """Run the primal pass over the blocks that `next_block` hands out
+        (their first rows; None when none are left), using the worker's
+        `slot` rows of the scratch (and of hs when there is no cache, that
+        is when ds is empty).  Calls nothing traced, so it can run on a
+        helper thread."""
+        z, sig = (a[slot] for a in scratch)
+        w_out_t, b_out = self.view("w_out").T, self.view("b_out")
+        while (lo := next_block()) is not None:
             block = slice(lo, lo + BLOCK_ROWS)
-            at = block if cache else slice(None)
+            at = block if ds else slot
             self._features(*(None if a is None else a[block] for a in rows),
                            out=hs[0][at])
             for layer, (w_t, b) in enumerate(layers):
-                z, sig = zs[layer][0][at], zs[layer][1][at]
                 np.matmul(hs[layer][at], w_t, out=z)
                 z += b
                 # sig = 1 / (1 + exp(-z)), in place
@@ -216,13 +293,10 @@ class VelocityNet:
                 sig += 1.0
                 np.divide(1.0, sig, out=sig)
                 np.multiply(z, sig, out=hs[layer + 1][at])
-            np.matmul(hs[-1][at], self.view("w_out").T, out=out[block])
-            out[block] += self.view("b_out")
-        if not cache:
-            return out[:n], None
-        hs = [h[:n] for h in hs]
-        zs = [(z[:n], sig[:n]) for z, sig in zs]
-        return out[:n], (hs, zs, c, k)
+                if ds:
+                    _silu_grad(z, sig, out=ds[layer][block])
+            np.matmul(hs[-1][at], w_out_t, out=out[block])
+            out[block] += b_out
 
     def forward_batch(self, x, t, r, c, k, *, cache: bool = False):
         """Evaluate the net on a batch.
@@ -247,27 +321,29 @@ class VelocityNet:
         cotangents = np.asarray(cotangents, dtype=np.float64)
         if cache is None:
             _, cache = self.forward_batch(x, t, r, c, k, cache=True)
-        hs, zs, c_arr, k_arr = cache
+        hs, ds, c_arr, k_arr = cache
         if cotangents.shape != (len(hs[0]), 2):
             raise ValueError("cotangent shape mismatch")
         grad = np.zeros_like(self.params)
+        d = self.config.embed_dim
         g = cotangents
         self.view("w_out", grad)[:] += g.T @ hs[-1]
         self.view("b_out", grad)[:] += g.sum(axis=0)
         gh = g @ self.view("w_out")
         for layer in reversed(range(self.config.hidden_layers)):
-            gz = gh * _silu_grad(*zs[layer])
+            gz = gh * ds[layer]
             self.view(f"w{layer}", grad)[:] += gz.T @ hs[layer]
             self.view(f"b{layer}", grad)[:] += gz.sum(axis=0)
-            gh = gz @ self.view(f"w{layer}")
-        # gh is now the cotangent on the input features
-        d = self.config.embed_dim
-        gclass = gh[:, -2 * d:-d]
-        gsub = gh[:, -d:]
-        np.add.at(self.view("class_emb", grad), c_arr, gclass)
+            w = self.view(f"w{layer}")
+            # of the input features, only the embeddings have parameters
+            gh = gz @ (w if layer else w[:, -2 * d:])
+        # gh is now the cotangent on the class and sub-mode embeddings
+        self.view("class_emb", grad)[:] = _row_sums(
+            c_arr, gh[:, :d], self.config.num_classes + 1)
         live = k_arr >= 0
         if np.any(live):
-            np.add.at(self.view("submode_emb", grad), k_arr[live], gsub[live])
+            self.view("submode_emb", grad)[:] = _row_sums(
+                k_arr[live], gh[live, d:], self.config.num_submodes)
         return grad
 
     def jvp_batch(self, x, t, r, c, k, dx, dt, dr=None, *,
@@ -277,21 +353,34 @@ class VelocityNet:
         Embedding tables are constants under this derivative.  Returns the
         (n,2) tangent; with cache=True returns (out, tangent, cache), where
         out and cache are those of `forward_batch` on the same inputs: one
-        primal pass, then the tangent through each layer's cached (z, sig).
+        primal pass, then the tangent through each layer's cached SiLU
+        derivative.
         """
         dx = np.asarray(dx, dtype=np.float64)
         dt = np.asarray(dt, dtype=np.float64)
         if dx.shape != np.shape(x) or dt.shape != np.shape(t):
             raise ValueError("tangent shape mismatch")
         out, act = self._sweep(x, t, r, c, k, cache=True)
-        n = len(dx)
-        parts = [dx, self._time_enc_dot(np.asarray(t, dtype=np.float64), dt)]
+        hs, ds = act[:2]
+        times = [dt]
         if self.config.uses_interval:
-            dr = np.zeros(n) if dr is None else np.asarray(dr, dtype=np.float64)
-            parts.append(self._time_enc_dot(np.asarray(r, dtype=np.float64), dr))
-        parts.append(np.zeros((n, 2 * self.config.embed_dim)))
+            times.append(np.zeros(len(dx)) if dr is None
+                         else np.asarray(dr, dtype=np.float64))
+        # along a time tangent u, the encoding [s, sin(s f), cos(s f)] moves
+        # by u * [1, f cos(s f), -f sin(s f)]; sin and cos are read from the
+        # cached features
+        parts = [dx]
+        for i, u in enumerate(times):
+            col = 2 + i * TIME_ENC_DIM + 1
+            sin = hs[0][:, col:col + N_FREQS]
+            cos = hs[0][:, col + N_FREQS:col + 2 * N_FREQS]
+            dphase = u[:, None] * self._freqs[None, :]
+            parts += [u[:, None], cos * dphase, -sin * dphase]
         dh = np.concatenate(parts, axis=1)
-        for layer, (z, sig) in enumerate(act[1]):
-            dh = (dh @ self.view(f"w{layer}").T) * _silu_grad(z, sig)
+        for layer in range(self.config.hidden_layers):
+            w = self.view(f"w{layer}")
+            # the embedding features' tangent is zero, so the first product
+            # skips their columns
+            dh = (dh @ (w if layer else w[:, :dh.shape[1]]).T) * ds[layer]
         tangent = dh @ self.view("w_out").T
         return (out, tangent, act) if cache else tangent

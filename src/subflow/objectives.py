@@ -175,15 +175,29 @@ def draw_times(n: int, rt_equal_fraction: float, rng: np.random.Generator):
 
 
 def adam_update(state: TrainState, grad: np.ndarray, cfg: TrainConfig) -> None:
+    """One Adam step and EMA update, in place.
+
+    Each array is updated in the order of b1 * m + (1 - b1) * grad,
+    b2 * v + (1 - b2) * grad ** 2, params - lr * mhat / (sqrt(vhat) + eps)
+    and decay * ema + (1 - decay) * params, so the bits equal that
+    out-of-place composition.
+    """
     state.step += 1
     b1, b2 = cfg.adam_beta1, cfg.adam_beta2
-    state.adam_m = b1 * state.adam_m + (1.0 - b1) * grad
-    state.adam_v = b2 * state.adam_v + (1.0 - b2) * grad ** 2
-    mhat = state.adam_m / (1.0 - b1 ** state.step)
-    vhat = state.adam_v / (1.0 - b2 ** state.step)
-    state.net.params -= cfg.learning_rate * mhat / (np.sqrt(vhat) + 1e-8)
-    state.ema_params = (cfg.ema_decay * state.ema_params
-                        + (1.0 - cfg.ema_decay) * state.net.params)
+    m, v, ema = state.adam_m, state.adam_v, state.ema_params
+    m *= b1
+    m += (1.0 - b1) * grad
+    v *= b2
+    v += (1.0 - b2) * grad ** 2
+    update = m / (1.0 - b1 ** state.step)
+    update *= cfg.learning_rate
+    denom = v / (1.0 - b2 ** state.step)
+    np.sqrt(denom, out=denom)
+    denom += 1e-8
+    update /= denom
+    state.net.params -= update
+    ema *= cfg.ema_decay
+    ema += (1.0 - cfg.ema_decay) * state.net.params
 
 
 def train(dataset: Dataset, spec: MixtureSpec, cfg: TrainConfig,

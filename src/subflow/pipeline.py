@@ -94,9 +94,10 @@ def train_run(cfg: ExperimentConfig, out_dir, run_prefix: str = "train",
 def load_run(manifest_path):
     """(net with EMA parameters, table or None, meta) for a finished run.
 
-    A priors table whose classes are not exactly the net's 0..C-1, or with
-    a class of more sub-modes than the net embeds, raises ValueError naming
-    the priors file.
+    A subflow checkpoint whose manifest lists no priors file raises
+    ValueError naming the manifest.  A priors table whose classes are not
+    exactly the net's 0..C-1, or with a class of more sub-modes than the net
+    embeds, raises ValueError naming the priors file.
     """
     manifest = io.RunManifest.read(manifest_path)
     if "checkpoint" not in manifest.files:
@@ -104,7 +105,11 @@ def load_run(manifest_path):
     net, ema, _, meta = io.load_checkpoint(manifest.files["checkpoint"])
     eval_net = net.__class__(net.config, ema)  # evaluation uses EMA weights
     table = None
-    if "priors" in manifest.files:
+    if "priors" not in manifest.files:
+        if meta["conditioning"] == "subflow":
+            raise ValueError(f"{manifest_path}: manifest lists no priors "
+                             "file, which a subflow checkpoint needs")
+    else:
         priors_path = manifest.files["priors"]
         table = io.read_priors_table(priors_path)
         classes = sorted(table.per_class)

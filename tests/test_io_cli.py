@@ -475,6 +475,17 @@ class TestDamagedInputs:
         self._assert_rejected(trained_dir, tmp_path, capsys, manifest,
                               manifest)
 
+    def test_subflow_manifest_without_priors(self, trained_dir, tmp_path,
+                                             capsys):
+        payload = json.loads(trained_dir[2].read_text())
+        del payload["files"]["priors"]
+        manifest = tmp_path / "no-priors.manifest.json"
+        manifest.write_text(json.dumps(payload))
+        self._assert_rejected(trained_dir, tmp_path, capsys, manifest,
+                              manifest)
+        with pytest.raises(ValueError, match="no priors file"):
+            pipeline.load_run(manifest)
+
     def test_undamaged_copy_accepted(self, trained_dir, tmp_path):
         manifest, _ = _run_with_damaged(trained_dir, tmp_path, "priors",
                                         lambda path: None)

@@ -5,10 +5,15 @@ checked against central finite differences, and the forward pass of a tiny
 net is checked against an independent matrix-arithmetic transcription.
 """
 
+import multiprocessing
+import os
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from subflow import net as net_module
 from subflow.net import (BLOCK_ROWS, FREQ_MAX, FREQ_MIN, N_FREQS, TIME_ENC_DIM,
                          NetConfig, VelocityNet)
 
@@ -138,11 +143,72 @@ class TestBatchInvariance:
                     np.ones(BLOCK_ROWS) if uses_interval else None)
         fwd_out, fwd_cache = net.forward_batch(*rows, cache=True)
         jvp_out, _, jvp_cache = net.jvp_batch(*rows, *tangents, cache=True)
-        for got, (hs, zs, c, k) in ((fwd_out, fwd_cache),
+        for got, (hs, ds, c, k) in ((fwd_out, fwd_cache),
                                     (jvp_out, jvp_cache)):
             assert np.array_equal(got, out)
-            arrays = [*hs, *(a for pair in zs for a in pair), c, k]
+            arrays = [*hs, *ds, c, k]
             assert all(len(a) == BLOCK_ROWS for a in arrays)
+
+
+def _forward_in_child(conn, net, rows):
+    out = net.forward_batch(*rows)
+    conn.send((out, net_module._pool[0] == os.getpid()))
+
+
+class TestParallelSweep:
+    """The sweep runs its blocks on SWEEP_WORKERS workers, and its bits do
+    not depend on how many."""
+
+    @pytest.mark.parametrize("uses_interval", [False, True])
+    def test_bits_independent_of_worker_count(self, uses_interval,
+                                              monkeypatch):
+        net, rows = TestBatchInvariance.wide_net_and_rows(uses_interval)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # more thread switches inside blocks
+        try:
+            for n in (1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 5000):
+                head = [None if a is None else a[:n] for a in rows]
+                tangents = (np.ones((n, 2)), np.ones(n),
+                            np.ones(n) if uses_interval else None)
+                results = []
+                for workers in (1, 2, 3):
+                    monkeypatch.setattr(net_module, "SWEEP_WORKERS", workers)
+                    out = net.forward_batch(*head)
+                    fwd_out, (hs, ds, _, _) = net.forward_batch(*head,
+                                                                cache=True)
+                    jvp_out, tangent, (jhs, jds, _, _) = net.jvp_batch(
+                        *head, *tangents, cache=True)
+                    results.append([out, fwd_out, *hs, *ds, jvp_out, tangent,
+                                    *jhs, *jds])
+                for other in results[1:]:
+                    assert len(other) == len(results[0])
+                    assert all(np.array_equal(a, b)
+                               for a, b in zip(results[0], other)), n
+        finally:
+            sys.setswitchinterval(switch)
+
+    def test_forked_child_gets_parent_bits(self, monkeypatch):
+        """A child forked after the parent used its helper threads builds
+        its own, and returns the parent's bits."""
+        monkeypatch.setattr(net_module, "SWEEP_WORKERS", 2)
+        net, rows = TestBatchInvariance.wide_net_and_rows(True)
+        expected = net.forward_batch(*rows)
+        assert net_module._pool[0] == os.getpid()
+        ctx = multiprocessing.get_context("fork")
+        receive, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_forward_in_child, args=(send, net, rows))
+        child.start()
+        try:
+            assert receive.poll(60), "child returned nothing within 60 s"
+            out, own_pool = receive.recv()
+        finally:
+            child.join(10)
+            if child.is_alive():
+                child.terminate()
+                child.join(10)
+        assert not child.is_alive() and child.exitcode == 0
+        assert own_pool
+        assert np.array_equal(out, expected)
 
 
 class TestBackward:
@@ -267,15 +333,15 @@ class TestJvp:
         k = rng.integers(-1, 2, n)
         dx = rng.standard_normal((n, 2))
         dt = rng.standard_normal(n)
-        out, tangent, (hs, zs, c_arr, k_arr) = net.jvp_batch(
+        out, tangent, (hs, ds, c_arr, k_arr) = net.jvp_batch(
             x, t, r, c, k, dx, dt, dr, cache=True)
-        ref_out, (ref_hs, ref_zs, ref_c, ref_k) = net.forward_batch(
+        ref_out, (ref_hs, ref_ds, ref_c, ref_k) = net.forward_batch(
             x, t, r, c, k, cache=True)
         assert np.array_equal(out, ref_out)
         assert np.array_equal(tangent,
                               net.jvp_batch(x, t, r, c, k, dx, dt, dr))
-        cached = [*hs, *(a for pair in zs for a in pair), c_arr, k_arr]
-        ref = [*ref_hs, *(a for pair in ref_zs for a in pair), ref_c, ref_k]
+        cached = [*hs, *ds, c_arr, k_arr]
+        ref = [*ref_hs, *ref_ds, ref_c, ref_k]
         assert len(cached) == len(ref)
         assert all(np.array_equal(a, b) for a, b in zip(cached, ref))
 
