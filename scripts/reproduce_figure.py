@@ -19,7 +19,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from subflow import io, metrics, mixture, pipeline, sampler  # noqa: E402
+from subflow import io, metrics, pipeline  # noqa: E402
 from subflow.config import load_config  # noqa: E402
 
 
@@ -55,9 +55,7 @@ def main():
         ("cfm-baseline", "cfm", "class", args.baseline_nfe,
          args.baseline_steps),
     ]
-    real = mixture.sample_dataset(base.mixture, base.metrics.n_real,
-                                  base.train.seed + 1)
-    real_xs, _, _ = mixture.dataset_arrays(real)
+    real_xs = pipeline.real_set(base).xs
     bbox = base.mixture.bounding_box()
 
     rows = []

@@ -10,7 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import clustering, io, mixture, objectives, pipeline, sampler
+from . import clustering, io, objectives, pipeline, sampler
 from .config import ExperimentConfig, key_parser, load_config, validate
 
 EXIT_OK = 0
@@ -46,8 +46,7 @@ def cmd_generate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     samples_path = out_dir / f"samples-class{args.class_id}.csv"
     io.write_samples_csv(samples_path, batch)
-    real = mixture.sample_dataset(cfg.mixture, cfg.metrics.n_real,
-                                  cfg.train.seed + 1)
+    real = pipeline.real_set(cfg)
     svg_path = out_dir / f"scatter-class{args.class_id}.svg"
     io.write_scatter_svg(svg_path, real.xs, batch.xs, batch.submode_ids,
                          cfg.mixture.bounding_box())
@@ -94,10 +93,9 @@ def cmd_cluster(args) -> int:
     labels = clustering.assign_submodes(features, args.k, args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    clustering.write_assignments_csv(labels, out_dir / "assignments.csv")
-    clustering.write_priors_csv(
-        clustering.SubmodeTable.from_labels(labels, args.k),
-        out_dir / "priors.csv")
+    io.write_assignments_csv(labels, out_dir / "assignments.csv")
+    io.write_priors_csv(clustering.SubmodeTable.from_labels(labels, args.k),
+                        out_dir / "priors.csv")
     print(f"wrote assignments.csv and priors.csv to {out_dir}")
     return EXIT_OK
 

@@ -10,12 +10,13 @@ holds what a priors CSV holds: per class, each sub-mode's count and prior.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .rng import stream
+
+LLOYD_MAX_ITERS = 100  # Lloyd stops here if its labels still change
 
 
 @dataclass(frozen=True)
@@ -77,8 +78,8 @@ def _sse(points: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> float
     return float(np.sum((points - centroids[labels]) ** 2))
 
 
-def lloyd(points: np.ndarray, k: int, rng: np.random.Generator,
-          max_iters: int = 100) -> tuple[np.ndarray, np.ndarray]:
+def lloyd(points: np.ndarray, k: int,
+          rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Lloyd's algorithm with k-means++ seeding; returns (centroids, labels).
 
     Within-cluster SSE is checked non-increasing across iterations.  Empty
@@ -87,7 +88,7 @@ def lloyd(points: np.ndarray, k: int, rng: np.random.Generator,
     centroids = _kmeanspp_seeds(points, k, rng)
     labels = _assign(points, centroids)
     prev_sse = _sse(points, centroids, labels)
-    for _ in range(max_iters):
+    for _ in range(LLOYD_MAX_ITERS):
         for j in range(k):
             mask = labels == j
             if np.any(mask):
@@ -111,7 +112,7 @@ def lloyd(points: np.ndarray, k: int, rng: np.random.Generator,
 
 
 def assign_submodes(features_by_class: dict[int, np.ndarray], k: int,
-                    seed: int, max_iters: int = 100) -> dict[int, np.ndarray]:
+                    seed: int) -> dict[int, np.ndarray]:
     """Cluster each class into k sub-modes; returns its labels per class.
 
     A class with fewer samples than k gets its effective k reduced to the
@@ -123,8 +124,7 @@ def assign_submodes(features_by_class: dict[int, np.ndarray], k: int,
     for class_id in sorted(features_by_class):
         points = np.asarray(features_by_class[class_id], dtype=np.float64)
         rng = stream(seed, "clustering.kmeans", class_id)
-        _, labels[class_id] = lloyd(points, min(k, len(points)), rng,
-                                    max_iters=max_iters)
+        _, labels[class_id] = lloyd(points, min(k, len(points)), rng)
     return labels
 
 
@@ -160,28 +160,6 @@ def standardize(features: np.ndarray) -> np.ndarray:
     sd = features.std(axis=0)
     sd[sd == 0.0] = 1.0
     return (features - mu) / sd
-
-
-# ---- CSV serialization ---------------------------------------------------
-
-def write_assignments_csv(labels_by_class: dict[int, np.ndarray],
-                          path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_index", "class_id", "submode_id"])
-        for class_id in sorted(labels_by_class):
-            for i, label in enumerate(labels_by_class[class_id]):
-                writer.writerow([i, class_id, int(label)])
-
-
-def write_priors_csv(table: SubmodeTable, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["class_id", "submode_id", "count", "prior"])
-        for class_id in sorted(table.per_class):
-            cc = table.per_class[class_id]
-            for j, (count, prior) in enumerate(zip(cc.counts, cc.priors)):
-                writer.writerow([class_id, j, int(count), repr(float(prior))])
 
 
 def read_feature_csv(path) -> dict[int, np.ndarray]:

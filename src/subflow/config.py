@@ -20,6 +20,7 @@ import io
 from dataclasses import dataclass, field, fields
 from typing import get_type_hints
 
+from .metrics import KNN_K
 from .mixture import MixtureComponent, MixtureSpec, toy_spec
 from .objectives import TrainConfig
 from .sampler import SampleConfig
@@ -41,26 +42,20 @@ class DataConfig:
 @dataclass
 class ClusterConfig:
     k: int = 2
-    max_iters: int = 100
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be >= 0")
 
 
 @dataclass
 class MetricsConfig:
-    knn_k: int = 3
     coverage_tau: float = 0.5
     n_real: int = 10000
 
     def __post_init__(self):
-        if self.knn_k < 1:
-            raise ValueError("knn_k must be >= 1")
-        if self.n_real <= self.knn_k:
-            raise ValueError("n_real must exceed knn_k")
+        if self.n_real <= KNN_K:
+            raise ValueError(f"n_real must exceed the kNN k ({KNN_K})")
 
 
 @dataclass

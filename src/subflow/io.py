@@ -178,6 +178,26 @@ def write_samples_csv(path, batch) -> None:
                              repr(float(batch.xs[i, 1]))])
 
 
+def write_assignments_csv(labels_by_class: dict[int, np.ndarray],
+                          path) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["sample_index", "class_id", "submode_id"])
+        for class_id in sorted(labels_by_class):
+            for i, label in enumerate(labels_by_class[class_id]):
+                writer.writerow([i, class_id, int(label)])
+
+
+def write_priors_csv(table: SubmodeTable, path) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["class_id", "submode_id", "count", "prior"])
+        for class_id in sorted(table.per_class):
+            cc = table.per_class[class_id]
+            for j, (count, prior) in enumerate(zip(cc.counts, cc.priors)):
+                writer.writerow([class_id, j, int(count), repr(float(prior))])
+
+
 def read_priors_table(path) -> SubmodeTable:
     """The SubmodeTable a priors CSV holds, built from its counts.
 

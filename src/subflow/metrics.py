@@ -45,6 +45,8 @@ class MetricReport:
         return [run_id, nfe, repr(w), *self.csv_fields()]
 
 
+KNN_K = 3  # the k of the k-NN manifolds behind precision and recall
+
 # Upper bound on the padded (query, candidate) pairs of one batch.
 _PAIR_BUDGET = 1 << 16
 
@@ -192,7 +194,7 @@ def _in_manifold(queries: np.ndarray, support: np.ndarray,
 
 
 def knn_precision_recall(real: np.ndarray, gen: np.ndarray,
-                         k: int = 3) -> tuple[float, float]:
+                         k: int = KNN_K) -> tuple[float, float]:
     """k-NN manifold precision and recall between two point sets."""
     real = _check_points("real", real)
     gen = _check_points("gen", gen)
@@ -285,10 +287,10 @@ def field_rmse(field_a: Callable[[np.ndarray, float], np.ndarray],
 
 
 def evaluate_all(spec: MixtureSpec, real: np.ndarray, gen: np.ndarray,
-                 k: int = 3, tau: float = 0.5,
+                 tau: float = 0.5,
                  rmse: Optional[float] = None) -> MetricReport:
     shares, tv, coverage = mode_shares(spec, gen, tau)
-    precision, recall = knn_precision_recall(real, gen, k)
+    precision, recall = knn_precision_recall(real, gen)
     return MetricReport(frechet=frechet_2d(real, gen), precision=precision,
                         recall=recall, mode_shares=shares, mode_tv=tv,
                         coverage_count=coverage, field_rmse=rmse)

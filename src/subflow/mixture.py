@@ -163,13 +163,6 @@ def _select(spec: MixtureSpec, class_id, submode_id) -> np.ndarray:
     return idx
 
 
-def _check_time(spec: MixtureSpec, t: float, idx: np.ndarray) -> None:
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must be in [0,1], got {t}")
-    if t == 1.0 and np.any(spec.stds()[idx] == 0.0):
-        raise ValueError("t=1 with a zero-std component is singular")
-
-
 def posterior_weights_batch(spec: MixtureSpec, xs, t: float,
                             class_id=None, submode_id=None):
     """Posterior component weights given x_t = x for each row of an (n,2) batch.
@@ -181,7 +174,8 @@ def posterior_weights_batch(spec: MixtureSpec, xs, t: float,
     subset and is flagged in `underflowed`.
     """
     idx = _select(spec, class_id, submode_id)
-    _check_time(spec, t, idx)
+    if not 0.0 <= t <= 1.0:
+        raise ValueError(f"t must be in [0,1], got {t}")
     xs = np.asarray(xs, dtype=np.float64)
 
     pri = spec.weights()[idx]

@@ -35,6 +35,9 @@ from .rng import stream
 OBJECTIVES = ("cfm", "meanflow")
 CONDITIONINGS = ("uncond", "class", "subflow")
 
+ADAM_BETA1, ADAM_BETA2 = 0.9, 0.95  # Adam's moment decay rates
+RT_EQUAL_FRACTION = 0.75  # meanflow's r = t share (arXiv:2505.13447)
+
 
 @dataclass
 class TrainConfig:
@@ -45,10 +48,7 @@ class TrainConfig:
     steps: int = 5000
     batch_size: int = 256
     learning_rate: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.95
     ema_decay: float = 0.999
-    rt_equal_fraction: float = 0.75
     seed: int = 0
 
     def __post_init__(self):
@@ -56,7 +56,7 @@ class TrainConfig:
             raise ValueError(f"unknown objective {self.objective!r}")
         if self.conditioning not in CONDITIONINGS:
             raise ValueError(f"unknown conditioning {self.conditioning!r}")
-        for p in (self.p_drop_class, self.p_drop_submode, self.rt_equal_fraction):
+        for p in (self.p_drop_class, self.p_drop_submode):
             if not 0.0 <= p <= 1.0:
                 raise ValueError("probabilities must be in [0,1]")
         if self.steps < 0 or self.batch_size < 1:
@@ -183,7 +183,7 @@ def adam_update(state: TrainState, grad: np.ndarray, cfg: TrainConfig) -> None:
     out-of-place composition.
     """
     state.step += 1
-    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     m, v, ema = state.adam_m, state.adam_v, state.ema_params
     m *= b1
     m += (1.0 - b1) * grad
@@ -224,7 +224,7 @@ def train(dataset: Dataset, spec: MixtureSpec, cfg: TrainConfig,
         idx = rng.integers(0, n, size=cfg.batch_size)
         x0 = spec.source_std * rng.standard_normal((cfg.batch_size, 2))
         if cfg.objective == "meanflow":
-            r, t = draw_times(cfg.batch_size, cfg.rt_equal_fraction, rng)
+            r, t = draw_times(cfg.batch_size, RT_EQUAL_FRACTION, rng)
         else:
             t = rng.random(cfg.batch_size)
         c, k = _condition_inputs(net, cs[idx], ks[idx], cfg, rng)

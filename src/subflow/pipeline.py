@@ -24,6 +24,12 @@ def build_dataset(cfg: ExperimentConfig):
                                   cfg.train.seed)
 
 
+def real_set(cfg: ExperimentConfig):
+    """The n_real points that metrics and scatter plots compare against."""
+    return mixture.sample_dataset(cfg.mixture, cfg.metrics.n_real,
+                                  cfg.train.seed + 1)
+
+
 def cluster_dataset(cfg: ExperimentConfig, dataset, random_labels: bool = False):
     """Cluster the dataset per class and write the labels into its
     submode_ids, in place.
@@ -44,8 +50,7 @@ def cluster_dataset(cfg: ExperimentConfig, dataset, random_labels: bool = False)
                                               cfg.train.seed)
     else:
         labels = clustering.assign_submodes(features, cfg.cluster.k,
-                                            cfg.train.seed,
-                                            max_iters=cfg.cluster.max_iters)
+                                            cfg.train.seed)
         labels = {c: clustering.match_labels(labels[c], ks[idx])
                   for c, idx in index_by_class.items()}
     for c, idx in index_by_class.items():
@@ -76,9 +81,9 @@ def train_run(cfg: ExperimentConfig, out_dir, run_prefix: str = "train",
     loss_path = out_dir / f"{run_id}.loss.csv"
     io.write_loss_csv(loss_path, losses)
     assign_path = out_dir / f"{run_id}.assignments.csv"
-    clustering.write_assignments_csv(labels, assign_path)
+    io.write_assignments_csv(labels, assign_path)
     priors_path = out_dir / f"{run_id}.priors.csv"
-    clustering.write_priors_csv(table, priors_path)
+    io.write_priors_csv(table, priors_path)
 
     manifest = io.RunManifest(run_id=run_id, config_text=config_text,
                               seed=cfg.train.seed)
@@ -228,8 +233,7 @@ def sweep_nfe(manifest_path, cfg: ExperimentConfig, out_csv,
     samples = [dataclasses.replace(cfg.sample, nfe=nfe) for nfe in nfe_list]
     net, table, meta = load_run(manifest_path)
     run_id = io.RunManifest.read(manifest_path).run_id
-    real = mixture.sample_dataset(cfg.mixture, cfg.metrics.n_real,
-                                  cfg.train.seed + 1)
+    real = real_set(cfg)
     rmse = model_field_rmse(net, meta, cfg)
     reports = []
     for sample in samples:
@@ -237,7 +241,6 @@ def sweep_nfe(manifest_path, cfg: ExperimentConfig, out_csv,
                                      sample.nfe, sample.guidance_scale,
                                      sample.submode_strategy, cfg.train.seed)
         report = metrics.evaluate_all(cfg.mixture, real.xs, batch.xs,
-                                      k=cfg.metrics.knn_k,
                                       tau=cfg.metrics.coverage_tau, rmse=rmse)
         metrics.append_report_csv(out_csv, report, run_id, sample.nfe,
                                   sample.guidance_scale)

@@ -75,10 +75,9 @@ def _cfg_velocity_batch(net: VelocityNet, x, t, r, c, k, w: float) -> np.ndarray
     """Guided field over a batch: v(null,k) + w * (v(c,k) - v(null,k)).
 
     The same k is used in both branches.  w=1 evaluates only the conditional
-    branch, so it is bit-identical to the unguided conditional field.
+    branch, so it is bit-identical to the unguided conditional field.  w is
+    a SampleConfig's guidance scale, which that class checks.
     """
-    if w < 0.0:
-        raise ValueError("guidance scale must be >= 0")
     if w == 1.0:
         return net.forward_batch(x, t, r, c, k)
     null = np.full(len(c), net.config.null_class, dtype=np.int64)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subflow import clustering, mixture, pipeline
+from subflow import clustering, io, mixture, pipeline
 from subflow.clustering import (SubmodeTable, assign_submodes, lloyd,
                                 match_labels, random_assignment)
 from subflow.config import load_config
@@ -253,8 +253,8 @@ class TestCsvRoundTrip:
         labels = assign_submodes(feats, 2, seed=0)
         ap = tmp_path / "assignments.csv"
         pp = tmp_path / "priors.csv"
-        clustering.write_assignments_csv(labels, ap)
-        clustering.write_priors_csv(SubmodeTable.from_labels(labels, 2), pp)
+        io.write_assignments_csv(labels, ap)
+        io.write_priors_csv(SubmodeTable.from_labels(labels, 2), pp)
         lines = ap.read_text().strip().splitlines()
         assert lines[0] == "sample_index,class_id,submode_id"
         assert len(lines) == 1 + 40

@@ -178,10 +178,10 @@ class TestConfig:
     # run ids of emit_config(...); a changed byte in the emitted text
     # changes the run id
     PINNED_RUN_IDS = {
-        "single_gaussian.cfg": "train-cd340ed69c",
-        "toy.cfg": "train-24f038df67",
-        "toy_cfm.cfg": "train-b955e9d24c",
-        "": "train-455e818a4e",
+        "single_gaussian.cfg": "train-207379d3e8",
+        "toy.cfg": "train-56766165f2",
+        "toy_cfm.cfg": "train-071df09ea4",
+        "": "train-3ff3427710",
     }
 
     @pytest.mark.parametrize("name", sorted(PINNED_RUN_IDS))
@@ -269,6 +269,24 @@ def test_invalid_setting_rejected(call, error, match):
         call()
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("train", "adam_beta1", "0.9"), ("train", "adam_beta2", "0.95"),
+    ("train", "rt_equal_fraction", "0.75"), ("cluster", "max_iters", "100"),
+    ("metrics", "knn_k", "3")])
+def test_removed_keys_rejected(tmp_path, capsys, section, key, value):
+    """Settings that are module constants are not config keys: naming one,
+    even at its constant's value, is an error that names it, and exits 1."""
+    text = f"[{section}]\n{key} = {value}\n"
+    with pytest.raises(ConfigError, match=key):
+        parse_config(text)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(text)
+    rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == EXIT_VALIDATION
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 class TestCsvEmission:
     def test_loss_csv(self, tmp_path):
         path = tmp_path / "loss.csv"
@@ -290,11 +308,10 @@ class TestCsvEmission:
     def test_priors_round_trip(self, tmp_path):
         """A trained table and its reloaded priors file hold equal counts,
         bit-equal priors and the same number of sub-modes."""
-        from subflow import clustering
         cfg = parse_config(TINY_CONFIG + "[cluster]\nk = 3\n")
         table, _ = pipeline.cluster_dataset(cfg, pipeline.build_dataset(cfg))
         path = tmp_path / "priors.csv"
-        clustering.write_priors_csv(table, path)
+        io.write_priors_csv(table, path)
         loaded = io.read_priors_table(path)
         assert sorted(loaded.per_class) == sorted(table.per_class) == [0, 1]
         assert loaded.num_submodes() == table.num_submodes() == 3

@@ -11,9 +11,9 @@ from hypothesis import given, settings, strategies as st
 from subflow import mixture, objectives
 from subflow.mixture import MixtureComponent, MixtureSpec
 from subflow.net import NetConfig, VelocityNet
-from subflow.objectives import (TrainConfig, TrainState, _condition_inputs,
-                                adam_update, cfm_loss, draw_times,
-                                meanflow_loss, train)
+from subflow.objectives import (RT_EQUAL_FRACTION, TrainConfig, TrainState,
+                                _condition_inputs, adam_update, cfm_loss,
+                                draw_times, meanflow_loss, train)
 from subflow.rng import stream
 
 
@@ -422,7 +422,7 @@ class TestTrainLoop:
             idx = rng.integers(0, len(xs), size=cfg.batch_size)
             x0 = spec.source_std * rng.standard_normal((cfg.batch_size, 2))
             if objective == "meanflow":
-                r, t = draw_times(cfg.batch_size, cfg.rt_equal_fraction, rng)
+                r, t = draw_times(cfg.batch_size, RT_EQUAL_FRACTION, rng)
             else:
                 t = rng.random(cfg.batch_size)
             c, k = _condition_inputs(net, cs[idx], ks[idx], cfg, rng)

@@ -135,9 +135,12 @@ class TestCfgVelocity:
                                    atol=1e-14)
 
     def test_negative_w_rejected(self):
-        net = tiny_net()
-        with pytest.raises(ValueError):
-            guided(net, np.zeros((1, 2)), 0.5, 0, 0, -1.0)
+        """The guided field does not check w itself: a negative scale stops
+        at the SampleConfig that generation builds from it."""
+        with pytest.raises(ValueError, match="guidance"):
+            pipeline.generate_all_classes(tiny_net(), None, meta("class"),
+                                          parse_config(""), 10, 1, -1.0,
+                                          "prior", 0)
 
     def test_same_submode_in_both_branches(self):
         """Zeroing out the class embeddings makes guidance collapse to the
