@@ -11,7 +11,6 @@ Usage:
 
 import argparse
 import copy
-import csv
 import sys
 from pathlib import Path
 
@@ -74,11 +73,9 @@ def main():
         print(f"{label}: shares {np.round(shares, 3)} tv {tv:.3f} "
               f"coverage {coverage}")
 
-    with open(out_dir / "mode_shares.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["panel", "objective", "conditioning", "nfe",
-                         "mode_shares", "mode_tv", "coverage_count"])
-        writer.writerows(rows)
+    io.write_csv(out_dir / "mode_shares.csv",
+                 ["panel", "objective", "conditioning", "nfe", "mode_shares",
+                  "mode_tv", "coverage_count"], rows)
     print(f"wrote {out_dir}/mode_shares.csv and one SVG per panel")
 
 

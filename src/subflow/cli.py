@@ -39,6 +39,7 @@ def cmd_train(args) -> int:
 
 def cmd_generate(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
+    pipeline.checked_manifest(args.manifest, cfg)
     net, table, meta = pipeline.load_run(args.manifest)
     batch = sampler.generate(net, table, meta, cfg.sample, args.class_id,
                              cfg.train.seed, args.fixed_submode)
@@ -87,7 +88,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    features = clustering.read_feature_csv(args.features)
+    features = io.read_feature_csv(args.features)
     if args.standardize:
         features = {c: clustering.standardize(f) for c, f in features.items()}
     labels = clustering.assign_submodes(features, args.k, args.seed)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, field, fields
 from typing import get_type_hints
 
@@ -54,6 +55,8 @@ class MetricsConfig:
     n_real: int = 10000
 
     def __post_init__(self):
+        if not 0.0 <= self.coverage_tau < math.inf:  # NaN fails too
+            raise ValueError("coverage_tau must be finite and >= 0")
         if self.n_real <= KNN_K:
             raise ValueError(f"n_real must exceed the kNN k ({KNN_K})")
 
@@ -94,14 +97,14 @@ def key_parser(key: str):
 def _parse_component(raw: str, key: str) -> MixtureComponent:
     parts = raw.replace(",", " ").split()
     if len(parts) != 6:
-        raise ConfigError(
-            f"{key}: expected 'weight mx my std class_id submode_id', got {raw!r}")
+        raise ConfigError(f"[mixture] {key}: expected 'weight mx my std "
+                          f"class_id submode_id', got {raw!r}")
     try:
         weight, mx, my, std = (float(p) for p in parts[:4])
         class_id, submode_id = int(parts[4]), int(parts[5])
+        return MixtureComponent(weight, (mx, my), std, class_id, submode_id)
     except ValueError as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
-    return MixtureComponent(weight, (mx, my), std, class_id, submode_id)
+        raise ConfigError(f"[mixture] {key}: {exc}") from exc
 
 
 def _reject_unknown(parser, section: str, known) -> None:

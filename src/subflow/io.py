@@ -1,4 +1,6 @@
-"""Persistence: binary checkpoints, run manifests, CSV and SVG emission.
+"""Every data file format: binary checkpoints, run manifests, CSV files
+(all written by `write_csv`) and SVG scatters.  No other module reads or
+writes a data file; the config's text format lives in config.py.
 
 Checkpoint layout (all little-endian):
   magic b"SFLW" | version u32 | descriptor length u32 | descriptor JSON |
@@ -50,14 +52,17 @@ def save_checkpoint(path, net: VelocityNet, ema_params: np.ndarray, step: int,
 def load_checkpoint(path):
     """Returns (net, ema_params, step, meta).
 
-    A file that is not exactly one checkpoint (bad magic or version, a
-    header or array cut short, bytes after the EMA array, a descriptor that
-    is not UTF-8 JSON with every key and a valid net, run metadata without
-    a known objective and conditioning and a finite positive source_std, or
-    parameters or EMA that are not all finite) raises ValueError naming the
-    path.
+    A directory, or a file that is not exactly one checkpoint (bad magic
+    or version, a header or array cut short, bytes after the EMA array, a
+    descriptor that is not UTF-8 JSON with every key and a valid net, run
+    metadata without a known objective and conditioning and a finite
+    positive source_std, or parameters or EMA that are not all finite)
+    raises ValueError naming the path.
     """
-    data = Path(path).read_bytes()
+    try:
+        data = Path(path).read_bytes()
+    except IsADirectoryError as exc:
+        raise ValueError(f"{path}: {exc.strerror}") from exc
     if data[:4] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a checkpoint file")
     if len(data) < 12:
@@ -103,6 +108,13 @@ def _checksum(path) -> str:
     return digest.hexdigest()
 
 
+# manifest JSON key -> (RunManifest field, JSON type)
+_MANIFEST_KEYS = {"run_id": ("run_id", str), "config": ("config_text", str),
+                  "seed": ("seed", int), "files": ("files", dict),
+                  "checksums": ("checksums", dict),
+                  "duration_s": ("duration_s", (int, float))}
+
+
 @dataclass
 class RunManifest:
     run_id: str
@@ -120,91 +132,120 @@ class RunManifest:
         self.checksums[label] = _checksum(path)
 
     def write(self, path) -> None:
-        payload = {
-            "run_id": self.run_id,
-            "config": self.config_text,
-            "seed": self.seed,
-            "files": self.files,
-            "checksums": self.checksums,
-            "duration_s": self.duration_s,
-        }
+        payload = {key: getattr(self, name)
+                   for key, (name, _) in _MANIFEST_KEYS.items()}
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
 
     @staticmethod
     def read(path) -> "RunManifest":
-        """A directory, or a file that is not JSON or lacks a key, raises
-        ValueError naming it."""
+        """A directory, a file that is not a JSON object, or one that lacks
+        a key or holds a value of the wrong type raises ValueError naming
+        it.  run_id and config are strings, seed an integer, duration_s a
+        number, and files and checksums map the same labels to strings;
+        other keys are ignored."""
         try:
             with open(path) as fh:
                 payload = json.load(fh)
-            return RunManifest(run_id=payload["run_id"],
-                               config_text=payload["config"],
-                               seed=payload["seed"], files=payload["files"],
-                               checksums=payload["checksums"],
-                               duration_s=payload["duration_s"])
+            values = {}
+            for key, (name, kinds) in _MANIFEST_KEYS.items():
+                value = payload[key]
+                if isinstance(value, bool) or not isinstance(value, kinds):
+                    raise TypeError(f"{key} is {value!r}")
+                values[name] = value
+            files, checksums = values["files"], values["checksums"]
+            if files.keys() != checksums.keys() or not all(
+                    isinstance(v, str)
+                    for v in [*files.values(), *checksums.values()]):
+                raise TypeError("files and checksums do not map the same "
+                                "labels to strings")
+            return RunManifest(**values)
         except (IsADirectoryError, KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: not a run manifest: {exc!r}") from exc
 
     def check(self) -> list[str]:
-        """Names of referenced files that are missing or changed."""
-        bad = []
-        for label, path in self.files.items():
-            if not Path(path).exists():
-                bad.append(label)
-            elif _checksum(path) != self.checksums[label]:
-                bad.append(label)
-        return bad
+        """Labels of listed files that are missing, not files, or changed."""
+        return [label for label, path in self.files.items()
+                if not Path(path).is_file()
+                or _checksum(path) != self.checksums[label]]
 
 
-# ---- CSV helpers ---------------------------------------------------------
+# ---- CSV files -----------------------------------------------------------
+
+def write_csv(path, header: list, rows, append: bool = False) -> None:
+    """The one CSV writer: `header`, then `rows`.  With `append`, the rows
+    go at the end of an existing file, and the header only starts a new
+    one."""
+    new = not (append and Path(path).exists())
+    with open(path, "a" if append else "w", newline="") as fh:
+        writer = csv.writer(fh)
+        if new:
+            writer.writerow(header)
+        writer.writerows(rows)
+
 
 def write_loss_csv(path, losses: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "loss"])
-        for i, loss in enumerate(losses):
-            writer.writerow([i, repr(float(loss))])
+    write_csv(path, ["step", "loss"],
+              ([i, repr(float(loss))] for i, loss in enumerate(losses)))
 
 
 def write_samples_csv(path, batch) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_index", "class_id", "submode_id", "x", "y"])
-        for i in range(len(batch.xs)):
-            writer.writerow([i, int(batch.class_ids[i]),
-                             int(batch.submode_ids[i]),
-                             repr(float(batch.xs[i, 0])),
-                             repr(float(batch.xs[i, 1]))])
+    write_csv(path, ["sample_index", "class_id", "submode_id", "x", "y"],
+              ([i, int(c), int(k), repr(float(x)), repr(float(y))]
+               for i, (c, k, (x, y)) in enumerate(zip(
+                   batch.class_ids, batch.submode_ids, batch.xs))))
 
 
 def write_assignments_csv(labels_by_class: dict[int, np.ndarray],
                           path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_index", "class_id", "submode_id"])
-        for class_id in sorted(labels_by_class):
-            for i, label in enumerate(labels_by_class[class_id]):
-                writer.writerow([i, class_id, int(label)])
+    write_csv(path, ["sample_index", "class_id", "submode_id"],
+              ([i, class_id, int(label)]
+               for class_id in sorted(labels_by_class)
+               for i, label in enumerate(labels_by_class[class_id])))
 
 
 def write_priors_csv(table: SubmodeTable, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["class_id", "submode_id", "count", "prior"])
-        for class_id in sorted(table.per_class):
-            cc = table.per_class[class_id]
-            for j, (count, prior) in enumerate(zip(cc.counts, cc.priors)):
-                writer.writerow([class_id, j, int(count), repr(float(prior))])
+    write_csv(path, ["class_id", "submode_id", "count", "prior"],
+              ([class_id, j, int(count), repr(float(prior))]
+               for class_id, cc in sorted(table.per_class.items())
+               for j, (count, prior) in enumerate(zip(cc.counts,
+                                                      cc.priors))))
+
+
+# the MetricReport columns of the metrics, sweep and comparison CSVs
+REPORT_FIELDS = ["frechet", "precision", "recall", "mode_tv",
+                 "coverage_count", "field_rmse"]
+
+
+def _report_cells(report) -> list:
+    """The REPORT_FIELDS of a report, floats as their shortest repr and a
+    missing field_rmse as an empty cell."""
+    return [repr(float(report.frechet)), repr(float(report.precision)),
+            repr(float(report.recall)), repr(float(report.mode_tv)),
+            report.coverage_count,
+            "" if report.field_rmse is None
+            else repr(float(report.field_rmse))]
+
+
+def append_report_csv(path, report, run_id: str, nfe: int,
+                      w: float) -> None:
+    write_csv(path, ["run_id", "nfe", "w", *REPORT_FIELDS],
+              [[run_id, nfe, repr(w), *_report_cells(report)]], append=True)
+
+
+def write_comparison_csv(path, reports: dict) -> None:
+    write_csv(path, ["variant", *REPORT_FIELDS],
+              ([name, *_report_cells(report)]
+               for name, report in reports.items()))
 
 
 def read_priors_table(path) -> SubmodeTable:
     """The SubmodeTable a priors CSV holds, built from its counts.
 
-    A missing or non-numeric field, a class whose sub-mode ids are not
-    exactly 0..K-1, counts that are negative or sum to zero, or a prior
-    column that is not its counts' share (within 1e-12) raise ValueError
-    naming the path and, where there is one, the class.
+    A directory, a missing or non-numeric field, a class whose sub-mode
+    ids are not exactly 0..K-1, counts that are negative or sum to zero, or
+    a prior column that is not its counts' share (within 1e-12) raise
+    ValueError naming the path and, where there is one, the class.
     """
     rows: dict[int, list[tuple[int, int, float]]] = {}
     try:
@@ -228,9 +269,37 @@ def read_priors_table(path) -> SubmodeTable:
                 raise ValueError(
                     f"class {class_id}: priors {written.tolist()} are not "
                     f"the counts' share {share.tolist()}")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (IsADirectoryError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: bad priors file: {exc}") from exc
     return table
+
+
+def read_feature_csv(path) -> dict[int, np.ndarray]:
+    """External feature file: one row per sample, last column is the class id.
+
+    A directory, a non-numeric cell, a file without a feature column, a
+    class id that is not a non-negative integer, or a non-finite feature
+    raises ValueError naming the path (and the first bad row, from 1).
+    """
+    try:
+        rows = np.loadtxt(path, delimiter=",", ndmin=2)
+    except (IsADirectoryError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    if rows.shape[1] < 2:
+        raise ValueError(f"{path}: need feature columns before the class id")
+    features = rows[:, :-1]
+    labels = rows[:, -1]
+    for bad, what in (
+            (~(np.isfinite(labels) & (labels >= 0)
+               & (labels == np.floor(labels))),
+             "class ids that are not non-negative integers"),
+            (~np.isfinite(features).all(axis=1), "non-finite features")):
+        if bad.any():
+            raise ValueError(
+                f"{path}: {int(bad.sum())} rows with {what}, the first "
+                f"at row {int(np.argmax(bad)) + 1}")
+    classes = labels.astype(np.int64)
+    return {int(c): features[classes == c] for c in np.unique(classes)}
 
 
 # ---- SVG scatter ---------------------------------------------------------

@@ -10,7 +10,6 @@ directly against the known mixture weights.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -28,21 +27,6 @@ class MetricReport:
     mode_tv: float
     coverage_count: int
     field_rmse: Optional[float] = None
-
-    CSV_FIELDS = ["frechet", "precision", "recall", "mode_tv",
-                  "coverage_count", "field_rmse"]
-    CSV_HEADER = ["run_id", "nfe", "w", *CSV_FIELDS]
-
-    def csv_fields(self) -> list:
-        """The CSV_FIELDS of this report, floats as their shortest repr."""
-        return [repr(float(self.frechet)), repr(float(self.precision)),
-                repr(float(self.recall)), repr(float(self.mode_tv)),
-                self.coverage_count,
-                "" if self.field_rmse is None
-                else repr(float(self.field_rmse))]
-
-    def csv_row(self, run_id: str, nfe: int, w: float) -> list:
-        return [run_id, nfe, repr(w), *self.csv_fields()]
 
 
 KNN_K = 3  # the k of the k-NN manifolds behind precision and recall
@@ -294,14 +278,3 @@ def evaluate_all(spec: MixtureSpec, real: np.ndarray, gen: np.ndarray,
     return MetricReport(frechet=frechet_2d(real, gen), precision=precision,
                         recall=recall, mode_shares=shares, mode_tv=tv,
                         coverage_count=coverage, field_rmse=rmse)
-
-
-def append_report_csv(path, report: MetricReport, run_id: str, nfe: int,
-                      w: float) -> None:
-    import os
-    new = not os.path.exists(path)
-    with open(path, "a", newline="") as fh:
-        writer = csv.writer(fh)
-        if new:
-            writer.writerow(MetricReport.CSV_HEADER)
-        writer.writerow(report.csv_row(run_id, nfe, w))

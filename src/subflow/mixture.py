@@ -26,10 +26,13 @@ class MixtureComponent:
     submode_id: int
 
     def __post_init__(self):
-        if not self.weight > 0:
-            raise ValueError(f"component weight must be positive, got {self.weight}")
-        if not self.std > 0:
-            raise ValueError(f"component std must be positive, got {self.std}")
+        # phrased so that NaN fails too
+        if not 0.0 < self.weight < np.inf:
+            raise ValueError(f"component weight {self.weight} not in (0, inf)")
+        if not np.isfinite(self.mean).all():
+            raise ValueError(f"component mean {self.mean} is not finite")
+        if not 0.0 < self.std < np.inf:
+            raise ValueError(f"component std {self.std} not in (0, inf)")
 
 
 @dataclass(frozen=True)
@@ -56,8 +59,8 @@ class MixtureSpec:
             if subs != list(range(len(subs))):
                 raise ValueError(f"class {c}: submode ids {subs} are not "
                                  f"0..{len(subs) - 1}")
-        if not self.source_std > 0:
-            raise ValueError("source_std must be positive")
+        if not 0.0 < self.source_std < np.inf:
+            raise ValueError(f"source_std {self.source_std} not in (0, inf)")
 
     @property
     def class_ids(self) -> list[int]:

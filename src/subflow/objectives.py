@@ -63,6 +63,8 @@ class TrainConfig:
             raise ValueError("steps must be >= 0 and batch_size >= 1")
         if not 0.0 <= self.ema_decay < 1.0:
             raise ValueError("ema_decay must be in [0,1)")
+        if not 0.0 < self.learning_rate < np.inf:  # NaN fails too
+            raise ValueError("learning_rate must be finite and > 0")
 
     @property
     def uses_interval(self) -> bool:

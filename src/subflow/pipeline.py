@@ -8,7 +8,6 @@ are reproducible byte for byte.
 from __future__ import annotations
 
 import copy
-import csv
 import dataclasses
 import time
 from pathlib import Path
@@ -16,7 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from . import clustering, io, metrics, mixture, objectives, sampler
-from .config import ExperimentConfig, emit_config
+from .config import (ConfigError, ExperimentConfig, emit_config,
+                     parse_config)
 
 
 def build_dataset(cfg: ExperimentConfig):
@@ -93,6 +93,20 @@ def train_run(cfg: ExperimentConfig, out_dir, run_prefix: str = "train",
     manifest.add_file("priors", priors_path)
     manifest.duration_s = time.monotonic() - started
     manifest.write(out_dir / f"{run_id}.manifest.json")
+    return manifest
+
+
+def checked_manifest(manifest_path, cfg: ExperimentConfig) -> io.RunManifest:
+    """The run's manifest, if its config's [mixture] is cfg's: a run is
+    sampled and scored only under its own mixture."""
+    manifest = io.RunManifest.read(manifest_path)
+    try:
+        trained = parse_config(manifest.config_text).mixture
+    except ConfigError as exc:
+        raise ValueError(f"{manifest_path}: bad run config: {exc}") from exc
+    if trained != cfg.mixture:
+        raise ValueError(f"{manifest_path}: the run was trained on another "
+                         f"[mixture] than the config's")
     return manifest
 
 
@@ -231,8 +245,8 @@ def sweep_nfe(manifest_path, cfg: ExperimentConfig, out_csv,
     NFE, so they are computed once."""
     # every NFE is checked before the first generation
     samples = [dataclasses.replace(cfg.sample, nfe=nfe) for nfe in nfe_list]
+    run_id = checked_manifest(manifest_path, cfg).run_id
     net, table, meta = load_run(manifest_path)
-    run_id = io.RunManifest.read(manifest_path).run_id
     real = real_set(cfg)
     rmse = model_field_rmse(net, meta, cfg)
     reports = []
@@ -242,8 +256,8 @@ def sweep_nfe(manifest_path, cfg: ExperimentConfig, out_csv,
                                      sample.submode_strategy, cfg.train.seed)
         report = metrics.evaluate_all(cfg.mixture, real.xs, batch.xs,
                                       tau=cfg.metrics.coverage_tau, rmse=rmse)
-        metrics.append_report_csv(out_csv, report, run_id, sample.nfe,
-                                  sample.guidance_scale)
+        io.append_report_csv(out_csv, report, run_id, sample.nfe,
+                             sample.guidance_scale)
         reports.append(report)
     return reports
 
@@ -276,13 +290,5 @@ def ablate(cfg: ExperimentConfig, variant: str, out_dir) -> dict:
     var_report = evaluate_run(
         out_dir / f"{var_manifest.run_id}.manifest.json", var_cfg, out_csv)
     reports = {"default": base_report, variant: var_report}
-    write_comparison_csv(out_dir / "comparison.csv", reports)
+    io.write_comparison_csv(out_dir / "comparison.csv", reports)
     return reports
-
-
-def write_comparison_csv(path, rows: dict[str, metrics.MetricReport]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["variant", *metrics.MetricReport.CSV_FIELDS])
-        for name, rep in rows.items():
-            writer.writerow([name, *rep.csv_fields()])

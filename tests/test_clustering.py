@@ -265,7 +265,7 @@ class TestCsvRoundTrip:
     def test_feature_csv_reader(self, tmp_path):
         path = tmp_path / "features.csv"
         path.write_text("0.0,1.0,0\n2.0,3.0,0\n4.0,5.0,1\n")
-        feats = clustering.read_feature_csv(path)
+        feats = io.read_feature_csv(path)
         assert set(feats) == {0, 1}
         np.testing.assert_allclose(feats[0], [[0, 1], [2, 3]])
         np.testing.assert_allclose(feats[1], [[4, 5]])
@@ -282,4 +282,4 @@ class TestCsvRoundTrip:
         path = tmp_path / "features.csv"
         path.write_text(text)
         with pytest.raises(ValueError, match=f"features.csv: {match}"):
-            clustering.read_feature_csv(path)
+            io.read_feature_csv(path)

@@ -258,12 +258,36 @@ def test_overrides_set_their_keys():
     (lambda: metrics.knn_precision_recall(np.zeros((5, 2)),
                                           np.ones((5, 2)), 0),
      ValueError, "k must"),
+    (lambda: parse_config("[train]\nlearning_rate = nan\n"), ConfigError,
+     r"\[train\] learning_rate"),
+    (lambda: parse_config("[train]\nlearning_rate = 0\n"), ConfigError,
+     r"\[train\] learning_rate"),
+    (lambda: parse_config("[train]\nlearning_rate = -1\n"), ConfigError,
+     r"\[train\] learning_rate"),
+    (lambda: parse_config("[mixture]\nsource_std = inf\n"), ConfigError,
+     r"\[mixture\] source_std"),
+    (lambda: parse_config("[mixture]\ncomponent_0 = 1.0 nan 0 1 0 0\n"),
+     ConfigError, r"\[mixture\] component_0: component mean"),
+    (lambda: parse_config("[mixture]\ncomponent_0 = nan 0 0 1 0 0\n"),
+     ConfigError, r"\[mixture\] component_0: component weight"),
+    (lambda: parse_config("[mixture]\ncomponent_0 = 1.0 0 0 inf 0 0\n"),
+     ConfigError, r"\[mixture\] component_0: component std"),
+    (lambda: parse_config("[metrics]\ncoverage_tau = nan\n"), ConfigError,
+     r"\[metrics\] coverage_tau"),
+    (lambda: parse_config("[metrics]\ncoverage_tau = inf\n"), ConfigError,
+     r"\[metrics\] coverage_tau"),
+    (lambda: parse_config("[metrics]\ncoverage_tau = -0.5\n"), ConfigError,
+     r"\[metrics\] coverage_tau"),
 ], ids=["knn_k", "n_real", "count", "nfe", "strategy", "cluster_k",
         "n_train", "cluster_enabled_unknown", "unknown_key", "unknown_section",
         "default_section", "unknown_mixture_key", "component_gap",
         "class_id_gap", "submode_id_gap", "override_nfe", "override_count",
         "override_guidance", "override_guidance_nan",
-        "override_guidance_inf", "override_cluster_k", "knn_k_call"])
+        "override_guidance_inf", "override_cluster_k", "knn_k_call",
+        "learning_rate_nan", "learning_rate_zero", "learning_rate_negative",
+        "source_std_inf", "component_mean_nan", "component_weight_nan",
+        "component_std_inf", "coverage_tau_nan", "coverage_tau_inf",
+        "coverage_tau_negative"])
 def test_invalid_setting_rejected(call, error, match):
     with pytest.raises(error, match=match):
         call()
@@ -461,6 +485,46 @@ class TestDamagedInputs:
         assert main(["check", "--manifest", str(manifest)]) == EXIT_VALIDATION
         assert str(manifest) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("change", [
+        lambda p: p.update(files=[]),
+        lambda p: p.update(checksums={}),
+        lambda p: p["files"].update(checkpoint=3),
+        lambda p: p.update(seed="abc"),
+        lambda p: p.update(seed=1.5),
+        lambda p: p.update(run_id=5),
+        lambda p: p.update(config=None),
+        lambda p: p.update(duration_s="long"),
+    ], ids=["files_a_list", "checksums_empty", "file_not_a_string",
+            "seed_text", "seed_float", "run_id_number", "config_null",
+            "duration_text"])
+    def test_manifest_value(self, trained_dir, tmp_path, capsys, change):
+        """A manifest value of the wrong type, or files and checksums that
+        do not map the same labels to strings, fail every reader and check
+        with exit 1 naming the manifest."""
+        payload = json.loads(trained_dir[2].read_text())
+        change(payload)
+        manifest = tmp_path / "bad.manifest.json"
+        manifest.write_text(json.dumps(payload))
+        self._assert_rejected(trained_dir, tmp_path, capsys, manifest,
+                              manifest)
+        assert main(["check", "--manifest", str(manifest)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(f"error: {manifest}")
+
+    @pytest.mark.parametrize("label", ["checkpoint", "priors"])
+    def test_listed_directory(self, trained_dir, tmp_path, capsys, label):
+        """A listed path that is a directory is a bad artifact to check, and
+        generate and evaluate exit 1 naming it."""
+        def to_directory(path):
+            path.unlink()
+            path.mkdir()
+
+        manifest, bad = _run_with_damaged(trained_dir, tmp_path, label,
+                                          to_directory)
+        self._assert_rejected(trained_dir, tmp_path, capsys, manifest, bad)
+        assert main(["check", "--manifest", str(manifest)]) == EXIT_VALIDATION
+        out = capsys.readouterr().out
+        assert out == f"stale or missing artifacts: {label}\n"
+
     @pytest.mark.parametrize("damage", [
         _set_line(2, "0,2,1,0.5"),
         _set_line(2, "0,0,1,0.5"),
@@ -486,7 +550,7 @@ class TestDamagedInputs:
 
     def test_manifest_without_checkpoint(self, trained_dir, tmp_path, capsys):
         payload = json.loads(trained_dir[2].read_text())
-        del payload["files"]["checkpoint"]
+        del payload["files"]["checkpoint"], payload["checksums"]["checkpoint"]
         manifest = tmp_path / "no-checkpoint.manifest.json"
         manifest.write_text(json.dumps(payload))
         self._assert_rejected(trained_dir, tmp_path, capsys, manifest,
@@ -495,7 +559,7 @@ class TestDamagedInputs:
     def test_subflow_manifest_without_priors(self, trained_dir, tmp_path,
                                              capsys):
         payload = json.loads(trained_dir[2].read_text())
-        del payload["files"]["priors"]
+        del payload["files"]["priors"], payload["checksums"]["priors"]
         manifest = tmp_path / "no-priors.manifest.json"
         manifest.write_text(json.dumps(payload))
         self._assert_rejected(trained_dir, tmp_path, capsys, manifest,
@@ -565,12 +629,12 @@ class TestCli:
             float(row[field])
         report = pipeline.evaluate_run(manifest, load_config(cfg_path),
                                        tmp_path / "again.csv")
-        pipeline.write_comparison_csv(tmp_path / "comparison.csv",
-                                      {"run": report})
+        io.write_comparison_csv(tmp_path / "comparison.csv",
+                                {"run": report})
         with open(tmp_path / "comparison.csv", newline="") as fh:
             (compared,) = list(csv.DictReader(fh))
         assert compared.pop("variant") == "run"
-        assert compared == {k: row[k] for k in metrics.MetricReport.CSV_FIELDS}
+        assert compared == {k: row[k] for k in io.REPORT_FIELDS}
 
     def test_field_rmse_empty_when_cluster_k_differs(self, tmp_path):
         """With one cluster per class, a subflow net's cluster ids cannot be
@@ -629,6 +693,29 @@ class TestCli:
         assert ((tmp_path / "sweep.csv").read_text()
                 == (tmp_path / "one.csv").read_text())
 
+    @pytest.mark.parametrize("mixture", [
+        "[mixture]\nsource_std = 0.5\n",
+        "[mixture]\ncomponent_0 = 1.0 0.5 -0.25 0.5 0 0\n",
+    ], ids=["source_std", "one_component"])
+    def test_run_used_only_under_its_mixture(self, trained_dir, tmp_path,
+                                             capsys, mixture):
+        """generate, evaluate and sweep-nfe with a config whose [mixture] is
+        not the run's exit 1 naming the manifest, and write no output."""
+        _, _, manifest = trained_dir
+        cfg_path = tmp_path / "other.cfg"
+        cfg_path.write_text(TINY_CONFIG + mixture)
+        out = tmp_path / "out"
+        common = ["--config", str(cfg_path), "--out", str(out),
+                  "--manifest", str(manifest)]
+        for argv in (["generate", *common, "--class-id", "0"],
+                     ["evaluate", *common],
+                     ["sweep-nfe", *common, "--nfe-list", "1"]):
+            assert main(argv) == EXIT_VALIDATION, argv[0]
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {manifest}: "), err
+            assert "[mixture]" in err
+        assert not list(out.glob("*"))
+
     def test_check_passes_then_detects_staleness(self, trained_dir, capsys):
         _, out, manifest = trained_dir
         assert main(["check", "--manifest", str(manifest)]) == EXIT_OK
@@ -645,12 +732,14 @@ class TestCli:
         feats = tmp_path / "features.csv"
         rows = ["0.0,0.0,0", "0.1,0.0,0", "5.0,5.0,0", "5.1,5.0,0"]
         feats.write_text("\n".join(rows) + "\n")
-        out = tmp_path / "clust"
-        rc = main(["cluster", "--features", str(feats), "--k", "2",
-                   "--out", str(out)])
-        assert rc == EXIT_OK
-        assert (out / "assignments.csv").exists()
-        assert (out / "priors.csv").exists()
+        for flags in ([], ["--standardize"]):
+            out = tmp_path / f"clust{len(flags)}"
+            rc = main(["cluster", "--features", str(feats), "--k", "2",
+                       "--out", str(out), *flags])
+            assert rc == EXIT_OK
+            assert (out / "assignments.csv").exists()
+            table = io.read_priors_table(out / "priors.csv")
+            np.testing.assert_array_equal(table.per_class[0].counts, [2, 2])
 
     @pytest.mark.parametrize("row", ["5.1,5.0,0.5", "5.1,nan,0"])
     def test_cluster_bad_feature_row_is_validation_error(self, tmp_path,

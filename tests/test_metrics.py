@@ -15,7 +15,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
 
-from subflow import metrics
+from subflow import io, metrics
 from subflow.metrics import (field_rmse, frechet_2d, knn_precision_recall,
                              mode_shares)
 from subflow.mixture import (MixtureComponent, MixtureSpec, sample_dataset,
@@ -383,8 +383,9 @@ class TestEvaluateAll:
                                       mode_shares=np.array([1.0]), mode_tv=0.1,
                                       coverage_count=3, field_rmse=None)
         path = tmp_path / "m.csv"
-        metrics.append_report_csv(path, report, "run-x", 4, 1.0)
-        metrics.append_report_csv(path, report, "run-x", 8, 1.0)
+        io.append_report_csv(path, report, "run-x", 4, 1.0)
+        io.append_report_csv(path, report, "run-x", 8, 1.0)
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == ",".join(metrics.MetricReport.CSV_HEADER)
+        assert lines[0] == ",".join(["run_id", "nfe", "w",
+                                     *io.REPORT_FIELDS])
         assert len(lines) == 3
