@@ -1,16 +1,16 @@
 """Sweep solver steps for the class-conditional and sub-mode models.
 
-Trains both one-step models once, then evaluates each at a doubling ladder
-of NFE values, appending one metric row per (model, nfe) to a shared CSV.
-Shows that extra solver steps do not repair dominant-mode bias, while the
-sub-mode model is already calibrated at a single step.
+A grid of two rows, one per conditioning: `pipeline.run_grid` trains each
+one-step model once, then evaluates it at a doubling ladder of NFE values,
+appending one metric row per (model, nfe) to nfe_sweep.csv.  Shows that
+extra solver steps do not repair dominant-mode bias, while the sub-mode
+model is already calibrated at a single step.
 
 Usage:
     python scripts/nfe_sweep.py --config configs/toy.cfg --out runs/sweep
 """
 
 import argparse
-import copy
 import dataclasses
 import sys
 from pathlib import Path
@@ -35,22 +35,19 @@ def main():
                     for x in args.nfe_list.split(",")]
     except ValueError as exc:
         parser.error(f"--nfe-list: {exc}")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
+    runs = []
     for conditioning in ("class", "subflow"):
-        cfg = copy.deepcopy(base)
-        cfg.train.objective = "meanflow"
-        cfg.train.conditioning = conditioning
-        cfg.train.__post_init__()
-        manifest = pipeline.train_run(cfg, out_dir, run_prefix=conditioning)
-        manifest_path = out_dir / f"{manifest.run_id}.manifest.json"
-        out_csv = out_dir / f"nfe_sweep_{conditioning}.csv"
-        reports = pipeline.sweep_nfe(manifest_path, cfg, out_csv, nfe_list)
+        train = dataclasses.replace(base.train, objective="meanflow",
+                                    conditioning=conditioning)
+        runs.append((conditioning, dataclasses.replace(base, train=train),
+                     False))
+    out_csv = Path(args.out) / "nfe_sweep.csv"
+    grid = pipeline.run_grid(runs, nfe_list, out_csv)
+    for (conditioning, _, _), reports in zip(runs, grid):
         for nfe, rep in zip(nfe_list, reports):
             print(f"{conditioning} nfe={nfe}: mode_tv {rep.mode_tv:.3f} "
                   f"coverage {rep.coverage_count} recall {rep.recall:.3f}")
-        print(f"wrote {out_csv}")
+    print(f"wrote {out_csv}")
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ Usage:
 """
 
 import argparse
-import copy
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -20,20 +20,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from subflow import io, metrics, pipeline  # noqa: E402
 from subflow.config import load_config  # noqa: E402
-
-
-def train_and_sample(cfg, out_dir, label, objective, conditioning, nfe):
-    cfg = copy.deepcopy(cfg)
-    cfg.train.objective = objective
-    cfg.train.conditioning = conditioning
-    cfg.train.__post_init__()
-    manifest = pipeline.train_run(cfg, out_dir, run_prefix=label)
-    net, table, meta = pipeline.load_run(
-        out_dir / f"{manifest.run_id}.manifest.json")
-    batch = pipeline.generate_all_classes(
-        net, table, meta, cfg, cfg.sample.count, nfe, 1.0, "prior",
-        cfg.train.seed)
-    return cfg, batch
 
 
 def main():
@@ -49,8 +35,8 @@ def main():
     out_dir.mkdir(parents=True, exist_ok=True)
 
     panels = [
-        ("class-1step", "meanflow", "class", 1, None),
-        ("subflow-1step", "meanflow", "subflow", 1, None),
+        ("class-1step", "meanflow", "class", 1, base.train.steps),
+        ("subflow-1step", "meanflow", "subflow", 1, base.train.steps),
         ("cfm-baseline", "cfm", "class", args.baseline_nfe,
          args.baseline_steps),
     ]
@@ -59,11 +45,15 @@ def main():
 
     rows = []
     for label, objective, conditioning, nfe, steps in panels:
-        cfg = copy.deepcopy(base)
-        if steps is not None:
-            cfg.train.steps = steps
-        cfg, batch = train_and_sample(cfg, out_dir, label, objective,
-                                      conditioning, nfe)
+        train = dataclasses.replace(base.train, objective=objective,
+                                    conditioning=conditioning, steps=steps)
+        cfg = dataclasses.replace(base, train=train)
+        manifest = pipeline.train_run(cfg, out_dir, run_prefix=label)
+        net, table, meta = pipeline.load_run(
+            out_dir / f"{manifest.run_id}.manifest.json")
+        batch = pipeline.generate_all_classes(
+            net, table, meta, cfg, cfg.sample.count, nfe, 1.0, "prior",
+            cfg.train.seed)
         shares, tv, coverage = metrics.mode_shares(cfg.mixture, batch.xs)
         io.write_scatter_svg(out_dir / f"{label}.svg", real_xs, batch.xs,
                              batch.submode_ids, bbox)

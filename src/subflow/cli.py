@@ -1,6 +1,6 @@
 """Command-line entry points.
 
-Subcommands: train, generate, evaluate, sweep-nfe, ablate, cluster.
+Subcommands: train, generate, evaluate, sweep-nfe, cluster, check.
 Exit codes: 0 success, 1 validation/config error, 2 runtime failure.
 """
 
@@ -57,10 +57,8 @@ def cmd_generate(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_csv = out_dir / "metrics.csv"
-    report = pipeline.evaluate_run(args.manifest, cfg, out_csv)
+    report = pipeline.evaluate_run(args.manifest, cfg,
+                                   Path(args.out) / "metrics.csv")
     print(f"frechet={report.frechet:.4f} precision={report.precision:.4f} "
           f"recall={report.recall:.4f} mode_tv={report.mode_tv:.4f} "
           f"coverage={report.coverage_count}"
@@ -70,20 +68,15 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sweep_nfe(args) -> int:
+    try:
+        nfe_list = [int(x) for x in args.nfe_list.split(",")]
+    except ValueError:
+        raise ValueError(f"--nfe-list {args.nfe_list!r}: not a "
+                         "comma-separated list of integers") from None
     cfg = _apply_overrides(load_config(args.config), args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_csv = out_dir / "nfe_sweep.csv"
-    nfe_list = [int(x) for x in args.nfe_list.split(",")]
+    out_csv = Path(args.out) / "nfe_sweep.csv"
     pipeline.sweep_nfe(args.manifest, cfg, out_csv, nfe_list)
     print(f"wrote {out_csv}")
-    return EXIT_OK
-
-
-def cmd_ablate(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
-    pipeline.ablate(cfg, args.variant, args.out)
-    print(f"wrote {Path(args.out) / 'comparison.csv'}")
     return EXIT_OK
 
 
@@ -94,9 +87,9 @@ def cmd_cluster(args) -> int:
     labels = clustering.assign_submodes(features, args.k, args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    io.write_assignments_csv(labels, out_dir / "assignments.csv")
-    io.write_priors_csv(clustering.SubmodeTable.from_labels(labels, args.k),
-                        out_dir / "priors.csv")
+    io.write_assignments_csv(out_dir / "assignments.csv", labels)
+    io.write_priors_csv(out_dir / "priors.csv",
+                        clustering.SubmodeTable.from_labels(labels, args.k))
     print(f"wrote assignments.csv and priors.csv to {out_dir}")
     return EXIT_OK
 
@@ -164,12 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nfe-list",
                    default=",".join(map(str, pipeline.NFE_LADDER)))
     p.set_defaults(func=cmd_sweep_nfe)
-
-    p = sub.add_parser("ablate", help="train + evaluate default vs variant")
-    common(p)
-    p.add_argument("--variant", required=True,
-                   choices=list(pipeline.ABLATION_VARIANTS))
-    p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("cluster", help="cluster an external feature CSV")
     p.add_argument("--features", required=True,

@@ -196,15 +196,15 @@ def write_samples_csv(path, batch) -> None:
                    batch.class_ids, batch.submode_ids, batch.xs))))
 
 
-def write_assignments_csv(labels_by_class: dict[int, np.ndarray],
-                          path) -> None:
+def write_assignments_csv(path,
+                          labels_by_class: dict[int, np.ndarray]) -> None:
     write_csv(path, ["sample_index", "class_id", "submode_id"],
               ([i, class_id, int(label)]
                for class_id in sorted(labels_by_class)
                for i, label in enumerate(labels_by_class[class_id])))
 
 
-def write_priors_csv(table: SubmodeTable, path) -> None:
+def write_priors_csv(path, table: SubmodeTable) -> None:
     write_csv(path, ["class_id", "submode_id", "count", "prior"],
               ([class_id, j, int(count), repr(float(prior))]
                for class_id, cc in sorted(table.per_class.items())
@@ -212,31 +212,21 @@ def write_priors_csv(table: SubmodeTable, path) -> None:
                                                       cc.priors))))
 
 
-# the MetricReport columns of the metrics, sweep and comparison CSVs
+# the MetricReport columns of the metrics, sweep and grid CSVs
 REPORT_FIELDS = ["frechet", "precision", "recall", "mode_tv",
                  "coverage_count", "field_rmse"]
 
 
-def _report_cells(report) -> list:
-    """The REPORT_FIELDS of a report, floats as their shortest repr and a
-    missing field_rmse as an empty cell."""
-    return [repr(float(report.frechet)), repr(float(report.precision)),
-            repr(float(report.recall)), repr(float(report.mode_tv)),
-            report.coverage_count,
-            "" if report.field_rmse is None
-            else repr(float(report.field_rmse))]
-
-
 def append_report_csv(path, report, run_id: str, nfe: int,
                       w: float) -> None:
+    """One row: floats as their shortest repr, a missing field_rmse as an
+    empty cell."""
+    rmse = "" if report.field_rmse is None else repr(float(report.field_rmse))
     write_csv(path, ["run_id", "nfe", "w", *REPORT_FIELDS],
-              [[run_id, nfe, repr(w), *_report_cells(report)]], append=True)
-
-
-def write_comparison_csv(path, reports: dict) -> None:
-    write_csv(path, ["variant", *REPORT_FIELDS],
-              ([name, *_report_cells(report)]
-               for name, report in reports.items()))
+              [[run_id, nfe, repr(w), repr(float(report.frechet)),
+                repr(float(report.precision)), repr(float(report.recall)),
+                repr(float(report.mode_tv)), report.coverage_count, rmse]],
+              append=True)
 
 
 def read_priors_table(path) -> SubmodeTable:

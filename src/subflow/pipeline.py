@@ -7,7 +7,6 @@ are reproducible byte for byte.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import time
 from pathlib import Path
@@ -81,9 +80,9 @@ def train_run(cfg: ExperimentConfig, out_dir, run_prefix: str = "train",
     loss_path = out_dir / f"{run_id}.loss.csv"
     io.write_loss_csv(loss_path, losses)
     assign_path = out_dir / f"{run_id}.assignments.csv"
-    io.write_assignments_csv(labels, assign_path)
+    io.write_assignments_csv(assign_path, labels)
     priors_path = out_dir / f"{run_id}.priors.csv"
-    io.write_priors_csv(table, priors_path)
+    io.write_priors_csv(priors_path, table)
 
     manifest = io.RunManifest(run_id=run_id, config_text=config_text,
                               seed=cfg.train.seed)
@@ -203,10 +202,11 @@ def model_field_rmse(net, meta, cfg: ExperimentConfig) -> float | None:
 
     A context is a (class_id, submode_id) pair, None where the label is not
     conditioned on; each pair drives both the net and the oracle.  A subflow
-    net is given the generating sub-mode id as its cluster id, which
-    assumes K-Means numbered its clusters in the mixture's order; with a
-    different number of sub-modes per class there is no such pairing, and
-    the result is None.
+    net is given the generating sub-mode id as its cluster id:
+    `cluster_dataset` renumbers each class's clusters after their
+    generating sub-mode wherever `match_labels` finds a one-to-one map,
+    and keeps K-Means' numbering elsewhere.  With a different number of
+    sub-modes per class there is no such pairing, and the result is None.
     """
     spec = cfg.mixture
     grid = metrics.default_grid(spec)
@@ -256,39 +256,30 @@ def sweep_nfe(manifest_path, cfg: ExperimentConfig, out_csv,
                                      sample.submode_strategy, cfg.train.seed)
         report = metrics.evaluate_all(cfg.mixture, real.xs, batch.xs,
                                       tau=cfg.metrics.coverage_tau, rmse=rmse)
+        # the directory appears only once there is a row to write
+        Path(out_csv).parent.mkdir(parents=True, exist_ok=True)
         io.append_report_csv(out_csv, report, run_id, sample.nfe,
                              sample.guidance_scale)
         reports.append(report)
     return reports
 
 
-ABLATION_VARIANTS = ("random_assignment", "uniform_sampling", "drop_k")
+def run_grid(runs, nfe_list, out_csv) -> list:
+    """Train each (prefix, cfg, random_labels) row once into `out_csv`'s
+    directory, then score it at every NFE with its own sampling settings:
+    one CSV row per (row, NFE), all in `out_csv`.  Returns each row's list
+    of reports.
 
-
-def ablate(cfg: ExperimentConfig, variant: str, out_dir) -> dict:
-    """Train/evaluate the default configuration and one ablation variant;
-    writes ablation.csv and comparison.csv into `out_dir` and returns
-    {name: report}."""
-    if variant not in ABLATION_VARIANTS:
-        raise ValueError(f"unknown ablation variant {variant!r}")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    base_cfg = copy.deepcopy(cfg)
-    var_cfg = copy.deepcopy(cfg)
-    if variant == "uniform_sampling":
-        var_cfg.sample.submode_strategy = "uniform"
-    if variant == "drop_k":
-        var_cfg.train.p_drop_submode = var_cfg.train.p_drop_class
-
-    base_manifest = train_run(base_cfg, out_dir, run_prefix="ablate-default")
-    var_manifest = train_run(var_cfg, out_dir, run_prefix=f"ablate-{variant}",
-                             random_labels=variant == "random_assignment")
-    out_csv = out_dir / "ablation.csv"
-    base_report = evaluate_run(
-        out_dir / f"{base_manifest.run_id}.manifest.json", base_cfg, out_csv)
-    var_report = evaluate_run(
-        out_dir / f"{var_manifest.run_id}.manifest.json", var_cfg, out_csv)
-    reports = {"default": base_report, variant: var_report}
-    io.write_comparison_csv(out_dir / "comparison.csv", reports)
-    return reports
+    Every NFE is checked against every row before the first training run,
+    so a rejected grid writes nothing and creates no directory.
+    """
+    for _, cfg, _ in runs:
+        for nfe in nfe_list:
+            dataclasses.replace(cfg.sample, nfe=nfe)
+    out_dir = Path(out_csv).parent
+    grid = []
+    for prefix, cfg, random_labels in runs:
+        manifest = train_run(cfg, out_dir, prefix, random_labels)
+        grid.append(sweep_nfe(out_dir / f"{manifest.run_id}.manifest.json",
+                              cfg, out_csv, nfe_list))
+    return grid

@@ -5,7 +5,7 @@ A plain module rather than conftest.py, so that test modules can import it
 by name while another suite's conftest.py is collected in the same process.
 """
 
-import copy
+import dataclasses
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -40,12 +40,10 @@ n_real = 400
 def train_variant(base_cfg, objective, conditioning, steps=None,
                   random_labels=False):
     """Train one configuration in memory and wrap the evaluation bundle."""
-    cfg = copy.deepcopy(base_cfg)
-    cfg.train.objective = objective
-    cfg.train.conditioning = conditioning
-    if steps is not None:
-        cfg.train.steps = steps
-    cfg.train.__post_init__()
+    train_cfg = dataclasses.replace(
+        base_cfg.train, objective=objective, conditioning=conditioning,
+        steps=base_cfg.train.steps if steps is None else steps)
+    cfg = dataclasses.replace(base_cfg, train=train_cfg)
     dataset = build_dataset(cfg)
     table, _ = cluster_dataset(cfg, dataset, random_labels=random_labels)
     state, losses = train(dataset, cfg.mixture, cfg.train, table)

@@ -253,8 +253,8 @@ class TestCsvRoundTrip:
         labels = assign_submodes(feats, 2, seed=0)
         ap = tmp_path / "assignments.csv"
         pp = tmp_path / "priors.csv"
-        io.write_assignments_csv(labels, ap)
-        io.write_priors_csv(SubmodeTable.from_labels(labels, 2), pp)
+        io.write_assignments_csv(ap, labels)
+        io.write_priors_csv(pp, SubmodeTable.from_labels(labels, 2))
         lines = ap.read_text().strip().splitlines()
         assert lines[0] == "sample_index,class_id,submode_id"
         assert len(lines) == 1 + 40

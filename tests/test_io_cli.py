@@ -5,7 +5,9 @@ exercised end to end on a shrunken config so every subcommand runs in a few
 seconds.
 """
 
+import argparse
 import csv
+import dataclasses
 import json
 import shutil
 import struct
@@ -335,7 +337,7 @@ class TestCsvEmission:
         cfg = parse_config(TINY_CONFIG + "[cluster]\nk = 3\n")
         table, _ = pipeline.cluster_dataset(cfg, pipeline.build_dataset(cfg))
         path = tmp_path / "priors.csv"
-        io.write_priors_csv(table, path)
+        io.write_priors_csv(path, table)
         loaded = io.read_priors_table(path)
         assert sorted(loaded.per_class) == sorted(table.per_class) == [0, 1]
         assert loaded.num_submodes() == table.num_submodes() == 3
@@ -447,7 +449,7 @@ class TestDamagedInputs:
             assert main(argv) == EXIT_VALIDATION, argv[0]
             err = capsys.readouterr().err
             assert err.startswith(f"error: {bad}"), err
-        assert not (tmp_path / "out" / "samples-class0.csv").exists()
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("damage", [
         _byte_12_set(ord("X")),
@@ -576,6 +578,16 @@ class TestDamagedInputs:
 
 
 class TestCli:
+    def test_docstring_lists_the_subcommands(self):
+        """cli's module docstring names exactly the parser's subcommands,
+        in their order."""
+        (subparsers,) = [action for action in cli.build_parser()._actions
+                         if isinstance(action, argparse._SubParsersAction)]
+        (line,) = [line for line in cli.__doc__.splitlines()
+                   if line.startswith("Subcommands: ")]
+        listed = line.removeprefix("Subcommands: ").rstrip(".").split(", ")
+        assert listed == list(subparsers.choices)
+
     def test_generate(self, trained_dir, tmp_path):
         cfg_path, _, manifest = trained_dir
         out = tmp_path / "gen"
@@ -616,8 +628,7 @@ class TestCli:
         assert "error: gen has" in capsys.readouterr().err
 
     def test_metric_csvs_write_numbers(self, trained_dir, tmp_path):
-        """Every metric field of an evaluate CSV parses with float(), and a
-        comparison CSV writes a report's fields the same way."""
+        """Every metric field of an evaluate CSV parses with float()."""
         cfg_path, _, manifest = trained_dir
         out = tmp_path / "eval"
         assert main(["evaluate", "--config", str(cfg_path), "--out", str(out),
@@ -627,14 +638,6 @@ class TestCli:
         for field in ("frechet", "precision", "recall", "mode_tv",
                       "field_rmse"):
             float(row[field])
-        report = pipeline.evaluate_run(manifest, load_config(cfg_path),
-                                       tmp_path / "again.csv")
-        io.write_comparison_csv(tmp_path / "comparison.csv",
-                                {"run": report})
-        with open(tmp_path / "comparison.csv", newline="") as fh:
-            (compared,) = list(csv.DictReader(fh))
-        assert compared.pop("variant") == "run"
-        assert compared == {k: row[k] for k in io.REPORT_FIELDS}
 
     def test_field_rmse_empty_when_cluster_k_differs(self, tmp_path):
         """With one cluster per class, a subflow net's cluster ids cannot be
@@ -675,6 +678,19 @@ class TestCli:
         assert rc == EXIT_VALIDATION
         assert not (out / "nfe_sweep.csv").exists()
 
+    def test_sweep_rejects_a_non_integer_nfe(self, trained_dir, tmp_path,
+                                             capsys):
+        """A --nfe-list entry that is not an integer exits 1 naming the
+        flag, and creates no directory."""
+        cfg_path, _, manifest = trained_dir
+        out = tmp_path / "sweep"
+        rc = main(["sweep-nfe", "--config", str(cfg_path),
+                   "--out", str(out), "--manifest", str(manifest),
+                   "--nfe-list", "1,x"])
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: --nfe-list ")
+        assert not out.exists()
+
     def test_sweep_matches_evaluate_per_nfe(self, trained_dir, tmp_path):
         """sweep_nfe loads the run, the real set and the field RMSE once;
         its reports and CSV rows equal one evaluate_run per NFE."""
@@ -700,7 +716,8 @@ class TestCli:
     def test_run_used_only_under_its_mixture(self, trained_dir, tmp_path,
                                              capsys, mixture):
         """generate, evaluate and sweep-nfe with a config whose [mixture] is
-        not the run's exit 1 naming the manifest, and write no output."""
+        not the run's exit 1 naming the manifest, and create no output
+        directory."""
         _, _, manifest = trained_dir
         cfg_path = tmp_path / "other.cfg"
         cfg_path.write_text(TINY_CONFIG + mixture)
@@ -714,7 +731,7 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith(f"error: {manifest}: "), err
             assert "[mixture]" in err
-        assert not list(out.glob("*"))
+        assert not out.exists()
 
     def test_check_passes_then_detects_staleness(self, trained_dir, capsys):
         _, out, manifest = trained_dir
@@ -817,40 +834,68 @@ class TestCli:
         assert rc == EXIT_VALIDATION
 
 
-ABLATE_CONFIG = (TINY_CONFIG.replace("steps = 60", "steps = 20")
-                 .replace("count = 200", "count = 300"))
+GRID_CONFIG = (TINY_CONFIG.replace("steps = 60", "steps = 20")
+               .replace("count = 200", "count = 300"))
 
 
-class TestAblate:
-    """ablate trains the default config and one variant side by side; the
-    variant's setting is recorded in its manifest's config, and its report
-    is evaluate_run on that manifest.  It returns only the two reports and
-    writes comparison.csv itself."""
+def _grid_rows(cfg):
+    """The default row, one row whose [sample] differs, one whose [train]
+    differs and one with random sub-mode labels."""
+    return [
+        ("grid-default", cfg, False),
+        ("grid-uniform", dataclasses.replace(cfg, sample=dataclasses.replace(
+            cfg.sample, submode_strategy="uniform")), False),
+        ("grid-drop", dataclasses.replace(cfg, train=dataclasses.replace(
+            cfg.train, p_drop_submode=0.1)), False),
+        ("grid-random", cfg, True),
+    ]
 
-    @pytest.mark.parametrize("variant, section, key, value", [
-        ("uniform_sampling", "sample", "submode_strategy", "uniform"),
-        ("drop_k", "train", "p_drop_submode", 0.1),
-    ])
-    def test_variant_recorded_and_evaluated(self, tmp_path, variant, section,
-                                            key, value):
-        cfg = parse_config(ABLATE_CONFIG)
+
+class TestRunGrid:
+    """run_grid trains each row once into the CSV's directory and sweeps
+    it: the same artifacts and rows as train_run then sweep_nfe per row."""
+
+    def test_equals_train_then_sweep_per_row(self, tmp_path):
+        runs = _grid_rows(parse_config(GRID_CONFIG))
+        grid = pipeline.run_grid(runs, [1, 2], tmp_path / "grid" / "g.csv")
+        hand = tmp_path / "hand"
+        for (prefix, cfg, random_labels), reports in zip(runs, grid):
+            manifest = pipeline.train_run(cfg, hand, prefix, random_labels)
+            again = pipeline.sweep_nfe(
+                hand / f"{manifest.run_id}.manifest.json", cfg,
+                hand / "g.csv", [1, 2])
+            assert len(reports) == 2
+            for a, b in zip(reports, again):
+                np.testing.assert_equal(vars(a), vars(b))
+        assert ((tmp_path / "grid" / "g.csv").read_bytes()
+                == (hand / "g.csv").read_bytes())
+        assert len((hand / "g.csv").read_text().splitlines()) == 1 + 4 * 2
+
+    @pytest.mark.parametrize("row, section, key, value", [
+        (1, "sample", "submode_strategy", "uniform"),
+        (2, "train", "p_drop_submode", 0.1),
+    ], ids=["uniform_sampling", "drop_k"])
+    def test_row_recorded_and_evaluated(self, tmp_path, row, section, key,
+                                        value):
+        """A row's setting is recorded in its manifest's config, and its
+        report is evaluate_run on that manifest."""
+        cfg = parse_config(GRID_CONFIG)
         assert getattr(getattr(cfg, section), key) != value
-        result = pipeline.ablate(cfg, variant, tmp_path)
-        assert list(result) == ["default", variant]
-        assert (tmp_path / "comparison.csv").exists()
-        manifest = next(tmp_path.glob(f"ablate-{variant}-*.manifest.json"))
-        var_cfg = parse_config(io.RunManifest.read(manifest).config_text)
-        assert getattr(getattr(var_cfg, section), key) == value
-        again = pipeline.evaluate_run(manifest, var_cfg, tmp_path / "x.csv")
-        np.testing.assert_equal(vars(again), vars(result[variant]))
+        prefix, row_cfg, _ = _grid_rows(cfg)[row]
+        ((report,),) = pipeline.run_grid([(prefix, row_cfg, False)],
+                                         [cfg.sample.nfe],
+                                         tmp_path / "grid.csv")
+        manifest = next(tmp_path.glob(f"{prefix}-*.manifest.json"))
+        recorded = parse_config(io.RunManifest.read(manifest).config_text)
+        assert getattr(getattr(recorded, section), key) == value
+        again = pipeline.evaluate_run(manifest, recorded, tmp_path / "x.csv")
+        np.testing.assert_equal(vars(again), vars(report))
 
-    def test_cli_writes_comparison(self, tmp_path):
-        cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text(ABLATE_CONFIG)
-        out = tmp_path / "out"
-        assert main(["ablate", "--config", str(cfg_path), "--out", str(out),
-                     "--variant", "drop_k"]) == EXIT_OK
-        lines = (out / "comparison.csv").read_text().splitlines()
-        assert len(lines) == 3  # header, default, drop_k
-        assert [line.split(",")[0] for line in lines[1:]] == ["default",
-                                                              "drop_k"]
+    def test_bad_nfe_creates_nothing(self, tmp_path):
+        """An NFE that any row's sampling settings reject stops the grid
+        before the first training run: no directory is created."""
+        out_csv = tmp_path / "grid" / "g.csv"
+        with pytest.raises(ValueError, match="nfe must be >= 1"):
+            pipeline.run_grid(_grid_rows(parse_config(GRID_CONFIG)), [1, 0],
+                              out_csv)
+        assert not out_csv.parent.exists()

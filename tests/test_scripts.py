@@ -6,19 +6,14 @@ import sys
 
 import pytest
 
-from subflow.pipeline import ABLATION_VARIANTS
-
 from support import ROOT, TINY_CONFIG
 
 # script, extra flags, {CSV written: lines including the header}
 SCRIPTS = [
     ("reproduce_figure.py", ["--baseline-steps", "20", "--baseline-nfe", "4"],
      {"mode_shares.csv": 4}),
-    ("nfe_sweep.py", ["--nfe-list", "1,2"],
-     {"nfe_sweep_class.csv": 3, "nfe_sweep_subflow.csv": 3}),
-    ("run_ablations.py", [],
-     {f"{variant}/{name}": 3 for variant in ABLATION_VARIANTS
-      for name in ("ablation.csv", "comparison.csv")}),
+    ("nfe_sweep.py", ["--nfe-list", "1,2"], {"nfe_sweep.csv": 5}),
+    ("run_ablations.py", [], {"ablation.csv": 5}),
 ]
 
 
