@@ -35,15 +35,12 @@ def main():
                     for x in args.nfe_list.split(",")]
     except ValueError as exc:
         parser.error(f"--nfe-list: {exc}")
-    runs = []
-    for conditioning in ("class", "subflow"):
-        train = dataclasses.replace(base.train, objective="meanflow",
-                                    conditioning=conditioning)
-        runs.append((conditioning, dataclasses.replace(base, train=train),
-                     False))
+    runs = [(cond, dataclasses.replace(base, train=dataclasses.replace(
+                base.train, objective="meanflow", conditioning=cond)))
+            for cond in ("class", "subflow")]
     out_csv = Path(args.out) / "nfe_sweep.csv"
     grid = pipeline.run_grid(runs, nfe_list, out_csv)
-    for (conditioning, _, _), reports in zip(runs, grid):
+    for (conditioning, _), reports in zip(runs, grid):
         for nfe, rep in zip(nfe_list, reports):
             print(f"{conditioning} nfe={nfe}: mode_tv {rep.mode_tv:.3f} "
                   f"coverage {rep.coverage_count} recall {rep.recall:.3f}")

@@ -18,7 +18,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from subflow import io, metrics, pipeline  # noqa: E402
+from subflow import io, metrics, pipeline, sampler  # noqa: E402
 from subflow.config import load_config  # noqa: E402
 
 
@@ -31,29 +31,32 @@ def main():
     args = parser.parse_args()
 
     base = load_config(args.config)
+    panels = [("class-1step", "meanflow", "class", 1, base.train.steps),
+              ("subflow-1step", "meanflow", "subflow", 1, base.train.steps),
+              ("cfm-baseline", "cfm", "class", args.baseline_nfe,
+               args.baseline_steps)]
+    try:  # every panel's config is built before the first training run
+        cfgs = [dataclasses.replace(
+            base, train=dataclasses.replace(base.train, objective=obj,
+                                            conditioning=cond, steps=steps),
+            sample=sampler.SampleConfig(base.sample.count, nfe, 1.0, "prior"))
+            for _, obj, cond, nfe, steps in panels]
+    except ValueError as exc:
+        parser.error(f"--baseline-nfe/--baseline-steps: {exc}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    panels = [
-        ("class-1step", "meanflow", "class", 1, base.train.steps),
-        ("subflow-1step", "meanflow", "subflow", 1, base.train.steps),
-        ("cfm-baseline", "cfm", "class", args.baseline_nfe,
-         args.baseline_steps),
-    ]
     real_xs = pipeline.real_set(base).xs
     bbox = base.mixture.bounding_box()
 
     rows = []
-    for label, objective, conditioning, nfe, steps in panels:
-        train = dataclasses.replace(base.train, objective=objective,
-                                    conditioning=conditioning, steps=steps)
-        cfg = dataclasses.replace(base, train=train)
+    for (label, objective, conditioning, nfe, _), cfg in zip(panels, cfgs):
         manifest = pipeline.train_run(cfg, out_dir, run_prefix=label)
         net, table, meta = pipeline.load_run(
             out_dir / f"{manifest.run_id}.manifest.json")
+        sample = cfg.sample
         batch = pipeline.generate_all_classes(
-            net, table, meta, cfg, cfg.sample.count, nfe, 1.0, "prior",
-            cfg.train.seed)
+            net, table, meta, cfg, sample.count, sample.nfe,
+            sample.guidance_scale, sample.submode_strategy, cfg.train.seed)
         shares, tv, coverage = metrics.mode_shares(cfg.mixture, batch.xs)
         io.write_scatter_svg(out_dir / f"{label}.svg", real_xs, batch.xs,
                              batch.submode_ids, bbox)

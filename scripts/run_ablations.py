@@ -10,8 +10,8 @@ Usage:
 """
 
 import argparse
-import dataclasses
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -19,15 +19,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from subflow import pipeline  # noqa: E402
 from subflow.config import load_config  # noqa: E402
 
-# variant -> base config -> (variant config, random labels)
+# variant -> base config -> variant config
 VARIANTS = {
-    "random_assignment": lambda base: (base, True),
-    "uniform_sampling": lambda base: (dataclasses.replace(
-        base, sample=dataclasses.replace(base.sample,
-                                         submode_strategy="uniform")), False),
-    "drop_k": lambda base: (dataclasses.replace(
-        base, train=dataclasses.replace(
-            base.train, p_drop_submode=base.train.p_drop_class)), False),
+    "random_assignment": lambda base: replace(
+        base, cluster=replace(base.cluster, labels="random")),
+    "uniform_sampling": lambda base: replace(
+        base, sample=replace(base.sample, submode_strategy="uniform")),
+    "drop_k": lambda base: replace(base, train=replace(
+        base.train, p_drop_submode=base.train.p_drop_class)),
 }
 
 
@@ -43,9 +42,8 @@ def main():
     if unknown:  # checked before the first training run
         parser.error(f"--variants: unknown {', '.join(unknown)}")
     base = load_config(args.config)
-    runs = [("ablate-default", base, False)] + [
-        (f"ablate-{variant}", *VARIANTS[variant](base))
-        for variant in variants]
+    runs = [("ablate-default", base)] + [
+        (f"ablate-{variant}", VARIANTS[variant](base)) for variant in variants]
     out_csv = Path(args.out) / "ablation.csv"
     grid = pipeline.run_grid(runs, [base.sample.nfe], out_csv)
     for name, (rep,) in zip(["default", *variants], grid):

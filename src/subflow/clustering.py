@@ -17,6 +17,7 @@ import numpy as np
 from .rng import stream
 
 LLOYD_MAX_ITERS = 100  # Lloyd stops here if its labels still change
+LABELINGS = ("kmeans", "random")  # a run's [cluster] labels
 
 
 @dataclass(frozen=True)

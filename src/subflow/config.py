@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass, field, fields
 from typing import get_type_hints
 
+from .clustering import LABELINGS
 from .metrics import KNN_K
 from .mixture import MixtureComponent, MixtureSpec, toy_spec
 from .objectives import TrainConfig
@@ -43,10 +44,13 @@ class DataConfig:
 @dataclass
 class ClusterConfig:
     k: int = 2
+    labels: str = "kmeans"
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
+        if self.labels not in LABELINGS:
+            raise ValueError(f"labels {self.labels!r} is not in {LABELINGS}")
 
 
 @dataclass

@@ -29,37 +29,35 @@ def real_set(cfg: ExperimentConfig):
                                   cfg.train.seed + 1)
 
 
-def cluster_dataset(cfg: ExperimentConfig, dataset, random_labels: bool = False):
-    """Cluster the dataset per class and write the labels into its
-    submode_ids, in place.
+def cluster_dataset(cfg: ExperimentConfig, dataset):
+    """Label the dataset's points per class as `[cluster] labels` says and
+    write the labels into its submode_ids, in place.
 
-    Returns (table, per-class labels).  Each class's K-Means clusters are
-    first renumbered after the generating sub-mode most of their points
-    came from, where that map is one-to-one (`clustering.match_labels`),
-    so that cluster k is sub-mode k wherever the two can be paired; random
-    labels keep their numbers.  The generating sub-mode ids are then
-    discarded: training consumes the discovered labels, exactly as the
-    offline pre-processing stage would.
+    Returns (table, per-class labels).  `kmeans` clusters each class and
+    renumbers its clusters after the generating sub-mode most of their
+    points came from, where that map is one-to-one (`match_labels`), so
+    cluster k is sub-mode k wherever the two pair up; `random` labels keep
+    their numbers.  Training then consumes these labels in place of the
+    generating sub-mode ids, as the offline pre-processing stage would.
     """
     xs, cs, ks = mixture.dataset_arrays(dataset)
     index_by_class = {int(c): np.flatnonzero(cs == c) for c in np.unique(cs)}
     features = {c: xs[idx] for c, idx in index_by_class.items()}
-    if random_labels:
-        labels = clustering.random_assignment(features, cfg.cluster.k,
-                                              cfg.train.seed)
+    k, seed = cfg.cluster.k, cfg.train.seed
+    if cfg.cluster.labels == "random":
+        labels = clustering.random_assignment(features, k, seed)
     else:
-        labels = clustering.assign_submodes(features, cfg.cluster.k,
-                                            cfg.train.seed)
+        labels = clustering.assign_submodes(features, k, seed)
         labels = {c: clustering.match_labels(labels[c], ks[idx])
                   for c, idx in index_by_class.items()}
     for c, idx in index_by_class.items():
         ks[idx] = labels[c]
-    return clustering.SubmodeTable.from_labels(labels, cfg.cluster.k), labels
+    return clustering.SubmodeTable.from_labels(labels, k), labels
 
 
-def train_run(cfg: ExperimentConfig, out_dir, run_prefix: str = "train",
-              random_labels: bool = False) -> io.RunManifest:
-    """Cluster, train, and persist all artifacts."""
+def train_run(cfg: ExperimentConfig, out_dir,
+              run_prefix: str = "train") -> io.RunManifest:
+    """Cluster, train, and persist all artifacts of the run `cfg` records."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     config_text = emit_config(cfg)
@@ -67,7 +65,7 @@ def train_run(cfg: ExperimentConfig, out_dir, run_prefix: str = "train",
     started = time.monotonic()
 
     dataset = build_dataset(cfg)
-    table, labels = cluster_dataset(cfg, dataset, random_labels=random_labels)
+    table, labels = cluster_dataset(cfg, dataset)
     state, losses = objectives.train(dataset, cfg.mixture, cfg.train, table)
 
     ckpt_path = out_dir / f"{run_id}.checkpoint.bin"
@@ -265,21 +263,20 @@ def sweep_nfe(manifest_path, cfg: ExperimentConfig, out_csv,
 
 
 def run_grid(runs, nfe_list, out_csv) -> list:
-    """Train each (prefix, cfg, random_labels) row once into `out_csv`'s
-    directory, then score it at every NFE with its own sampling settings:
-    one CSV row per (row, NFE), all in `out_csv`.  Returns each row's list
-    of reports.
+    """Train each (prefix, cfg) row once into `out_csv`'s directory, then
+    score it at every NFE with its own sampling settings: one CSV row per
+    (row, NFE), all in `out_csv`.  Returns each row's list of reports.
 
     Every NFE is checked against every row before the first training run,
     so a rejected grid writes nothing and creates no directory.
     """
-    for _, cfg, _ in runs:
+    for _, cfg in runs:
         for nfe in nfe_list:
             dataclasses.replace(cfg.sample, nfe=nfe)
     out_dir = Path(out_csv).parent
     grid = []
-    for prefix, cfg, random_labels in runs:
-        manifest = train_run(cfg, out_dir, prefix, random_labels)
+    for prefix, cfg in runs:
+        manifest = train_run(cfg, out_dir, prefix)
         grid.append(sweep_nfe(out_dir / f"{manifest.run_id}.manifest.json",
                               cfg, out_csv, nfe_list))
     return grid

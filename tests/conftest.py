@@ -4,6 +4,8 @@ Training a handful of small nets dominates the suite's runtime, so each
 configuration is trained once per session and handed out read-only.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from subflow.config import load_config
@@ -28,7 +30,9 @@ def meanflow_subflow_run(toy_cfg):
 
 @pytest.fixture(scope="session")
 def meanflow_random_run(toy_cfg):
-    return train_variant(toy_cfg, "meanflow", "subflow", random_labels=True)
+    random_cfg = replace(toy_cfg, cluster=replace(toy_cfg.cluster,
+                                                  labels="random"))
+    return train_variant(random_cfg, "meanflow", "subflow")
 
 
 @pytest.fixture(scope="session")

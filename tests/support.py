@@ -37,15 +37,14 @@ n_real = 400
 """
 
 
-def train_variant(base_cfg, objective, conditioning, steps=None,
-                  random_labels=False):
+def train_variant(base_cfg, objective, conditioning, steps=None):
     """Train one configuration in memory and wrap the evaluation bundle."""
     train_cfg = dataclasses.replace(
         base_cfg.train, objective=objective, conditioning=conditioning,
         steps=base_cfg.train.steps if steps is None else steps)
     cfg = dataclasses.replace(base_cfg, train=train_cfg)
     dataset = build_dataset(cfg)
-    table, _ = cluster_dataset(cfg, dataset, random_labels=random_labels)
+    table, _ = cluster_dataset(cfg, dataset)
     state, losses = train(dataset, cfg.mixture, cfg.train, table)
     meta = {"objective": objective, "conditioning": conditioning,
             "source_std": cfg.mixture.source_std}

@@ -180,10 +180,10 @@ class TestConfig:
     # run ids of emit_config(...); a changed byte in the emitted text
     # changes the run id
     PINNED_RUN_IDS = {
-        "single_gaussian.cfg": "train-207379d3e8",
-        "toy.cfg": "train-56766165f2",
-        "toy_cfm.cfg": "train-071df09ea4",
-        "": "train-3ff3427710",
+        "single_gaussian.cfg": "train-29b03b328e",
+        "toy.cfg": "train-4a86139127",
+        "toy_cfm.cfg": "train-dd500a498a",
+        "": "train-56beaf88f0",
     }
 
     @pytest.mark.parametrize("name", sorted(PINNED_RUN_IDS))
@@ -232,6 +232,8 @@ def test_overrides_set_their_keys():
     (lambda: parse_config("[data]\nn_train = -5\n"), ConfigError, "n_train"),
     (lambda: parse_config("[cluster]\nenabled = true\n"), ConfigError,
      "enabled"),
+    (lambda: parse_config("[cluster]\nlabels = spectral\n"), ConfigError,
+     r"\[cluster\] labels 'spectral'"),
     (lambda: parse_config("[train]\nstesp = 10\n"), ConfigError, "stesp"),
     (lambda: parse_config("[trian]\nsteps = 10\n"), ConfigError, "trian"),
     (lambda: parse_config("[DEFAULT]\nsteps = 10\n"), ConfigError,
@@ -281,7 +283,8 @@ def test_overrides_set_their_keys():
     (lambda: parse_config("[metrics]\ncoverage_tau = -0.5\n"), ConfigError,
      r"\[metrics\] coverage_tau"),
 ], ids=["knn_k", "n_real", "count", "nfe", "strategy", "cluster_k",
-        "n_train", "cluster_enabled_unknown", "unknown_key", "unknown_section",
+        "n_train", "cluster_enabled_unknown", "cluster_labels",
+        "unknown_key", "unknown_section",
         "default_section", "unknown_mixture_key", "component_gap",
         "class_id_gap", "submode_id_gap", "override_nfe", "override_count",
         "override_guidance", "override_guidance_nan",
@@ -305,12 +308,24 @@ def test_removed_keys_rejected(tmp_path, capsys, section, key, value):
     text = f"[{section}]\n{key} = {value}\n"
     with pytest.raises(ConfigError, match=key):
         parse_config(text)
+    assert key in _train_rejects(tmp_path, capsys, text)
+
+
+def test_unknown_labels_rejected_by_train(tmp_path, capsys):
+    """A [cluster] labels value other than kmeans or random exits 1."""
+    err = _train_rejects(tmp_path, capsys, "[cluster]\nlabels = spectral\n")
+    assert "[cluster] labels 'spectral'" in err
+
+
+def _train_rejects(tmp_path, capsys, text):
+    """`subflow train` on a config of `text` exits 1 and writes nothing;
+    returns its error output."""
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(text)
     rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert rc == EXIT_VALIDATION
-    assert key in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+    return capsys.readouterr().err
 
 
 class TestCsvEmission:
@@ -840,14 +855,15 @@ GRID_CONFIG = (TINY_CONFIG.replace("steps = 60", "steps = 20")
 
 def _grid_rows(cfg):
     """The default row, one row whose [sample] differs, one whose [train]
-    differs and one with random sub-mode labels."""
+    differs and one whose [cluster] labels are random."""
     return [
-        ("grid-default", cfg, False),
+        ("grid-default", cfg),
         ("grid-uniform", dataclasses.replace(cfg, sample=dataclasses.replace(
-            cfg.sample, submode_strategy="uniform")), False),
+            cfg.sample, submode_strategy="uniform"))),
         ("grid-drop", dataclasses.replace(cfg, train=dataclasses.replace(
-            cfg.train, p_drop_submode=0.1)), False),
-        ("grid-random", cfg, True),
+            cfg.train, p_drop_submode=0.1))),
+        ("grid-random", dataclasses.replace(cfg, cluster=dataclasses.replace(
+            cfg.cluster, labels="random"))),
     ]
 
 
@@ -859,8 +875,8 @@ class TestRunGrid:
         runs = _grid_rows(parse_config(GRID_CONFIG))
         grid = pipeline.run_grid(runs, [1, 2], tmp_path / "grid" / "g.csv")
         hand = tmp_path / "hand"
-        for (prefix, cfg, random_labels), reports in zip(runs, grid):
-            manifest = pipeline.train_run(cfg, hand, prefix, random_labels)
+        for (prefix, cfg), reports in zip(runs, grid):
+            manifest = pipeline.train_run(cfg, hand, prefix)
             again = pipeline.sweep_nfe(
                 hand / f"{manifest.run_id}.manifest.json", cfg,
                 hand / "g.csv", [1, 2])
@@ -874,15 +890,16 @@ class TestRunGrid:
     @pytest.mark.parametrize("row, section, key, value", [
         (1, "sample", "submode_strategy", "uniform"),
         (2, "train", "p_drop_submode", 0.1),
-    ], ids=["uniform_sampling", "drop_k"])
+        (3, "cluster", "labels", "random"),
+    ], ids=["uniform_sampling", "drop_k", "random_assignment"])
     def test_row_recorded_and_evaluated(self, tmp_path, row, section, key,
                                         value):
         """A row's setting is recorded in its manifest's config, and its
         report is evaluate_run on that manifest."""
         cfg = parse_config(GRID_CONFIG)
         assert getattr(getattr(cfg, section), key) != value
-        prefix, row_cfg, _ = _grid_rows(cfg)[row]
-        ((report,),) = pipeline.run_grid([(prefix, row_cfg, False)],
+        prefix, row_cfg = _grid_rows(cfg)[row]
+        ((report,),) = pipeline.run_grid([(prefix, row_cfg)],
                                          [cfg.sample.nfe],
                                          tmp_path / "grid.csv")
         manifest = next(tmp_path.glob(f"{prefix}-*.manifest.json"))
@@ -890,6 +907,26 @@ class TestRunGrid:
         assert getattr(getattr(recorded, section), key) == value
         again = pipeline.evaluate_run(manifest, recorded, tmp_path / "x.csv")
         np.testing.assert_equal(vars(again), vars(report))
+
+    def test_random_label_row_gets_its_own_run_id(self, tmp_path):
+        """The labelling is part of the config, so under one prefix a
+        random-label run and the default run are two runs."""
+        rows = _grid_rows(parse_config(GRID_CONFIG))
+        default, random_row = (pipeline.train_run(cfg, tmp_path, "grid")
+                                for _, cfg in (rows[0], rows[3]))
+        assert default.run_id != random_row.run_id
+        assert (default.checksums["checkpoint"]
+                != random_row.checksums["checkpoint"])
+
+    def test_retrain_from_manifest_reproduces_random_run(self, tmp_path):
+        """The manifest's config is the whole run: training it again gives
+        the random-label run's checkpoint, bit for bit."""
+        prefix, cfg = _grid_rows(parse_config(GRID_CONFIG))[3]
+        first = pipeline.train_run(cfg, tmp_path / "first", prefix)
+        recorded = parse_config(first.config_text)
+        again = pipeline.train_run(recorded, tmp_path / "again", prefix)
+        assert again.run_id == first.run_id
+        assert again.checksums["checkpoint"] == first.checksums["checkpoint"]
 
     def test_bad_nfe_creates_nothing(self, tmp_path):
         """An NFE that any row's sampling settings reject stops the grid

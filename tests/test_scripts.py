@@ -36,7 +36,9 @@ def test_script_runs(tmp_path, script, flags, csvs):
     ("nfe_sweep.py", ["--nfe-list", "1,2,0"], "nfe must be >= 1"),
     ("run_ablations.py", ["--variants", "random_assignment,typo"],
      "unknown typo"),
-], ids=["nfe_list", "variants"])
+    ("reproduce_figure.py", ["--baseline-nfe", "0"], "nfe must be >= 1"),
+    ("reproduce_figure.py", ["--baseline-steps", "-1"], "steps must be >= 0"),
+], ids=["nfe_list", "variants", "baseline_nfe", "baseline_steps"])
 def test_script_checks_its_list_before_training(tmp_path, script, flags,
                                                  match):
     cfg = tmp_path / "tiny.cfg"
