@@ -133,10 +133,13 @@ class _Grid:
             first = last
 
 
-def _knn_radii_sq(points: np.ndarray, k: int) -> np.ndarray:
+def knn_radii_sq(points: np.ndarray, k: int = KNN_K) -> np.ndarray:
     """Squared distance from each point to its k-th nearest neighbor (self
     excluded).  A row is final once its block holds its k-th neighbour
     within reach; the others try again with cells twice as wide."""
+    points = _check_points("points", points)
+    if not 1 <= k < len(points):
+        raise ValueError(f"need k >= 1 and more than k={k} points")
     lo, span, h = _frame(points)
     radii = np.empty(len(points))
     todo = np.arange(len(points))
@@ -177,9 +180,13 @@ def _in_manifold(queries: np.ndarray, support: np.ndarray,
     return hits
 
 
-def knn_precision_recall(real: np.ndarray, gen: np.ndarray,
-                         k: int = KNN_K) -> tuple[float, float]:
-    """k-NN manifold precision and recall between two point sets."""
+def knn_precision_recall(real: np.ndarray, gen: np.ndarray, k: int = KNN_K,
+                         real_radii_sq=None) -> tuple[float, float]:
+    """k-NN manifold precision and recall between two point sets.
+
+    `real_radii_sq` is `knn_radii_sq(real, k)` when the caller already has
+    it, as a sweep scoring many generated sets against one real set does.
+    """
     real = _check_points("real", real)
     gen = _check_points("gen", gen)
     if k < 1:
@@ -190,8 +197,16 @@ def knn_precision_recall(real: np.ndarray, gen: np.ndarray,
     if not np.isfinite(span * span):
         raise ValueError(f"real and gen span {span:g}: squared distances "
                          f"overflow float64")
-    precision = float(np.mean(_in_manifold(gen, real, _knn_radii_sq(real, k))))
-    recall = float(np.mean(_in_manifold(real, gen, _knn_radii_sq(gen, k))))
+    if real_radii_sq is None:
+        real_radii_sq = knn_radii_sq(real, k)
+    else:
+        real_radii_sq = np.asarray(real_radii_sq, dtype=np.float64)
+        if real_radii_sq.shape != (len(real),) or not np.all(
+                np.isfinite(real_radii_sq) & (real_radii_sq >= 0.0)):
+            raise ValueError(f"real_radii_sq must hold {len(real)} finite "
+                             f"values >= 0, got shape {real_radii_sq.shape}")
+    precision = float(np.mean(_in_manifold(gen, real, real_radii_sq)))
+    recall = float(np.mean(_in_manifold(real, gen, knn_radii_sq(gen, k))))
     return precision, recall
 
 
@@ -209,8 +224,8 @@ def frechet_2d(real: np.ndarray, gen: np.ndarray) -> float:
     d^2 = ||mu1 - mu2||^2 + tr(S1) + tr(S2) - 2 tr((S1 S2)^{1/2}), with
     tr((S1 S2)^{1/2}) = sqrt(tr(S1 S2) + 2 sqrt(det(S1 S2))) for 2x2 matrices.
     """
-    real = np.asarray(real, dtype=np.float64)
-    gen = np.asarray(gen, dtype=np.float64)
+    real = _check_points("real", real)
+    gen = _check_points("gen", gen)
     if len(real) < 3 or len(gen) < 3:
         raise ValueError("need at least 3 points per set")
     mu1, s1 = _moments(real)
@@ -271,10 +286,11 @@ def field_rmse(field_a: Callable[[np.ndarray, float], np.ndarray],
 
 
 def evaluate_all(spec: MixtureSpec, real: np.ndarray, gen: np.ndarray,
-                 tau: float = 0.5,
-                 rmse: Optional[float] = None) -> MetricReport:
+                 tau: float = 0.5, rmse: Optional[float] = None,
+                 real_radii_sq=None) -> MetricReport:
     shares, tv, coverage = mode_shares(spec, gen, tau)
-    precision, recall = knn_precision_recall(real, gen)
+    precision, recall = knn_precision_recall(real, gen,
+                                             real_radii_sq=real_radii_sq)
     return MetricReport(frechet=frechet_2d(real, gen), precision=precision,
                         recall=recall, mode_shares=shares, mode_tv=tv,
                         coverage_count=coverage, field_rmse=rmse)

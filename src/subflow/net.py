@@ -187,15 +187,19 @@ class VelocityNet:
         if np.any(k < -1) or np.any(k >= cfg.num_submodes):
             raise IndexError("submode index out of range")
 
-    def _features(self, x, t, r, c, k, out: np.ndarray) -> None:
-        """Write the input features of a block of rows into `out`."""
-        parts = [x, self._time_enc(t)]
-        if r is not None:
-            parts.append(self._time_enc(r))
-        parts.append(self.view("class_emb")[c])
-        kemb = np.where((k >= 0)[:, None], self.view("submode_emb")[np.maximum(k, 0)], 0.0)
-        parts.append(kemb)
-        np.concatenate(parts, axis=1, out=out)
+    def _features(self, x, t, r, c, k, encs, out: np.ndarray) -> None:
+        """Write the input features of a block of rows into `out`.  A time
+        (t, then r) whose entry in `encs` is not None is that encoding,
+        shared by every row."""
+        out[:, :2] = x
+        for i, (s, enc) in enumerate(zip((t, r), encs)):
+            col = 2 + i * TIME_ENC_DIM
+            out[:, col:col + TIME_ENC_DIM] = (self._time_enc(s) if enc is None
+                                              else enc)
+        d = self.config.embed_dim
+        out[:, -2 * d:-d] = self.view("class_emb")[c]
+        out[:, -d:] = np.where((k >= 0)[:, None],
+                               self.view("submode_emb")[np.maximum(k, 0)], 0.0)
 
     # ---- forward / reverse / forward-mode -------------------------------
 
@@ -218,6 +222,14 @@ class VelocityNet:
         k = np.asarray(k, dtype=np.int64)
         self._check_inputs(r, c, k)
         n = len(x)
+        if x.shape != (n, 2) or any(a is not None and a.shape != (n,)
+                                    for a in (t, r, c, k)):
+            raise ValueError("x must have shape (n, 2) and t, r, c, k (n,)")
+        # a time every row holds bit for bit (an Euler step, a field pass)
+        # is encoded once for the whole pass
+        encs = [self._time_enc(s[:1]) if n and np.all(
+                    s.view(np.int64) == s[:1].view(np.int64)) else None
+                for s in (t, r) if s is not None]
         pad = -n % BLOCK_ROWS
         rows = [x, t, r, c, k]
         if pad:  # all-zero rows are valid inputs: class 0, sub-mode 0
@@ -255,7 +267,7 @@ class VelocityNet:
             with claim:
                 return next(todo, None)
 
-        args = (rows, layers, hs, ds, scratch, out, next_block)
+        args = (rows, encs, layers, hs, ds, scratch, out, next_block)
         slots = [slice(j * BLOCK_ROWS, (j + 1) * BLOCK_ROWS)
                  for j in range(workers)]
         futures = [_executor(workers - 1).submit(self._run_blocks, *args, slot)
@@ -270,8 +282,8 @@ class VelocityNet:
             return out[:n], None
         return out[:n], ([h[:n] for h in hs], [d[:n] for d in ds], c, k)
 
-    def _run_blocks(self, rows, layers, hs, ds, scratch, out, next_block,
-                    slot):
+    def _run_blocks(self, rows, encs, layers, hs, ds, scratch, out,
+                    next_block, slot):
         """Run the primal pass over the blocks that `next_block` hands out
         (their first rows; None when none are left), using the worker's
         `slot` rows of the scratch (and of hs when there is no cache, that
@@ -283,7 +295,7 @@ class VelocityNet:
             block = slice(lo, lo + BLOCK_ROWS)
             at = block if ds else slot
             self._features(*(None if a is None else a[block] for a in rows),
-                           out=hs[0][at])
+                           encs, out=hs[0][at])
             for layer, (w_t, b) in enumerate(layers):
                 np.matmul(hs[layer][at], w_t, out=z)
                 z += b

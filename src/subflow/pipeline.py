@@ -239,21 +239,23 @@ def evaluate_run(manifest_path, cfg: ExperimentConfig,
 def sweep_nfe(manifest_path, cfg: ExperimentConfig, out_csv,
               nfe_list=NFE_LADDER) -> list:
     """One report (and CSV row) per NFE, with the sampling settings of
-    `cfg`.  The run, the real set and the field RMSE do not depend on the
-    NFE, so they are computed once."""
+    `cfg`.  The run, the real set, the real set's k-NN radii and the field
+    RMSE do not depend on the NFE, so they are computed once per call."""
     # every NFE is checked before the first generation
     samples = [dataclasses.replace(cfg.sample, nfe=nfe) for nfe in nfe_list]
     run_id = checked_manifest(manifest_path, cfg).run_id
     net, table, meta = load_run(manifest_path)
     real = real_set(cfg)
     rmse = model_field_rmse(net, meta, cfg)
+    real_radii_sq = metrics.knn_radii_sq(real.xs)
     reports = []
     for sample in samples:
         batch = generate_all_classes(net, table, meta, cfg, sample.count,
                                      sample.nfe, sample.guidance_scale,
                                      sample.submode_strategy, cfg.train.seed)
         report = metrics.evaluate_all(cfg.mixture, real.xs, batch.xs,
-                                      tau=cfg.metrics.coverage_tau, rmse=rmse)
+                                      tau=cfg.metrics.coverage_tau, rmse=rmse,
+                                      real_radii_sq=real_radii_sq)
         # the directory appears only once there is a row to write
         Path(out_csv).parent.mkdir(parents=True, exist_ok=True)
         io.append_report_csv(out_csv, report, run_id, sample.nfe,

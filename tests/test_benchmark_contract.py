@@ -59,6 +59,14 @@ def test_net_passes_keep_their_positional_arguments():
         assert positional == params, attr
 
 
+def test_knn_keeps_its_sets_first():
+    """The tracer's pair count reads the first two positional arguments of
+    knn_precision_recall as the real and the generated set."""
+    from subflow.metrics import knn_precision_recall
+    params = list(inspect.signature(knn_precision_recall).parameters)
+    assert params[:2] == ["real", "gen"]
+
+
 def _perfbench_calls():
     """(label, function, positional count, keyword names) for every call
     `<module>.<name>(...)` on a subflow module in perfbench's sources; the

@@ -724,6 +724,24 @@ class TestCli:
         assert ((tmp_path / "sweep.csv").read_text()
                 == (tmp_path / "one.csv").read_text())
 
+    def test_sweep_computes_the_real_radii_once(self, trained_dir, tmp_path,
+                                               monkeypatch):
+        """Over three NFEs the sweep finds k-NN radii four times: the real
+        set's once, then each generated set's."""
+        cfg_path, _, manifest = trained_dir
+        cfg = load_config(cfg_path)
+        sizes = []
+        radii_sq = metrics.knn_radii_sq
+
+        def counted(points, *args, **kwargs):
+            sizes.append(len(points))
+            return radii_sq(points, *args, **kwargs)
+
+        monkeypatch.setattr(metrics, "knn_radii_sq", counted)
+        pipeline.sweep_nfe(manifest, cfg, tmp_path / "sweep.csv",
+                           nfe_list=(1, 2, 4))
+        assert sizes == [cfg.metrics.n_real] + [cfg.sample.count] * 3
+
     @pytest.mark.parametrize("mixture", [
         "[mixture]\nsource_std = 0.5\n",
         "[mixture]\ncomponent_0 = 1.0 0.5 -0.25 0.5 0 0\n",

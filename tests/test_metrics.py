@@ -67,7 +67,7 @@ def assert_grid_search_exact(real, gen, k):
     """Radii, hit masks, precision and recall equal the brute force."""
     hits = []
     for support, queries in ((real, gen), (gen, real)):
-        radii = metrics._knn_radii_sq(support, k)
+        radii = metrics.knn_radii_sq(support, k)
         np.testing.assert_array_equal(radii, brute_radii_sq(support, k))
         hit = metrics._in_manifold(queries, support, radii)
         np.testing.assert_array_equal(hit, brute_hits(queries, support, radii))
@@ -152,6 +152,32 @@ class TestKnnPrecisionRecall:
         with pytest.raises(ValueError, match=r"gen must have shape \(n, 2\)"):
             knn_precision_recall(np.zeros((10, 2)), np.zeros(shape), k=3)
 
+    def test_given_real_radii_equal_the_default(self):
+        """Radii a caller computed once give the default call's answer."""
+        rng = np.random.default_rng(10)
+        real = rng.standard_normal((800, 2))
+        gen = 1.2 * rng.standard_normal((700, 2)) + 0.3
+        for k in (1, 3):
+            radii = metrics.knn_radii_sq(real, k)
+            assert (knn_precision_recall(real, gen, k, real_radii_sq=radii)
+                    == knn_precision_recall(real, gen, k))
+
+    @pytest.mark.parametrize("damage", [
+        lambda r: r[:-1], lambda r: r[:, None], lambda r: r - 1.0,
+        lambda r: np.where(np.arange(len(r)) == 3, np.nan, r),
+        lambda r: np.where(np.arange(len(r)) == 3, np.inf, r),
+    ], ids=["short", "column", "negative", "nan", "inf"])
+    def test_bad_real_radii_rejected(self, damage):
+        real = np.random.default_rng(11).standard_normal((50, 2))
+        radii = damage(metrics.knn_radii_sq(real))
+        with pytest.raises(ValueError, match="real_radii_sq"):
+            knn_precision_recall(real, real + 0.1, real_radii_sq=radii)
+
+    @pytest.mark.parametrize("k, n", [(0, 10), (3, 3)])
+    def test_radii_need_k_below_the_point_count(self, k, n):
+        with pytest.raises(ValueError, match=f"more than k={k} points"):
+            metrics.knn_radii_sq(np.zeros((n, 2)), k)
+
     @pytest.mark.parametrize("k", [1, 3, 5])
     @pytest.mark.parametrize("gen_kind", ["collapsed", "realistic"])
     def test_matches_kd_tree_at_scale(self, gen_kind, k):
@@ -170,7 +196,7 @@ class TestKnnPrecisionRecall:
             _, nbr = cKDTree(support).query(support, k=k + 1)
             diff = support[nbr[:, k]] - support
             tree_radii = diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1]
-            radii = metrics._knn_radii_sq(support, k)
+            radii = metrics.knn_radii_sq(support, k)
             np.testing.assert_array_equal(radii, tree_radii)
             np.testing.assert_array_equal(
                 metrics._in_manifold(queries, support, radii),
@@ -192,7 +218,7 @@ class TestGridSearchDegenerateSets:
             tracemalloc.stop()
         assert (p, r) == (1.0, 1.0)
         assert peak < 3000 * 3000, peak  # 1/8 of that matrix's bytes
-        assert not metrics._knn_radii_sq(same, 3).any()
+        assert not metrics.knn_radii_sq(same, 3).any()
 
     def test_points_on_one_line(self):
         """Zero span on one axis: every point in one row of cells."""
@@ -236,7 +262,7 @@ class TestGridSearchDegenerateSets:
         gen = np.concatenate([real[::4], rng.standard_normal((150, 2))])
         assert_grid_search_exact(real, gen, k)
         if k == 1:
-            assert not metrics._knn_radii_sq(real, 1).any()
+            assert not metrics.knn_radii_sq(real, 1).any()
 
     def test_margin_covers_cell_rounding(self):
         """Two points (1 - 5.2e-11) h apart that floor((p - lo) / h) puts
@@ -298,6 +324,25 @@ class TestFrechet:
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             frechet_2d(np.zeros((2, 2)), np.zeros((10, 2)))
+
+    @pytest.mark.parametrize("name", ["real", "gen"])
+    def test_non_finite_rejected(self, name):
+        """A NaN row is refused, naming its set, rather than giving nan."""
+        sets = {"real": np.random.default_rng(7).standard_normal((50, 2)),
+                "gen": np.random.default_rng(8).standard_normal((50, 2))}
+        sets[name][5, 1] = np.nan
+        with pytest.raises(ValueError, match=f"{name} has 1 rows"):
+            frechet_2d(sets["real"], sets["gen"])
+
+    def test_points_of_another_dimension_rejected(self):
+        """The closed form is for 2x2 covariances: 3D sets are refused."""
+        rng = np.random.default_rng(9)
+        with pytest.raises(ValueError, match=r"real must have shape \(n, 2\)"):
+            frechet_2d(rng.standard_normal((50, 3)),
+                       rng.standard_normal((50, 3)))
+        with pytest.raises(ValueError, match=r"gen must have shape \(n, 2\)"):
+            frechet_2d(rng.standard_normal((50, 2)),
+                       rng.standard_normal((50, 3)))
 
 
 class TestModeShares:

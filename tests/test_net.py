@@ -101,6 +101,19 @@ class TestForward:
         with pytest.raises(ValueError):
             net_int.forward_batch(np.zeros((1, 2)), [0.5], None, [0], [-1])
 
+    @pytest.mark.parametrize("rows", [
+        (np.zeros((2, 2)), [0.5], None, [0, 0], [0, 0]),
+        (np.zeros((2, 1)), [0.5, 0.5], None, [0, 0], [0, 0]),
+        (np.zeros((2, 2)), [0.5, 0.5], None, [0], [0, 0]),
+        (np.zeros((2, 2)), [0.5, 0.5], None, [0, 0], [0]),
+        (np.zeros((2, 2)), [0.5, 0.5], [0.2], [0, 0], [0, 0]),
+    ], ids=["t", "x", "c", "k", "r"])
+    def test_row_counts_checked(self, rows):
+        """An input that would broadcast to the n rows of x is refused."""
+        net = VelocityNet(tiny_config(uses_interval=rows[2] is not None))
+        with pytest.raises(ValueError, match="must have shape"):
+            net.forward_batch(*rows)
+
     def test_initialized_output_layer_zero(self):
         net = VelocityNet.initialized(tiny_config(), seed=0)
         assert np.all(net.view("w_out") == 0.0)
@@ -150,6 +163,49 @@ class TestBatchInvariance:
             assert all(len(a) == BLOCK_ROWS for a in arrays)
 
 
+def shared_time_rows(rows, n, t=0.37, r=0.21):
+    """The first n of `rows` with every row at time t (and r)."""
+    x, _, r_rows, c, k = (None if a is None else a[:n] for a in rows)
+    return (x, np.full(n, t), None if r_rows is None else np.full(n, r), c,
+            k)
+
+
+class TestSharedTime:
+    """A pass whose rows all hold one t (and r), as every Euler step and
+    field pass does, encodes that time once; its bits are those of the
+    per-row encoding."""
+
+    @pytest.mark.parametrize("uses_interval", [False, True])
+    @pytest.mark.parametrize("n", [1, BLOCK_ROWS - 1, BLOCK_ROWS,
+                                   BLOCK_ROWS + 1, 5000])
+    def test_equals_rows_of_a_mixed_time_pass(self, uses_interval, n):
+        """The shared-time rows, null-class and k = -1 rows among them,
+        equal the same rows in a pass with one more row at other times."""
+        net, rows = TestBatchInvariance.wide_net_and_rows(uses_interval)
+        shared = shared_time_rows(rows, n)
+        assert np.any(shared[3] == net.config.null_class) or n < 10
+        assert np.any(shared[4] == -1) or n < 10
+        mixed = [None if a is None else np.concatenate([a, b[-1:]])
+                 for a, b in zip(shared, rows)]
+        assert mixed[1][-1] != mixed[1][0]
+        out = net.forward_batch(*shared)
+        assert np.array_equal(out, net.forward_batch(*mixed)[:n])
+
+    @pytest.mark.parametrize("uses_interval", [False, True])
+    def test_cached_time_columns_are_the_row_encoding(self, uses_interval):
+        """A cached pass's input features hold, in each time's columns, the
+        per-row encoding, whether the rows share their time or not."""
+        net, rows = TestBatchInvariance.wide_net_and_rows(uses_interval,
+                                                          n=BLOCK_ROWS + 1)
+        for batch in (rows, shared_time_rows(rows, BLOCK_ROWS + 1)):
+            _, (hs, _, _, _) = net.forward_batch(*batch, cache=True)
+            times = [s for s in batch[1:3] if s is not None]
+            for i, s in enumerate(times):
+                col = 2 + i * TIME_ENC_DIM
+                assert np.array_equal(hs[0][:, col:col + TIME_ENC_DIM],
+                                      net._time_enc(s))
+
+
 def _forward_in_child(conn, net, rows):
     out = net.forward_batch(*rows)
     conn.send((out, net_module._pool[0] == os.getpid()))
@@ -178,8 +234,12 @@ class TestParallelSweep:
                                                                 cache=True)
                     jvp_out, tangent, (jhs, jds, _, _) = net.jvp_batch(
                         *head, *tangents, cache=True)
+                    shared = shared_time_rows(head, n)
+                    shared_out = net.forward_batch(*shared)
+                    _, (shs, sds, _, _) = net.forward_batch(*shared,
+                                                            cache=True)
                     results.append([out, fwd_out, *hs, *ds, jvp_out, tangent,
-                                    *jhs, *jds])
+                                    *jhs, *jds, shared_out, *shs, *sds])
                 for other in results[1:]:
                     assert len(other) == len(results[0])
                     assert all(np.array_equal(a, b)
