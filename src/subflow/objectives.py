@@ -1,29 +1,25 @@
-"""Training losses and the training loop.
+"""Training losses and the training loop, one table entry per objective.
 
-Supported objectives:
+`OBJECTIVES` maps an objective's name to its `Objective`: whether a step
+draws an interval r <= t (and so trains a net that takes r as an input),
+and the name of its loss.  `train` calls the loss through that module
+attribute, so a tracer that swaps `cfm_loss` or `meanflow_loss` sees every
+call.  Both losses take (net, x0, x1, c, k, r, t), with r None for cfm,
+and supply only their net pass and target to one shared body,
+`_regression`: the checks, the path point, v = x1 - x0, the residual, the
+loss and `backward` on the pass's cache.
 
-* ``cfm`` — regress the net onto the per-pair velocity x1 - x0 of the linear
-  path (unconditional, class-conditional, or sub-mode-conditional).
-* ``meanflow`` — average-velocity regression for one-step generation.  The
-  net learns u(x_r, r, t): the average velocity over [r, t] given the state
-  at the interval start, so a sampler step x <- x + (t - r) * u consumes the
-  net exactly where it was trained.  With v = x1 - x0 the bootstrap target
-  is v + (t - r) * d/dr u_theta(x_r, r, t, .), the total derivative taken
-  along the path (a forward-mode jvp along (v, 1, 0) for (x, r, t)), and no
-  gradient flows through the target.
-
-The losses take the class and sub-mode indices the net actually sees.
-`train` resolves them once per step, in `_condition_inputs`, from the
-run's TrainConfig: classifier-free-guidance dropout replaces the class label
-with the null token with probability p_drop_class, and the sub-mode index is
-kept unless the drop-k ablation is enabled.  Optimization is plain Adam plus
-an EMA of the parameters, all deterministic for a fixed seed.
+The class and sub-mode indices the losses take are the ones the net sees:
+`train` resolves them once per step in `_condition_inputs` (class dropout
+to the null token with probability p_drop_class, the sub-mode index kept
+unless the drop-k ablation is on).  Optimization is plain Adam plus an EMA
+of the parameters, deterministic for a fixed seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -32,7 +28,14 @@ from .mixture import Dataset, MixtureSpec, dataset_arrays
 from .net import NetConfig, VelocityNet
 from .rng import stream
 
-OBJECTIVES = ("cfm", "meanflow")
+
+class Objective(NamedTuple):
+    interval: bool  # a step draws r <= t, and the net takes r as an input
+    loss: str  # the loss's attribute name in this module
+
+
+OBJECTIVES = {"cfm": Objective(interval=False, loss="cfm_loss"),
+              "meanflow": Objective(interval=True, loss="meanflow_loss")}
 CONDITIONINGS = ("uncond", "class", "subflow")
 
 ADAM_BETA1, ADAM_BETA2 = 0.9, 0.95  # Adam's moment decay rates
@@ -68,7 +71,7 @@ class TrainConfig:
 
     @property
     def uses_interval(self) -> bool:
-        return self.objective == "meanflow"
+        return OBJECTIVES[self.objective].interval
 
 
 @dataclass
@@ -106,63 +109,60 @@ def _condition_inputs(net: VelocityNet, c: np.ndarray, k: np.ndarray,
     return c_in, k_in
 
 
-def cfm_loss(net: VelocityNet, x0, x1, c, k, t):
-    """Flow-matching MSE loss and its parameter gradient.
-
-    loss = mean_i || net(x_t_i, t_i, c_i, k_i) - (x1_i - x0_i) ||^2, with
-    c and k the resolved inputs (null token and -1 already in place).
-    """
+def _regression(net: VelocityNet, x0, x1, c, k, r, t, net_pass):
+    """The body both losses share: mean_i || pred_i - target_i ||^2 at the
+    path point x_s, s = r (t when r is None), and its parameter gradient.
+    `net_pass(x_s, t, r_in, v)` returns (prediction, target, cache)."""
     x0 = np.asarray(x0, dtype=np.float64)
     x1 = np.asarray(x1, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
+    s = t if r is None else np.asarray(r, dtype=np.float64)
     if len(x0) == 0:
         raise ValueError("batch must be nonempty")
-    if np.any(t < 0.0) or np.any(t > 1.0):
-        raise ValueError("t must be in [0,1]")
-    x_t = (1.0 - t)[:, None] * x0 + t[:, None] * x1
+    if np.any(s > t):
+        raise ValueError("r must not exceed t")
+    if not np.all((s >= 0.0) & (t <= 1.0)):  # NaN fails too
+        raise ValueError("times must be in [0,1]")
+    x_s = (1.0 - s)[:, None] * x0 + s[:, None] * x1
     v = x1 - x0
-    # an interval net evaluated at r = t degenerates to the instantaneous field
-    r_in = t if net.config.uses_interval else None
-    pred, cache = net.forward_batch(x_t, t, r_in, c, k, cache=True)
-    resid = pred - v
+    # cfm on an interval net evaluates it at r = t: the instantaneous field
+    r_in = s if net.config.uses_interval else None
+    pred, target, cache = net_pass(x_s, t, r_in, v)
+    resid = pred - target
     loss = float(np.mean(np.sum(resid ** 2, axis=1)))
-    grad = net.backward(x_t, t, r_in, c, k, 2.0 * resid / len(x0), cache=cache)
+    grad = net.backward(x_s, t, r_in, c, k, 2.0 * resid / len(x0), cache=cache)
     return loss, grad
+
+
+def cfm_loss(net: VelocityNet, x0, x1, c, k, r, t):
+    """Flow-matching loss and gradient onto v = x1 - x0; r must be None."""
+    if r is not None:
+        raise ValueError("cfm_loss draws no interval: r must be None")
+
+    def net_pass(x_t, t, r_in, v):
+        pred, cache = net.forward_batch(x_t, t, r_in, c, k, cache=True)
+        return pred, v, cache
+    return _regression(net, x0, x1, c, k, None, t, net_pass)
 
 
 def meanflow_loss(net: VelocityNet, x0, x1, c, k, r, t):
-    """Average-velocity regression loss and gradient (r <= t per element).
+    """Average-velocity loss and gradient (r <= t per element).
 
-    Differentiating the defining identity (t - r) * u(x_r, r, t) =
-    integral of the instantaneous velocity over [r, t] with respect to r,
-    along the path, gives u = v + (t - r) * du/dr.  Regressing onto that
-    identity with the per-pair velocity standing in for v yields a
-    one-step-consistent average-velocity field; at r = t it reduces to the
-    plain flow-matching loss.  c and k are the resolved inputs.
+    The net learns u(x_r, r, t), the average velocity over [r, t], so a
+    sampler step x <- x + (t - r) * u uses it where it was trained.
+    Differentiating (t - r) * u = the integral of the velocity over [r, t]
+    in r, along the path, gives the target v + (t - r) * du/dr, with no
+    gradient through it; one jvp pass yields u, du/dr and the cache.
     """
     if not net.config.uses_interval:
         raise ValueError("meanflow_loss needs a net built with uses_interval")
-    x0 = np.asarray(x0, dtype=np.float64)
-    x1 = np.asarray(x1, dtype=np.float64)
-    r = np.asarray(r, dtype=np.float64)
-    t = np.asarray(t, dtype=np.float64)
-    if len(x0) == 0:
-        raise ValueError("batch must be nonempty")
-    if np.any(r > t):
-        raise ValueError("r must not exceed t")
-    if np.any(r < 0.0) or np.any(t > 1.0):
-        raise ValueError("times must be in [0,1]")
-    x_r = (1.0 - r)[:, None] * x0 + r[:, None] * x1
-    v = x1 - x0
-    # one pass yields the prediction, the path derivative and the cache
-    u, dudr, cache = net.jvp_batch(x_r, t, r, c, k, dx=v,
-                                   dt=np.zeros_like(t), dr=np.ones_like(r),
-                                   cache=True)
-    u_tgt = v + (t - r)[:, None] * dudr  # constant: no gradient through it
-    resid = u - u_tgt
-    loss = float(np.mean(np.sum(resid ** 2, axis=1)))
-    grad = net.backward(x_r, t, r, c, k, 2.0 * resid / len(x0), cache=cache)
-    return loss, grad
+
+    def net_pass(x_r, t, r, v):
+        u, dudr, cache = net.jvp_batch(x_r, t, r, c, k, dx=v,
+                                       dt=np.zeros_like(t),
+                                       dr=np.ones_like(r), cache=True)
+        return u, v + (t - r)[:, None] * dudr, cache
+    return _regression(net, x0, x1, c, k, r, t, net_pass)
 
 
 def draw_times(n: int, rt_equal_fraction: float, rng: np.random.Generator):
@@ -217,6 +217,7 @@ def train(dataset: Dataset, spec: MixtureSpec, cfg: TrainConfig,
         NetConfig(num_classes=spec.num_classes, num_submodes=num_submodes,
                   uses_interval=cfg.uses_interval), cfg.seed)
     state = TrainState.fresh(net)
+    loss_fn = globals()[OBJECTIVES[cfg.objective].loss]
     losses = np.zeros(cfg.steps)
     n = len(dataset)
     for step in range(cfg.steps):
@@ -225,15 +226,12 @@ def train(dataset: Dataset, spec: MixtureSpec, cfg: TrainConfig,
         rng = stream(cfg.seed, "train.step", step)
         idx = rng.integers(0, n, size=cfg.batch_size)
         x0 = spec.source_std * rng.standard_normal((cfg.batch_size, 2))
-        if cfg.objective == "meanflow":
+        if cfg.uses_interval:
             r, t = draw_times(cfg.batch_size, RT_EQUAL_FRACTION, rng)
         else:
-            t = rng.random(cfg.batch_size)
+            r, t = None, rng.random(cfg.batch_size)
         c, k = _condition_inputs(net, cs[idx], ks[idx], cfg, rng)
-        if cfg.objective == "meanflow":
-            loss, grad = meanflow_loss(net, x0, xs[idx], c, k, r, t)
-        else:
-            loss, grad = cfm_loss(net, x0, xs[idx], c, k, t)
+        loss, grad = loss_fn(net, x0, xs[idx], c, k, r, t)
         if not np.isfinite(loss):
             raise RuntimeError(
                 f"non-finite loss at step {step} "

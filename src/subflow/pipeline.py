@@ -230,6 +230,15 @@ def model_field_rmse(net, meta, cfg: ExperimentConfig) -> float | None:
 NFE_LADDER = (1, 2, 4, 8, 16, 32, 64, 128)
 
 
+def _scored_samples(sample: sampler.SampleConfig, nfe_list) -> list:
+    """`sample` at each NFE, for scoring: every NFE is checked, and the
+    count must exceed the k of the k-NN metrics."""
+    if sample.count <= metrics.KNN_K:
+        raise ValueError(f"[sample] count {sample.count} must exceed the "
+                         f"kNN k ({metrics.KNN_K}) to be scored")
+    return [dataclasses.replace(sample, nfe=nfe) for nfe in nfe_list]
+
+
 def evaluate_run(manifest_path, cfg: ExperimentConfig,
                  out_csv) -> metrics.MetricReport:
     """One report (and CSV row) at the config's NFE."""
@@ -241,8 +250,8 @@ def sweep_nfe(manifest_path, cfg: ExperimentConfig, out_csv,
     """One report (and CSV row) per NFE, with the sampling settings of
     `cfg`.  The run, the real set, the real set's k-NN radii and the field
     RMSE do not depend on the NFE, so they are computed once per call."""
-    # every NFE is checked before the first generation
-    samples = [dataclasses.replace(cfg.sample, nfe=nfe) for nfe in nfe_list]
+    # the sampling settings are checked before the run loads
+    samples = _scored_samples(cfg.sample, nfe_list)
     run_id = checked_manifest(manifest_path, cfg).run_id
     net, table, meta = load_run(manifest_path)
     real = real_set(cfg)
@@ -269,12 +278,12 @@ def run_grid(runs, nfe_list, out_csv) -> list:
     score it at every NFE with its own sampling settings: one CSV row per
     (row, NFE), all in `out_csv`.  Returns each row's list of reports.
 
-    Every NFE is checked against every row before the first training run,
-    so a rejected grid writes nothing and creates no directory.
+    Every row's sampling settings are checked at every NFE before the first
+    training run, so a rejected grid writes nothing and creates no
+    directory.
     """
     for _, cfg in runs:
-        for nfe in nfe_list:
-            dataclasses.replace(cfg.sample, nfe=nfe)
+        _scored_samples(cfg.sample, nfe_list)
     out_dir = Path(out_csv).parent
     grid = []
     for prefix, cfg in runs:

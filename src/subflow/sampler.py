@@ -101,21 +101,23 @@ def generate(net: VelocityNet, table: Optional[SubmodeTable], meta: dict,
              fixed_submode: int = -1) -> GenerationBatch:
     """Generate `sample.count` samples for one class.
 
-    `conditioning` and `source_std` come from the checkpoint's `meta`; only
-    subflow runs read the sub-mode strategy and `fixed_submode`, which
-    overrides the strategy when it is not -1.  The noise
-    and the sub-modes come from one stream each, keyed by (seed, purpose):
-    sample i takes the i-th draw of each, so each sample index gets the
-    same draws at any count.
+    `conditioning` and `source_std` come from the checkpoint's `meta`.
+    `class_id` must be one of the net's classes on every run; an uncond run
+    feeds the null token instead.  Only subflow runs read the sub-mode
+    strategy and accept a `fixed_submode` other than -1, which overrides
+    the strategy.  The noise and the sub-modes come from one stream each,
+    keyed by (seed, purpose): sample i takes the i-th draw of each, so each
+    sample index gets the same draws at any count.
     """
     n = sample.count
     conditioning = meta["conditioning"]
-    if conditioning == "uncond":
-        cs = np.full(n, net.config.null_class, dtype=np.int64)
-    else:
-        if not 0 <= class_id < net.config.num_classes:
-            raise ValueError(f"class {class_id} out of range")
-        cs = np.full(n, class_id, dtype=np.int64)
+    if not 0 <= class_id < net.config.num_classes:
+        raise ValueError(f"class {class_id} out of range")
+    if fixed_submode != -1 and conditioning != "subflow":
+        raise ValueError(f"fixed submode {fixed_submode}: a {conditioning} "
+                         f"run is not conditioned on a sub-mode")
+    cs = np.full(n, net.config.null_class if conditioning == "uncond"
+                 else class_id, dtype=np.int64)
     if conditioning == "subflow":
         if table is None:
             raise ValueError("subflow generation needs a SubmodeTable")

@@ -3,7 +3,8 @@
 `perfbench/tracing.py` lists every (owner, attribute) it replaces while a
 traced run is measured.  Renaming or deleting one of them breaks only
 `perfbench/run.py --trace 1`, so this test reads that list and checks each
-name against the program.  The benchmark's own code calls subflow module
+name against the program, and that a traced training run records every
+step's loss under its name.  The benchmark's own code calls subflow module
 functions with fixed arguments; each such call must still bind to the
 function's signature.  The tests read perfbench/ by path and change nothing
 there.
@@ -17,6 +18,7 @@ import sys
 
 import pytest
 
+from subflow import mixture, objectives
 from support import ROOT
 
 
@@ -33,7 +35,8 @@ def _load_tracing():
     return module
 
 
-TRACED = _load_tracing().traced_functions()
+TRACING = _load_tracing()
+TRACED = TRACING.traced_functions()
 
 
 @pytest.mark.parametrize("name, owner, attr, counts", TRACED,
@@ -65,6 +68,22 @@ def test_knn_keeps_its_sets_first():
     from subflow.metrics import knn_precision_recall
     params = list(inspect.signature(knn_precision_recall).parameters)
     assert params[:2] == ["real", "gen"]
+
+
+@pytest.mark.parametrize("objective", list(objectives.OBJECTIVES))
+def test_traced_training_times_every_loss(objective):
+    """`train` reaches its loss through the module attribute the tracer
+    swaps, so a traced run records one loss span per step: a table that
+    held the loss functions themselves would record none."""
+    spec = mixture.toy_spec()
+    data = mixture.sample_dataset(spec, 200, 0)
+    cfg = objectives.TrainConfig(objective=objective, steps=2, batch_size=32)
+    with TRACING.Tracer() as tracer:
+        objectives.train(data, spec, cfg)
+    names = [span.name for span in tracer.spans]
+    for other in objectives.OBJECTIVES:
+        assert names.count(f"objectives.{other}_loss") == (
+            cfg.steps if other == objective else 0), other
 
 
 def _perfbench_calls():

@@ -866,6 +866,21 @@ class TestCli:
                    "--class-id", "0", "--count", "0"])
         assert rc == EXIT_VALIDATION
 
+    def test_unscorable_count_rejected_before_loading(self, trained_dir,
+                                                      tmp_path, capsys):
+        """An evaluate count the k-NN metrics cannot use exits 1 naming the
+        setting before the run loads: here its manifest does not exist.
+        One more sample scores."""
+        cfg_path, _, manifest = trained_dir
+        argv = ["evaluate", "--config", str(cfg_path), "--out",
+                str(tmp_path / "out"), "--count"]
+        missing = ["--manifest", str(tmp_path / "missing.manifest.json")]
+        assert main([*argv, str(metrics.KNN_K), *missing]) == EXIT_VALIDATION
+        assert (f"error: [sample] count {metrics.KNN_K} must exceed"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+        assert main([*argv, str(metrics.KNN_K + 1), "--manifest",
+                     str(manifest)]) == EXIT_OK
 
 GRID_CONFIG = (TINY_CONFIG.replace("steps = 60", "steps = 20")
                .replace("count = 200", "count = 300"))
@@ -953,4 +968,16 @@ class TestRunGrid:
         with pytest.raises(ValueError, match="nfe must be >= 1"):
             pipeline.run_grid(_grid_rows(parse_config(GRID_CONFIG)), [1, 0],
                               out_csv)
+        assert not out_csv.parent.exists()
+
+    def test_unscorable_count_creates_nothing(self, tmp_path):
+        """A row whose [sample] count the k-NN metrics cannot use stops the
+        grid before the first training run."""
+        rows = _grid_rows(parse_config(GRID_CONFIG))
+        prefix, cfg = rows[-1]
+        sample = dataclasses.replace(cfg.sample, count=metrics.KNN_K)
+        rows[-1] = (prefix, dataclasses.replace(cfg, sample=sample))
+        out_csv = tmp_path / "grid" / "g.csv"
+        with pytest.raises(ValueError, match=r"\[sample\] count 3 must"):
+            pipeline.run_grid(rows, [1], out_csv)
         assert not out_csv.parent.exists()

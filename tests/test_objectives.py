@@ -52,6 +52,15 @@ class TestTrainConfig:
         assert not TrainConfig(objective="cfm").uses_interval
         assert TrainConfig(objective="meanflow").uses_interval
 
+    @pytest.mark.parametrize("objective", list(objectives.OBJECTIVES))
+    def test_entry_interval_is_the_trained_nets(self, objective):
+        """An entry's interval flag is what the net `train` builds takes."""
+        spec = mixture.toy_spec()
+        state, _ = train(mixture.sample_dataset(spec, 50, 0), spec,
+                         TrainConfig(objective=objective, steps=0))
+        assert (state.net.config.uses_interval
+                == objectives.OBJECTIVES[objective].interval)
+
 
 class TestCfgDropout:
     """Class dropout as training applies it, in _condition_inputs."""
@@ -88,7 +97,8 @@ class TestCfgDropout:
 class TestCfmLoss:
     def test_zero_net_single_pair(self):
         net = VelocityNet(NetConfig(num_classes=2, num_submodes=2))
-        loss, _ = cfm_loss(net, [[0.0, 0.0]], [[3.0, 4.0]], [0], [-1], [0.5])
+        loss, _ = cfm_loss(net, [[0.0, 0.0]], [[3.0, 4.0]], [0], [-1], None,
+                           [0.5])
         assert loss == pytest.approx(25.0)
 
     def test_exact_net_zero_loss(self):
@@ -96,7 +106,8 @@ class TestCfmLoss:
         net = constant_net([2.0, -1.0])
         x0 = np.array([[1.0, 1.0], [0.0, 3.0]])
         x1 = x0 + np.array([2.0, -1.0])
-        loss, grad = cfm_loss(net, x0, x1, [0, 1], [-1, -1], [0.2, 0.9])
+        loss, grad = cfm_loss(net, x0, x1, [0, 1], [-1, -1], None,
+                              [0.2, 0.9])
         assert loss == pytest.approx(0.0, abs=1e-24)
         np.testing.assert_allclose(grad, 0.0, atol=1e-12)
 
@@ -108,7 +119,7 @@ class TestCfmLoss:
         t = np.array([0.3, 0.7])
         c = np.array([0, 1])
         k = np.array([-1, -1])
-        loss, _ = cfm_loss(net, x0, x1, c, k, t)
+        loss, _ = cfm_loss(net, x0, x1, c, k, None, t)
         xt = (1 - t)[:, None] * x0 + t[:, None] * x1
         preds = np.concatenate([
             net.forward_batch(xt[i:i + 1], t[i:i + 1], None, c[i:i + 1],
@@ -124,13 +135,13 @@ class TestCfmLoss:
         t = rng.uniform(0, 1, 5)
         c = rng.integers(0, 2, 5)
         k = rng.integers(0, 2, 5)
-        _, grad = cfm_loss(net, x0, x1, c, k, t)
+        _, grad = cfm_loss(net, x0, x1, c, k, None, t)
         eps = 1e-6
         for i in rng.choice(net.num_params, size=25, replace=False):
             net.params[i] += eps
-            up, _ = cfm_loss(net, x0, x1, c, k, t)
+            up, _ = cfm_loss(net, x0, x1, c, k, None, t)
             net.params[i] -= 2 * eps
-            dn, _ = cfm_loss(net, x0, x1, c, k, t)
+            dn, _ = cfm_loss(net, x0, x1, c, k, None, t)
             net.params[i] += eps
             fd = (up - dn) / (2 * eps)
             denom = max(abs(fd), abs(grad[i]), 1e-8)
@@ -144,9 +155,10 @@ class TestCfmLoss:
         t = rng.uniform(0, 1, 8)
         c = rng.integers(0, 2, 8)
         k = np.full(8, -1)
-        loss_a, _ = cfm_loss(net, x0, x1, c, k, t)
+        loss_a, _ = cfm_loss(net, x0, x1, c, k, None, t)
         perm = rng.permutation(8)
-        loss_b, _ = cfm_loss(net, x0[perm], x1[perm], c[perm], k[perm], t[perm])
+        loss_b, _ = cfm_loss(net, x0[perm], x1[perm], c[perm], k[perm],
+                             None, t[perm])
         assert loss_a == pytest.approx(loss_b, rel=1e-12)
 
     def test_submode_labels_change_loss(self):
@@ -157,8 +169,8 @@ class TestCfmLoss:
         t = np.full(4, 0.5)
         c = np.array([0, 0, 1, 1])
         k = np.array([0, 1, 0, 1])
-        loss_a, _ = cfm_loss(net, x0, x1, c, k, t)
-        loss_b, _ = cfm_loss(net, x0, x1, c, k[::-1].copy(), t)
+        loss_a, _ = cfm_loss(net, x0, x1, c, k, None, t)
+        loss_b, _ = cfm_loss(net, x0, x1, c, k[::-1].copy(), None, t)
         assert abs(loss_a - loss_b) > 1e-8
 
     def test_subflow_requires_labels(self):
@@ -171,7 +183,14 @@ class TestCfmLoss:
     def test_empty_batch_rejected(self):
         net = small_net()
         with pytest.raises(ValueError):
-            cfm_loss(net, np.zeros((0, 2)), np.zeros((0, 2)), [], [], [])
+            cfm_loss(net, np.zeros((0, 2)), np.zeros((0, 2)), [], [], None,
+                     [])
+
+    def test_interval_rejected(self):
+        """cfm draws no interval: an r is a caller's mistake, not ignored."""
+        with pytest.raises(ValueError, match="r must be None"):
+            cfm_loss(small_net(uses_interval=True), [[0, 0]], [[1, 1]], [0],
+                     [-1], [0.2], [0.5])
 
 
 class TestMeanflowLoss:
@@ -189,7 +208,7 @@ class TestMeanflowLoss:
         c = rng.integers(0, 2, 6)
         k = np.full(6, -1)
         loss_mf, grad_mf = meanflow_loss(net, x0, x1, c, k, t, t)
-        loss_cfm, grad_cfm = cfm_loss(net, x0, x1, c, k, t)
+        loss_cfm, grad_cfm = cfm_loss(net, x0, x1, c, k, None, t)
         assert loss_mf == pytest.approx(loss_cfm, rel=1e-12)
         np.testing.assert_allclose(grad_mf, grad_cfm, atol=1e-12)
 
@@ -266,6 +285,16 @@ class TestMeanflowLoss:
             denom = max(abs(fd), abs(grad[i]), 1e-8)
             assert abs(grad[i] - fd) / denom < 1e-4
 
+    @pytest.mark.parametrize("r, t", [(None, np.nan), (np.nan, 0.5),
+                                      (-0.1, 0.5), (0.5, 1.5)])
+    def test_times_outside_unit_interval_rejected(self, r, t):
+        """Both losses share the time checks; a NaN time fails them too."""
+        net = small_net(uses_interval=True)
+        loss = cfm_loss if r is None else meanflow_loss
+        with pytest.raises(ValueError, match=r"times must be in \[0,1\]"):
+            loss(net, [[0, 0]], [[1, 1]], [0], [-1],
+                 None if r is None else [r], [t])
+
     def test_r_greater_than_t_rejected(self):
         net = small_net(uses_interval=True)
         with pytest.raises(ValueError, match="r must not exceed"):
@@ -319,7 +348,7 @@ class TestFusedPass:
         if objective == "meanflow":
             loss, grad = meanflow_loss(net, x0, x1, c_in, k_in, r, t)
         else:
-            loss, grad = cfm_loss(net, x0, x1, c_in, k_in, t)
+            loss, grad = cfm_loss(net, x0, x1, c_in, k_in, None, t)
         ref_loss, ref_grad = three_pass_loss(net, objective, x0, x1, c_in,
                                              k_in, r, t)
         assert loss == ref_loss
@@ -431,7 +460,7 @@ class TestTrainLoop:
             if objective == "meanflow":
                 loss, grad = meanflow_loss(net, x0, xs[idx], c, k, r, t)
             else:
-                loss, grad = cfm_loss(net, x0, xs[idx], c, k, t)
+                loss, grad = cfm_loss(net, x0, xs[idx], c, k, None, t)
             adam_update(ref, grad, cfg)
             assert loss == losses[step]
         # class dropout, and a sub-mode slot left empty, were exercised

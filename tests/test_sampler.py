@@ -218,21 +218,30 @@ class TestGenerate:
         np.testing.assert_array_equal(a.submode_ids, b.submode_ids)
 
     def test_class_conditioning_without_table(self):
-        """A class run needs no table and ignores the sub-mode strategy and
-        the fixed sub-mode."""
+        """A class run needs no table and ignores the sub-mode strategy."""
         net = tiny_net()
         batch = generate(net, None, meta("class"),
                          SampleConfig(count=4, submode_strategy="uniform"), 0,
-                         0, fixed_submode=1)
+                         0)
         assert np.all(batch.submode_ids == -1)
         assert np.all(batch.class_ids == 0)
+
+    @pytest.mark.parametrize("conditioning", ["uncond", "class"])
+    @pytest.mark.parametrize("fixed", [1, 7])
+    def test_fixed_submode_needs_subflow(self, conditioning, fixed):
+        """Only a subflow run is conditioned on a sub-mode: elsewhere a
+        fixed sub-mode is rejected, not ignored."""
+        with pytest.raises(ValueError, match=f"fixed submode {fixed}: a "
+                           f"{conditioning} run"):
+            generate(tiny_net(), toy_table(), meta(conditioning),
+                     SampleConfig(count=4), 0, 0, fixed_submode=fixed)
 
     def test_subflow_without_table_rejected(self):
         net = tiny_net()
         with pytest.raises(ValueError):
             generate(net, None, meta(), SampleConfig(count=4), 0, 0)
 
-    @pytest.mark.parametrize("conditioning", ["class", "subflow"])
+    @pytest.mark.parametrize("conditioning", ["uncond", "class", "subflow"])
     def test_class_out_of_range(self, conditioning):
         net = tiny_net()
         with pytest.raises(ValueError, match="class 7 out of range"):

@@ -1,6 +1,8 @@
-"""Smoke tests for scripts/: each script runs as its own process on a tiny
-config and writes its CSVs, one row per panel, NFE or model."""
+"""Smoke tests for scripts/: each experiment script runs as its own process
+on a tiny config and writes its CSVs, one row per panel, NFE or model;
+train_digests.py is imported and checked for one invariant."""
 
+import importlib.util
 import subprocess
 import sys
 
@@ -50,3 +52,17 @@ def test_script_checks_its_list_before_training(tmp_path, script, flags,
         cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert done.returncode == 2 and match in done.stderr, done.stderr
     assert not out.exists()
+
+
+def test_train_digests_ignore_submode_dropout_without_subflow():
+    """scripts/train_digests.py digests a run by its key; a class run never
+    sees a sub-mode, so its sub-mode dropout leaves the bits alone on any
+    BLAS."""
+    spec = importlib.util.spec_from_file_location(
+        "train_digests", ROOT / "scripts" / "train_digests.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert "cfm/class/0.3" in module.KEYS
+    first, second = (module.digest(f"cfm/class/{p}")
+                     for p in module.P_DROP_SUBMODE)
+    assert first == second and len(first) == 16
