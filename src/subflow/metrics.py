@@ -15,6 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import net
 from .mixture import MixtureSpec
 
 
@@ -31,8 +32,9 @@ class MetricReport:
 
 KNN_K = 3  # the k of the k-NN manifolds behind precision and recall
 
-# Upper bound on the padded (query, candidate) pairs of one batch.
-_PAIR_BUDGET = 1 << 16
+# Upper bound on the padded (query, candidate) pairs of one batch; the
+# precision and recall lanes (see two_lanes) together hold two batches.
+_PAIR_BUDGET = 1 << 14
 
 
 def _pairwise_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -52,16 +54,22 @@ def _check_points(name: str, points) -> np.ndarray:
     return points
 
 
-def _frame(*sets: np.ndarray) -> tuple[np.ndarray, float, float]:
+def _frame(name: str, *sets: np.ndarray) -> tuple[np.ndarray, float, float]:
     """Anchor, span and starting cell side shared by the grids of a search.
 
     The start is 2^-12 of the extent of the central 98 % of the points, so
     a far outlier does not coarsen the grid of the rest, but at least 2^-24
-    of the span, which keeps cell keys far inside int64.
+    of the span, which keeps cell keys far inside int64.  A search squares
+    distances up to 2 span^2 and cell sides below 2 span, so a span whose
+    square times 4 overflows float64 raises a ValueError naming the sets.
     """
     pts = np.concatenate(sets)
     lo = pts.min(axis=0)
-    span = float(np.max(pts.max(axis=0) - lo))
+    with np.errstate(over="ignore"):
+        span = float(np.max(pts.max(axis=0) - lo))
+    if not np.isfinite(4.0 * span * span):
+        raise ValueError(f"{name} span {span:g}: squared distances "
+                         f"overflow float64")
     q_lo, q_hi = np.percentile(pts, [1.0, 99.0], axis=0)
     h = max(float(np.max(q_hi - q_lo)) * 2.0 ** -12, span * 2.0 ** -24)
     return lo, span, (h if h > 0.0 else 1.0)
@@ -136,11 +144,12 @@ class _Grid:
 def knn_radii_sq(points: np.ndarray, k: int = KNN_K) -> np.ndarray:
     """Squared distance from each point to its k-th nearest neighbor (self
     excluded).  A row is final once its block holds its k-th neighbour
-    within reach; the others try again with cells twice as wide."""
+    within reach, or every point once h reaches the span; the others try
+    again with cells twice as wide."""
     points = _check_points("points", points)
     if not 1 <= k < len(points):
         raise ValueError(f"need k >= 1 and more than k={k} points")
-    lo, span, h = _frame(points)
+    lo, span, h = _frame("points", points)
     radii = np.empty(len(points))
     todo = np.arange(len(points))
     while len(todo):
@@ -151,7 +160,7 @@ def knn_radii_sq(points: np.ndarray, k: int = KNN_K) -> np.ndarray:
             # k-th neighbour
             if d2.shape[1] > k:
                 kth[rows] = np.partition(d2, k, axis=1)[:, k]
-        done = kth <= _reach_sq(span, h)
+        done = (kth <= _reach_sq(span, h)) | (h >= span)
         radii[todo[done]] = kth[done]
         todo = todo[~done]
         h *= 2.0
@@ -159,16 +168,18 @@ def knn_radii_sq(points: np.ndarray, k: int = KNN_K) -> np.ndarray:
 
 
 def _in_manifold(queries: np.ndarray, support: np.ndarray,
-                 radii_sq: np.ndarray) -> np.ndarray:
+                 radii_sq: np.ndarray, frame) -> np.ndarray:
     """Whether each query lies in some ball support[j] of squared radius
     radii_sq[j].  Balls are visited in levels of doubling cell side h; a
     ball within reach of h can only hold queries whose block contains its
-    centre."""
-    lo, span, h = _frame(queries, support)
+    centre.  Once h reaches the span, every block holds every centre, so
+    the remaining balls form the last level, however large their radii.
+    `frame` is `_frame` of both sets, in either order."""
+    lo, span, h = frame
     hits = np.zeros(len(queries), dtype=bool)
     balls = np.arange(len(support))
     while len(balls) and not hits.all():
-        level = radii_sq[balls] <= _reach_sq(span, h)
+        level = (radii_sq[balls] <= _reach_sq(span, h)) | (h >= span)
         if level.any():
             grid = _Grid(support[balls[level]], lo, span, h)
             r2 = np.append(radii_sq[balls[level]][grid.order], -np.inf)
@@ -180,12 +191,31 @@ def _in_manifold(queries: np.ndarray, support: np.ndarray,
     return hits
 
 
+def two_lanes(side: Callable, main: Callable) -> tuple:
+    """(side(), main()): side on the k-NN helper thread while the caller
+    runs main where net.SWEEP_WORKERS > 1 (read at call time), else both
+    inline, side first; side's exception wins over main's either way.  The
+    helper is not in the sweep's pool, so main's net passes never queue
+    behind it.  side must call nothing perfbench traces (its tracer keeps
+    one stack of spans) and no two_lanes (the helper would wait on itself).
+    """
+    if net.SWEEP_WORKERS < 2:
+        return side(), main()
+    future = net._executor(1, "knn").submit(side)
+    try:
+        main_result = main()
+    finally:
+        side_result = future.result()
+    return side_result, main_result
+
+
 def knn_precision_recall(real: np.ndarray, gen: np.ndarray, k: int = KNN_K,
                          real_radii_sq=None) -> tuple[float, float]:
     """k-NN manifold precision and recall between two point sets.
 
     `real_radii_sq` is `knn_radii_sq(real, k)` when the caller already has
     it, as a sweep scoring many generated sets against one real set does.
+    Precision and recall share nothing, so they run as two lanes.
     """
     real = _check_points("real", real)
     gen = _check_points("gen", gen)
@@ -193,21 +223,20 @@ def knn_precision_recall(real: np.ndarray, gen: np.ndarray, k: int = KNN_K,
         raise ValueError(f"k must be >= 1, got {k}")
     if len(real) <= k or len(gen) <= k:
         raise ValueError(f"need more than k={k} points per set")
-    span = float(np.max(np.ptp(np.concatenate([real, gen]), axis=0)))
-    if not np.isfinite(span * span):
-        raise ValueError(f"real and gen span {span:g}: squared distances "
-                         f"overflow float64")
-    if real_radii_sq is None:
-        real_radii_sq = knn_radii_sq(real, k)
-    else:
+    frame = _frame("real and gen", real, gen)
+    if real_radii_sq is not None:
         real_radii_sq = np.asarray(real_radii_sq, dtype=np.float64)
         if real_radii_sq.shape != (len(real),) or not np.all(
                 np.isfinite(real_radii_sq) & (real_radii_sq >= 0.0)):
             raise ValueError(f"real_radii_sq must hold {len(real)} finite "
                              f"values >= 0, got shape {real_radii_sq.shape}")
-    precision = float(np.mean(_in_manifold(gen, real, real_radii_sq)))
-    recall = float(np.mean(_in_manifold(real, gen, knn_radii_sq(gen, k))))
-    return precision, recall
+
+    def share(queries, support, radii):
+        radii = knn_radii_sq(support, k) if radii is None else radii
+        return float(np.mean(_in_manifold(queries, support, radii, frame)))
+
+    return two_lanes(lambda: share(gen, real, real_radii_sq),
+                     lambda: share(real, gen, None))
 
 
 def _moments(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

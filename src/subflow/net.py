@@ -50,21 +50,22 @@ elif hasattr(os, "sched_getaffinity"):  # not on macOS or Windows
 else:
     SWEEP_WORKERS = os.cpu_count() or 1
 
-# (pid, threads, executor): the sweep's helper threads, created on first use
+# name -> (pid, threads, executor): helper threads, created on first use
 # and again in a forked child, which inherits the executor but not its threads
-_pool = None
+_pools = {}
 _pool_lock = threading.Lock()
 
 
-def _executor(threads: int) -> ThreadPoolExecutor:
-    global _pool
+def _executor(threads: int, name: str = "sweep") -> ThreadPoolExecutor:
+    """The process's pool `name` of `threads` helper threads."""
     with _pool_lock:
-        if _pool is None or _pool[:2] != (os.getpid(), threads):
-            if _pool is not None and _pool[0] == os.getpid():
-                _pool[2].shutdown(wait=False)
-            _pool = (os.getpid(), threads, ThreadPoolExecutor(
-                threads, thread_name_prefix="subflow-sweep"))
-        return _pool[2]
+        pool = _pools.get(name)
+        if pool is None or pool[:2] != (os.getpid(), threads):
+            if pool is not None and pool[0] == os.getpid():
+                pool[2].shutdown(wait=False)
+            pool = _pools[name] = (os.getpid(), threads, ThreadPoolExecutor(
+                threads, thread_name_prefix=f"subflow-{name}"))
+        return pool[2]
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from subflow import cli, io, metrics, mixture, pipeline
+from subflow import net as net_module
 from subflow.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 from subflow.config import (ConfigError, ExperimentConfig, emit_config,
                             load_config, parse_config)
@@ -623,6 +624,10 @@ class TestCli:
         assert "mode_tv=" in capsys.readouterr().out
         assert (out / "metrics.csv").exists()
 
+    # the net's passes overflow on purpose, on every worker thread
+    @pytest.mark.filterwarnings(
+        "ignore:overflow encountered in matmul:RuntimeWarning",
+        "ignore:invalid value encountered in multiply:RuntimeWarning")
     def test_evaluate_rejects_non_finite_samples(self, trained_dir,
                                                  tmp_path, capsys):
         """A checkpoint whose weights are finite but near the float64 limit
@@ -635,10 +640,9 @@ class TestCli:
 
         manifest, _ = _run_with_damaged(trained_dir, tmp_path, "checkpoint",
                                         scale)
-        with np.errstate(over="ignore", invalid="ignore"):
-            rc = main(["evaluate", "--config", str(trained_dir[0]),
-                       "--out", str(tmp_path / "eval"),
-                       "--manifest", str(manifest), "--count", "200"])
+        rc = main(["evaluate", "--config", str(trained_dir[0]),
+                   "--out", str(tmp_path / "eval"),
+                   "--manifest", str(manifest), "--count", "200"])
         assert rc == EXIT_VALIDATION
         assert "error: gen has" in capsys.readouterr().err
 
@@ -727,20 +731,36 @@ class TestCli:
     def test_sweep_computes_the_real_radii_once(self, trained_dir, tmp_path,
                                                monkeypatch):
         """Over three NFEs the sweep finds k-NN radii four times: the real
-        set's once, then each generated set's."""
+        set's once, then each generated set's, with the k-NN lanes inline
+        and on the helper thread."""
         cfg_path, _, manifest = trained_dir
         cfg = load_config(cfg_path)
-        sizes = []
         radii_sq = metrics.knn_radii_sq
+        for workers in (1, 2):
+            monkeypatch.setattr(net_module, "SWEEP_WORKERS", workers)
+            sizes = []
 
-        def counted(points, *args, **kwargs):
-            sizes.append(len(points))
-            return radii_sq(points, *args, **kwargs)
+            def counted(points, *args, **kwargs):
+                sizes.append(len(points))
+                return radii_sq(points, *args, **kwargs)
 
-        monkeypatch.setattr(metrics, "knn_radii_sq", counted)
-        pipeline.sweep_nfe(manifest, cfg, tmp_path / "sweep.csv",
-                           nfe_list=(1, 2, 4))
-        assert sizes == [cfg.metrics.n_real] + [cfg.sample.count] * 3
+            monkeypatch.setattr(metrics, "knn_radii_sq", counted)
+            pipeline.sweep_nfe(manifest, cfg, tmp_path / f"{workers}.csv",
+                               nfe_list=(1, 2, 4))
+            assert sizes == [cfg.metrics.n_real] + [cfg.sample.count] * 3
+
+    def test_sweep_csv_independent_of_worker_count(self, trained_dir,
+                                                   tmp_path, monkeypatch):
+        """The sweep writes the same bytes with its lanes (and the net's
+        blocks) on one worker and on two."""
+        cfg_path, _, manifest = trained_dir
+        cfg = load_config(cfg_path)
+        for workers in (1, 2):
+            monkeypatch.setattr(net_module, "SWEEP_WORKERS", workers)
+            pipeline.sweep_nfe(manifest, cfg, tmp_path / f"{workers}.csv",
+                               nfe_list=(1, 2))
+        assert ((tmp_path / "1.csv").read_bytes()
+                == (tmp_path / "2.csv").read_bytes())
 
     @pytest.mark.parametrize("mixture", [
         "[mixture]\nsource_std = 0.5\n",

@@ -7,6 +7,9 @@ to scipy's k-d tree; frechet_2d to an eigendecomposition-based matrix
 square root.
 """
 
+import multiprocessing
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -15,7 +18,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
 
-from subflow import io, metrics
+from subflow import io, metrics, net
 from subflow.metrics import (field_rmse, frechet_2d, knn_precision_recall,
                              mode_shares)
 from subflow.mixture import (MixtureComponent, MixtureSpec, sample_dataset,
@@ -63,16 +66,47 @@ def brute_hits(queries, support, radii_sq):
                            for lo in range(0, len(queries), 500)])
 
 
-def assert_grid_search_exact(real, gen, k):
-    """Radii, hit masks, precision and recall equal the brute force."""
+def lanes_agree(monkeypatch, *args, **kwargs):
+    """knn_precision_recall(*args, **kwargs), checked to give the same
+    result, and radii and hit masks of the same bits, with both lanes
+    inline (net.SWEEP_WORKERS = 1) and with the precision lane on the
+    helper thread (2)."""
+    runs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(net, "SWEEP_WORKERS", workers)
+        outputs, threads = [], set()
+
+        def recorded(fn):
+            def wrapper(*a, **kw):
+                out = fn(*a, **kw)
+                outputs.append(out.tobytes())
+                threads.add(threading.current_thread().name)
+                return out
+            return wrapper
+
+        with monkeypatch.context() as m:
+            for name in ("knn_radii_sq", "_in_manifold"):
+                m.setattr(metrics, name, recorded(getattr(metrics, name)))
+            result = knn_precision_recall(*args, **kwargs)
+        helper = any(t.startswith("subflow-knn") for t in threads)
+        assert helper == (workers == 2), threads
+        runs.append((result, sorted(outputs)))
+    assert runs[0] == runs[1]
+    return runs[0][0]
+
+
+def assert_grid_search_exact(real, gen, k, monkeypatch):
+    """Radii, hit masks, precision and recall equal the brute force, with
+    the lanes inline and on the helper thread."""
     hits = []
     for support, queries in ((real, gen), (gen, real)):
         radii = metrics.knn_radii_sq(support, k)
         np.testing.assert_array_equal(radii, brute_radii_sq(support, k))
-        hit = metrics._in_manifold(queries, support, radii)
+        hit = metrics._in_manifold(queries, support, radii,
+                                   metrics._frame("sets", real, gen))
         np.testing.assert_array_equal(hit, brute_hits(queries, support, radii))
         hits.append(float(np.mean(hit)))
-    assert knn_precision_recall(real, gen, k) == tuple(hits)
+    assert lanes_agree(monkeypatch, real, gen, k) == tuple(hits)
 
 
 def spectral_frechet(real, gen):
@@ -152,15 +186,15 @@ class TestKnnPrecisionRecall:
         with pytest.raises(ValueError, match=r"gen must have shape \(n, 2\)"):
             knn_precision_recall(np.zeros((10, 2)), np.zeros(shape), k=3)
 
-    def test_given_real_radii_equal_the_default(self):
+    def test_given_real_radii_equal_the_default(self, monkeypatch):
         """Radii a caller computed once give the default call's answer."""
         rng = np.random.default_rng(10)
         real = rng.standard_normal((800, 2))
         gen = 1.2 * rng.standard_normal((700, 2)) + 0.3
         for k in (1, 3):
             radii = metrics.knn_radii_sq(real, k)
-            assert (knn_precision_recall(real, gen, k, real_radii_sq=radii)
-                    == knn_precision_recall(real, gen, k))
+            assert (lanes_agree(monkeypatch, real, gen, k, real_radii_sq=radii)
+                    == lanes_agree(monkeypatch, real, gen, k))
 
     @pytest.mark.parametrize("damage", [
         lambda r: r[:-1], lambda r: r[:, None], lambda r: r - 1.0,
@@ -178,12 +212,40 @@ class TestKnnPrecisionRecall:
         with pytest.raises(ValueError, match=f"more than k={k} points"):
             metrics.knn_radii_sq(np.zeros((n, 2)), k)
 
+    @pytest.mark.parametrize("call, name", [
+        (lambda pts: metrics.knn_radii_sq(pts), "points"),
+        (lambda pts: knn_precision_recall(pts, pts), "real and gen"),
+        (lambda pts: knn_precision_recall(pts, pts,
+                                          real_radii_sq=np.ones(len(pts))),
+         "real and gen"),
+    ], ids=["radii", "precision_recall", "given_radii"])
+    @pytest.mark.parametrize("half", [6e153, 1e200, 1e308])
+    def test_overflowing_span_rejected(self, call, name, half):
+        """A span whose squared distances overflow float64, or itself does,
+        raises the same ValueError naming the set, whoever searches it (a
+        bare OverflowError once squared cell sides overflowed)."""
+        pts = half * np.array([[-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0],
+                               [1.0, 1.0], [0.0, 0.5]])
+        with pytest.raises(ValueError,
+                           match=f"{name} span .*overflow float64"):
+            call(pts)
+
+    def test_given_radii_beyond_the_span(self, monkeypatch):
+        """Given radii may exceed every distance by far: once cells are as
+        wide as the span, all remaining balls form one last level, and the
+        cell side never squares past float64."""
+        real = np.random.default_rng(14).standard_normal((50, 2))
+        for r2 in (1e300, 1.7e308):
+            assert lanes_agree(monkeypatch, real, real + 0.1,
+                               real_radii_sq=np.full(50, r2)) == (1.0, 1.0)
+
     @pytest.mark.parametrize("k", [1, 3, 5])
     @pytest.mark.parametrize("gen_kind", ["collapsed", "realistic"])
-    def test_matches_kd_tree_at_scale(self, gen_kind, k):
+    def test_matches_kd_tree_at_scale(self, gen_kind, k, monkeypatch):
         """3000 toy-mixture points: every radius equals the difference
-        formula at the k-th neighbour a k-d tree finds, and every hit mask
-        the brute-force membership."""
+        formula at the k-th neighbour a k-d tree finds, every hit mask
+        the brute-force membership, and precision and recall their shares,
+        with the lanes inline and on the helper thread."""
         spec = toy_spec()
         real = sample_dataset(spec, 3000, seed=5).xs
         if gen_kind == "collapsed":
@@ -192,44 +254,51 @@ class TestKnnPrecisionRecall:
             gen = spec.means()[idx] + 1e-3 * rng.standard_normal((3000, 2))
         else:
             gen = sample_dataset(spec, 3000, seed=6).xs
+        shares = []
         for support, queries in ((real, gen), (gen, real)):
             _, nbr = cKDTree(support).query(support, k=k + 1)
             diff = support[nbr[:, k]] - support
             tree_radii = diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1]
             radii = metrics.knn_radii_sq(support, k)
             np.testing.assert_array_equal(radii, tree_radii)
+            hits = metrics._in_manifold(queries, support, radii,
+                                        metrics._frame("sets", real, gen))
             np.testing.assert_array_equal(
-                metrics._in_manifold(queries, support, radii),
-                brute_hits(queries, support, radii))
+                hits, brute_hits(queries, support, radii))
+            shares.append(float(np.mean(hits)))
+        assert lanes_agree(monkeypatch, real, gen, k) == tuple(shares)
 
 
 class TestGridSearchDegenerateSets:
     """Sets that stress the cell grid, against the brute force."""
 
-    def test_all_points_identical(self):
+    def test_all_points_identical(self, monkeypatch):
         """One cell holds all 3000 points, every block all of them; the
-        pair budget keeps the search far below the 3000 x 3000 matrix."""
+        pair budget keeps the search far below the 3000 x 3000 matrix,
+        also with both lanes in flight at once."""
         same = np.full((3000, 2), 1.5)
-        tracemalloc.start()
-        try:
-            p, r = knn_precision_recall(same, same.copy(), k=3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert (p, r) == (1.0, 1.0)
-        assert peak < 3000 * 3000, peak  # 1/8 of that matrix's bytes
+        for workers in (1, 2):
+            monkeypatch.setattr(net, "SWEEP_WORKERS", workers)
+            tracemalloc.start()
+            try:
+                p, r = knn_precision_recall(same, same.copy(), k=3)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (p, r) == (1.0, 1.0)
+            assert peak < 3000 * 3000, (workers, peak)  # 1/8 of its bytes
         assert not metrics.knn_radii_sq(same, 3).any()
 
-    def test_points_on_one_line(self):
+    def test_points_on_one_line(self, monkeypatch):
         """Zero span on one axis: every point in one row of cells."""
         rng = np.random.default_rng(11)
         real = np.column_stack([rng.standard_normal(400), np.full(400, 2.0)])
         gen = np.column_stack([rng.standard_normal(300) * 1.5,
                                np.full(300, 2.0)])
-        assert_grid_search_exact(real, gen, 3)
+        assert_grid_search_exact(real, gen, 3, monkeypatch)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    def test_lattice_on_cell_edges_with_ties(self, k):
+    def test_lattice_on_cell_edges_with_ties(self, k, monkeypatch):
         """Integer lattices whose coordinates sit on cell edges; each inner
         point has four neighbours at distance 1, tied at the k-th, and
         queries at exactly a ball's radius count as inside."""
@@ -239,11 +308,11 @@ class TestGridSearchDegenerateSets:
         gen = np.concatenate([inner[::3] + [0.5, 0.0], real[1::5],
                               inner[::7] + [0.0, 2.0]])
         for sets in ((real,), (real, gen)):
-            lo, _, h = metrics._frame(*sets)
+            lo, _, h = metrics._frame("sets", *sets)
             assert np.all(np.mod(np.concatenate(sets) - lo, h) == 0.0)
-        assert_grid_search_exact(real, gen, k)
+        assert_grid_search_exact(real, gen, k, monkeypatch)
 
-    def test_far_outlier(self):
+    def test_far_outlier(self, monkeypatch):
         """A real point 1e6 away, whose ball reaches back to the bulk and
         so covers every generated point, also those far from the bulk."""
         rng = np.random.default_rng(12)
@@ -251,16 +320,16 @@ class TestGridSearchDegenerateSets:
         gen = np.concatenate([
             rng.standard_normal((300, 2)) + [10.0, 0.0],
             np.column_stack([rng.uniform(20.0, 9e5, 100), np.zeros(100)])])
-        assert_grid_search_exact(real, gen, 3)
+        assert_grid_search_exact(real, gen, 3, monkeypatch)
         assert knn_precision_recall(real, gen, k=3)[0] == 1.0
 
     @pytest.mark.parametrize("k", [1, 2])
-    def test_exact_duplicate_pairs(self, k):
+    def test_exact_duplicate_pairs(self, k, monkeypatch):
         """Each point twice: its first neighbour is its copy, at 0."""
         rng = np.random.default_rng(13)
         real = np.repeat(rng.standard_normal((200, 2)), 2, axis=0)
         gen = np.concatenate([real[::4], rng.standard_normal((150, 2))])
-        assert_grid_search_exact(real, gen, k)
+        assert_grid_search_exact(real, gen, k, monkeypatch)
         if k == 1:
             assert not metrics.knn_radii_sq(real, 1).any()
 
@@ -281,6 +350,61 @@ class TestGridSearchDegenerateSets:
         assert cells[2] - cells[1] == 2
         assert d2 <= (h * (1.0 - 1e-12)) ** 2
         assert d2 > metrics._reach_sq(span, h)
+
+
+def _pr_in_child(conn, real, gen):
+    result = knn_precision_recall(real, gen)
+    conn.send((result, net._pools["knn"][0] == os.getpid()))
+
+
+class TestKnnLanes:
+    """Precision runs on the k-NN helper thread where the net puts a second
+    worker; nothing else about the call changes."""
+
+    def test_helper_exception_reaches_the_caller(self, monkeypatch):
+        """An exception in the helper's lane leaves knn_precision_recall
+        with its type and message."""
+        rng = np.random.default_rng(15)
+        real, gen = rng.standard_normal((60, 2)), rng.standard_normal((50, 2))
+        in_manifold = metrics._in_manifold
+        failed_on = []
+
+        def failing(queries, *args):
+            if len(queries) == len(gen):  # the precision lane
+                failed_on.append(threading.current_thread().name)
+                raise KeyError("precision lane failed")
+            return in_manifold(queries, *args)
+
+        monkeypatch.setattr(net, "SWEEP_WORKERS", 2)
+        monkeypatch.setattr(metrics, "_in_manifold", failing)
+        with pytest.raises(KeyError, match="precision lane failed"):
+            knn_precision_recall(real, gen)
+        assert failed_on[0].startswith("subflow-knn")
+
+    def test_forked_child_gets_parent_bits(self, monkeypatch):
+        """A child forked after the parent used its helper thread builds
+        its own, and returns the parent's precision and recall."""
+        monkeypatch.setattr(net, "SWEEP_WORKERS", 2)
+        spec = toy_spec()
+        real = sample_dataset(spec, 2000, seed=16).xs
+        gen = sample_dataset(spec, 1500, seed=17).xs * 1.1
+        expected = knn_precision_recall(real, gen)
+        assert net._pools["knn"][0] == os.getpid()
+        ctx = multiprocessing.get_context("fork")
+        receive, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_pr_in_child, args=(send, real, gen))
+        child.start()
+        try:
+            assert receive.poll(60), "child returned nothing within 60 s"
+            result, own_pool = receive.recv()
+        finally:
+            child.join(10)
+            if child.is_alive():
+                child.terminate()
+                child.join(10)
+        assert not child.is_alive() and child.exitcode == 0
+        assert own_pool
+        assert result == expected
 
 
 class TestFrechet:

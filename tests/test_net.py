@@ -208,7 +208,7 @@ class TestSharedTime:
 
 def _forward_in_child(conn, net, rows):
     out = net.forward_batch(*rows)
-    conn.send((out, net_module._pool[0] == os.getpid()))
+    conn.send((out, net_module._pools["sweep"][0] == os.getpid()))
 
 
 class TestParallelSweep:
@@ -253,7 +253,7 @@ class TestParallelSweep:
         monkeypatch.setattr(net_module, "SWEEP_WORKERS", 2)
         net, rows = TestBatchInvariance.wide_net_and_rows(True)
         expected = net.forward_batch(*rows)
-        assert net_module._pool[0] == os.getpid()
+        assert net_module._pools["sweep"][0] == os.getpid()
         ctx = multiprocessing.get_context("fork")
         receive, send = ctx.Pipe(duplex=False)
         child = ctx.Process(target=_forward_in_child, args=(send, net, rows))
