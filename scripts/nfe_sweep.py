@@ -4,7 +4,11 @@ A grid of two rows, one per conditioning: `pipeline.run_grid` trains each
 one-step model once, then evaluates it at a doubling ladder of NFE values,
 appending one metric row per (model, nfe) to nfe_sweep.csv.  Shows that
 extra solver steps do not repair dominant-mode bias, while the sub-mode
-model is already calibrated at a single step.
+model's mode frequencies are already calibrated at a single step.  That
+calibration is of frequencies only: the sub-mode net is trained as a
+one-step map, and its precision falls as NFE grows while its `mode_tv`
+holds.  Each printed row gives precision beside `mode_tv`, coverage and
+recall.
 
 Usage:
     python scripts/nfe_sweep.py --config configs/toy.cfg --out runs/sweep
@@ -43,7 +47,8 @@ def main():
     for (conditioning, _), reports in zip(runs, grid):
         for nfe, rep in zip(nfe_list, reports):
             print(f"{conditioning} nfe={nfe}: mode_tv {rep.mode_tv:.3f} "
-                  f"coverage {rep.coverage_count} recall {rep.recall:.3f}")
+                  f"coverage {rep.coverage_count} precision "
+                  f"{rep.precision:.3f} recall {rep.recall:.3f}")
     print(f"wrote {out_csv}")
 
 

@@ -1,6 +1,6 @@
 """Command-line entry points.
 
-Subcommands: train, generate, evaluate, sweep-nfe, cluster, check.
+Subcommands: train, generate, evaluate, sweep-nfe, check.
 Exit codes: 0 success, 1 validation/config error, 2 runtime failure.
 """
 
@@ -10,7 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import clustering, io, objectives, pipeline, sampler
+from . import io, objectives, pipeline, sampler
 from .config import ExperimentConfig, key_parser, load_config, validate
 
 EXIT_OK = 0
@@ -80,20 +80,6 @@ def cmd_sweep_nfe(args) -> int:
     return EXIT_OK
 
 
-def cmd_cluster(args) -> int:
-    features = io.read_feature_csv(args.features)
-    if args.standardize:
-        features = {c: clustering.standardize(f) for c, f in features.items()}
-    labels = clustering.assign_submodes(features, args.k, args.seed)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    io.write_assignments_csv(out_dir / "assignments.csv", labels)
-    io.write_priors_csv(out_dir / "priors.csv",
-                        clustering.SubmodeTable.from_labels(labels, args.k))
-    print(f"wrote assignments.csv and priors.csv to {out_dir}")
-    return EXIT_OK
-
-
 def cmd_check(args) -> int:
     manifest = io.RunManifest.read(args.manifest)
     bad = manifest.check()
@@ -158,15 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=",".join(map(str, pipeline.NFE_LADDER)))
     p.set_defaults(func=cmd_sweep_nfe)
 
-    p = sub.add_parser("cluster", help="cluster an external feature CSV")
-    p.add_argument("--features", required=True,
-                   help="CSV: feature columns then a class column")
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--standardize", action="store_true")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_cluster)
-
     p = sub.add_parser("check", help="verify a run manifest's artifacts")
     p.add_argument("--manifest", required=True)
     p.set_defaults(func=cmd_check)
@@ -178,6 +155,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if hasattr(args, "out"):  # checked before the command does any work
+            out = Path(args.out)
+            existing = next(p for p in (out, *out.parents) if p.exists())
+            if not existing.is_dir():
+                raise ValueError(f"--out {out}: {existing} is not a directory")
         return args.func(args)
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,9 +2,8 @@
 
 Sub-mode labels come from clustering each class separately: k-means++
 seeding followed by Lloyd iterations over squared Euclidean distance
-(arg-min assignment, ties to the lowest index).  At toy scale the features
-are the raw 2D coordinates; externally supplied feature vectors of any
-dimension are accepted through the same interface.  A `SubmodeTable`
+(arg-min assignment, ties to the lowest index).  `train` clusters each
+class's raw 2D coordinates (`pipeline.cluster_dataset`).  A `SubmodeTable`
 holds what a priors CSV holds: per class, each sub-mode's count and prior.
 """
 
@@ -106,7 +105,6 @@ def lloyd(points: np.ndarray, k: int,
                 f"Lloyd SSE increased from {prev_sse!r} to {cur_sse!r}")
         prev_sse = cur_sse
         if np.array_equal(new_labels, labels):
-            labels = new_labels
             break
         labels = new_labels
     return centroids, labels
@@ -154,10 +152,3 @@ def match_labels(labels: np.ndarray, reference: np.ndarray) -> np.ndarray:
         return majority[labels]
     return labels
 
-
-def standardize(features: np.ndarray) -> np.ndarray:
-    """Per-dimension standardization for external feature files (opt-in)."""
-    mu = features.mean(axis=0)
-    sd = features.std(axis=0)
-    sd[sd == 0.0] = 1.0
-    return (features - mu) / sd

@@ -175,12 +175,14 @@ def validate(cfg: ExperimentConfig) -> None:
 
 
 def load_config(path) -> ExperimentConfig:
+    """An error in the file's contents is a ConfigError naming the path."""
     try:
-        with open(path) as fh:
-            text = fh.read()
+        with open(path, encoding="utf-8") as fh:
+            return parse_config(fh.read())
     except IsADirectoryError as exc:  # exit 1, as a missing file does
         raise ConfigError(f"{path}: {exc.strerror}") from exc
-    return parse_config(text)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def emit_config(cfg: ExperimentConfig) -> str:

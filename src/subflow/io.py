@@ -264,34 +264,6 @@ def read_priors_table(path) -> SubmodeTable:
     return table
 
 
-def read_feature_csv(path) -> dict[int, np.ndarray]:
-    """External feature file: one row per sample, last column is the class id.
-
-    A directory, a non-numeric cell, a file without a feature column, a
-    class id that is not a non-negative integer, or a non-finite feature
-    raises ValueError naming the path (and the first bad row, from 1).
-    """
-    try:
-        rows = np.loadtxt(path, delimiter=",", ndmin=2)
-    except (IsADirectoryError, ValueError) as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    if rows.shape[1] < 2:
-        raise ValueError(f"{path}: need feature columns before the class id")
-    features = rows[:, :-1]
-    labels = rows[:, -1]
-    for bad, what in (
-            (~(np.isfinite(labels) & (labels >= 0)
-               & (labels == np.floor(labels))),
-             "class ids that are not non-negative integers"),
-            (~np.isfinite(features).all(axis=1), "non-finite features")):
-        if bad.any():
-            raise ValueError(
-                f"{path}: {int(bad.sum())} rows with {what}, the first "
-                f"at row {int(np.argmax(bad)) + 1}")
-    classes = labels.astype(np.int64)
-    return {int(c): features[classes == c] for c in np.unique(classes)}
-
-
 # ---- SVG scatter ---------------------------------------------------------
 
 PALETTE = ["#d62728", "#1f77b4", "#2ca02c", "#ff7f0e",

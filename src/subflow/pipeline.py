@@ -39,9 +39,15 @@ def cluster_dataset(cfg: ExperimentConfig, dataset):
     cluster k is sub-mode k wherever the two pair up; `random` labels keep
     their numbers.  Training then consumes these labels in place of the
     generating sub-mode ids, as the offline pre-processing stage would.
+    A `[mixture]` class with no points raises ValueError naming it.
     """
     xs, cs, ks = mixture.dataset_arrays(dataset)
-    index_by_class = {int(c): np.flatnonzero(cs == c) for c in np.unique(cs)}
+    index_by_class = {c: np.flatnonzero(cs == c)
+                      for c in cfg.mixture.class_ids}
+    empty = [c for c, idx in index_by_class.items() if not len(idx)]
+    if empty:
+        raise ValueError(f"[data] n_train = {cfg.data.n_train} leaves "
+                         f"[mixture] classes {empty} with no points")
     features = {c: xs[idx] for c, idx in index_by_class.items()}
     k, seed = cfg.cluster.k, cfg.train.seed
     if cfg.cluster.labels == "random":
@@ -59,13 +65,13 @@ def train_run(cfg: ExperimentConfig, out_dir,
               run_prefix: str = "train") -> io.RunManifest:
     """Cluster, train, and persist all artifacts of the run `cfg` records."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     config_text = emit_config(cfg)
     run_id = io.new_run_id(run_prefix, config_text, cfg.train.seed)
     started = time.monotonic()
 
     dataset = build_dataset(cfg)
     table, labels = cluster_dataset(cfg, dataset)
+    out_dir.mkdir(parents=True, exist_ok=True)  # once the dataset is checked
     state, losses = objectives.train(dataset, cfg.mixture, cfg.train, table)
 
     ckpt_path = out_dir / f"{run_id}.checkpoint.bin"

@@ -232,21 +232,6 @@ class TestClusterDataset:
                                           np.bincount(labels[c]))
 
 
-class TestStandardize:
-    def test_zero_mean_unit_std(self):
-        rng = np.random.default_rng(3)
-        feats = rng.normal([5, -2], [3, 0.5], size=(1000, 2))
-        z = clustering.standardize(feats)
-        np.testing.assert_allclose(z.mean(axis=0), 0.0, atol=1e-12)
-        np.testing.assert_allclose(z.std(axis=0), 1.0, atol=1e-12)
-
-    def test_constant_column_survives(self):
-        feats = np.column_stack([np.arange(5.0), np.full(5, 2.0)])
-        z = clustering.standardize(feats)
-        assert np.all(np.isfinite(z))
-        np.testing.assert_allclose(z[:, 1], 0.0)
-
-
 class TestCsvRoundTrip:
     def test_assignments_and_priors(self, tmp_path):
         feats = {0: two_blobs(seed=1), 1: two_blobs(seed=2)}
@@ -261,25 +246,3 @@ class TestCsvRoundTrip:
         plines = pp.read_text().strip().splitlines()
         assert plines[0] == "class_id,submode_id,count,prior"
         assert len(plines) == 1 + 4
-
-    def test_feature_csv_reader(self, tmp_path):
-        path = tmp_path / "features.csv"
-        path.write_text("0.0,1.0,0\n2.0,3.0,0\n4.0,5.0,1\n")
-        feats = io.read_feature_csv(path)
-        assert set(feats) == {0, 1}
-        np.testing.assert_allclose(feats[0], [[0, 1], [2, 3]])
-        np.testing.assert_allclose(feats[1], [[4, 5]])
-
-    @pytest.mark.parametrize("text, match", [
-        ("0,1,0\n2,3,0\n4,5,0.5\n", "1 rows with class ids.*row 3"),
-        ("0,1,0\n2,3,0\n4,5,1.7\n", "1 rows with class ids.*row 3"),
-        ("0,1,0\n2,3,-1\n4,5,-1\n", "2 rows with class ids.*row 2"),
-        ("0,1,0\n2,nan,0\n4,5,1\n", "1 rows with non-finite.*row 2"),
-        ("0,1,0\n2,3,0\ninf,5,1\n", "1 rows with non-finite.*row 3"),
-        ("0,1,0\nabc,3,0\n", "could not convert"),
-        ("0\n1\n", "need feature columns")])
-    def test_feature_csv_rejects_bad_input(self, tmp_path, text, match):
-        path = tmp_path / "features.csv"
-        path.write_text(text)
-        with pytest.raises(ValueError, match=f"features.csv: {match}"):
-            io.read_feature_csv(path)

@@ -9,6 +9,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import re
 import shutil
 import struct
 from pathlib import Path
@@ -316,6 +317,38 @@ def test_unknown_labels_rejected_by_train(tmp_path, capsys):
     """A [cluster] labels value other than kmeans or random exits 1."""
     err = _train_rejects(tmp_path, capsys, "[cluster]\nlabels = spectral\n")
     assert "[cluster] labels 'spectral'" in err
+
+
+def test_class_without_training_points_rejected(tmp_path, capsys):
+    """A training set that leaves a [mixture] class with no points exits 1
+    naming the class and [data] n_train, and writes nothing; a grid with
+    such a row raises the same error."""
+    text = "[data]\nn_train = 1\n"
+    err = _train_rejects(tmp_path, capsys, text)
+    assert "error: [data] n_train = 1 leaves [mixture] classes [1]" in err
+    out_csv = tmp_path / "grid" / "g.csv"
+    with pytest.raises(ValueError, match=r"classes \[1\] with no points"):
+        pipeline.run_grid([("grid", parse_config(text))], [1], out_csv)
+    assert not out_csv.parent.exists()
+
+
+@pytest.mark.parametrize("content, match", [
+    (b"[train]\nsteps = 5\nsteps = 6\n",
+     "option 'steps' in section 'train' already exists"),
+    (b"[train]\nsteps = -1\n", r"\[train\] steps must be >= 0"),
+    (b"[train]\nsteps = 5\n# \xff\n", "can't decode byte 0xff"),
+], ids=["syntax", "value", "not_utf8"])
+def test_config_errors_name_the_file(tmp_path, capsys, content, match):
+    """Every error in a config file's contents starts with its path, and
+    train exits 1 on it."""
+    path = tmp_path / "exp.cfg"
+    path.write_bytes(content)
+    with pytest.raises(ConfigError,
+                       match=f"^{re.escape(str(path))}: .*{match}"):
+        load_config(path)
+    assert main(["train", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
 def _train_rejects(tmp_path, capsys, text):
@@ -798,30 +831,43 @@ class TestCli:
         finally:
             loss_csv.write_text(original)
 
-    def test_cluster_command(self, tmp_path):
-        feats = tmp_path / "features.csv"
-        rows = ["0.0,0.0,0", "0.1,0.0,0", "5.0,5.0,0", "5.1,5.0,0"]
-        feats.write_text("\n".join(rows) + "\n")
-        for flags in ([], ["--standardize"]):
-            out = tmp_path / f"clust{len(flags)}"
-            rc = main(["cluster", "--features", str(feats), "--k", "2",
-                       "--out", str(out), *flags])
-            assert rc == EXIT_OK
-            assert (out / "assignments.csv").exists()
-            table = io.read_priors_table(out / "priors.csv")
-            np.testing.assert_array_equal(table.per_class[0].counts, [2, 2])
+    def test_cluster_subcommand_is_gone(self, tmp_path, capsys):
+        """`cluster` is not a subcommand: argparse stops with its usage
+        error, exit 2, before anything runs, and no --out appears."""
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as stop:
+            main(["cluster", "--features", str(tmp_path / "features.csv"),
+                  "--out", str(out)])
+        assert stop.value.code == 2
+        assert "invalid choice: 'cluster'" in capsys.readouterr().err
+        assert not out.exists()
 
-    @pytest.mark.parametrize("row", ["5.1,5.0,0.5", "5.1,nan,0"])
-    def test_cluster_bad_feature_row_is_validation_error(self, tmp_path,
-                                                         capsys, row):
-        feats = tmp_path / "features.csv"
-        rows = ["0.0,0.0,0", "0.1,0.0,0", "5.0,5.0,0", row]
-        feats.write_text("\n".join(rows) + "\n")
-        rc = main(["cluster", "--features", str(feats), "--k", "2",
-                   "--out", str(tmp_path / "clust")])
-        assert rc == EXIT_VALIDATION
-        assert str(feats) in capsys.readouterr().err
-        assert not (tmp_path / "clust").exists()
+    @pytest.mark.parametrize("under", [False, True],
+                             ids=["file", "under_file"])
+    @pytest.mark.parametrize("command", ["train", "generate", "evaluate",
+                                         "sweep-nfe"])
+    def test_out_that_is_a_file_rejected_first(self, trained_dir, tmp_path,
+                                               capsys, monkeypatch, command,
+                                               under):
+        """An --out that is a file, or lies under one, exits 1 naming it
+        before the command builds a dataset or loads a run."""
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+        monkeypatch.setattr(pipeline, "build_dataset", no_work)
+        monkeypatch.setattr(pipeline, "load_run", no_work)
+        cfg_path, _, manifest = trained_dir
+        taken = tmp_path / "taken"
+        taken.write_text("keep")
+        out = taken / "out" if under else taken
+        argv = [command, "--config", str(cfg_path), "--out", str(out)]
+        if command != "train":
+            argv += ["--manifest", str(manifest)]
+        if command == "generate":
+            argv += ["--class-id", "1"]
+        assert main(argv) == EXIT_VALIDATION
+        assert (capsys.readouterr().err
+                == f"error: --out {out}: {taken} is not a directory\n")
+        assert taken.read_text() == "keep"
 
     def test_internal_key_error_is_runtime_failure(self, tmp_path,
                                                     monkeypatch, capsys):
@@ -847,8 +893,7 @@ class TestCli:
         rc = main(["train", "--config", str(cfg), "--out", str(tmp_path)])
         assert rc == EXIT_VALIDATION
 
-    @pytest.mark.parametrize("flag", ["--config", "--manifest",
-                                      "--features"])
+    @pytest.mark.parametrize("flag", ["--config", "--manifest"])
     def test_directory_as_input_is_validation_error(self, trained_dir,
                                                      tmp_path, capsys, flag):
         """A directory where an input file belongs exits 1 naming it, as a
@@ -856,11 +901,8 @@ class TestCli:
         cfg_path, _, manifest = trained_dir
         inputs = {"--config": str(cfg_path), "--manifest": str(manifest),
                   flag: str(tmp_path)}
-        if flag == "--features":
-            argv = ["cluster", "--features", str(tmp_path)]
-        else:
-            argv = ["generate", "--class-id", "0", "--config",
-                    inputs["--config"], "--manifest", inputs["--manifest"]]
+        argv = ["generate", "--class-id", "0", "--config",
+                inputs["--config"], "--manifest", inputs["--manifest"]]
         assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith(f"error: {tmp_path}")
         assert not (tmp_path / "out").exists()
