@@ -22,6 +22,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from subflow import pipeline  # noqa: E402
+from subflow.cli import check_out  # noqa: E402
 from subflow.config import load_config  # noqa: E402
 
 
@@ -33,6 +34,10 @@ def main():
                         default=",".join(map(str, pipeline.NFE_LADDER)))
     args = parser.parse_args()
 
+    try:  # before any training, as the CLI checks it
+        check_out(args.out)
+    except ValueError as exc:
+        parser.error(str(exc))
     base = load_config(args.config)
     try:  # every NFE is checked before the first training run
         nfe_list = [dataclasses.replace(base.sample, nfe=int(x)).nfe

@@ -19,6 +19,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from subflow import io, metrics, pipeline, sampler  # noqa: E402
+from subflow.cli import check_out  # noqa: E402
 from subflow.config import load_config  # noqa: E402
 
 
@@ -30,6 +31,10 @@ def main():
     parser.add_argument("--baseline-steps", type=int, default=5000)
     args = parser.parse_args()
 
+    try:  # before any training, as the CLI checks it
+        check_out(args.out)
+    except ValueError as exc:
+        parser.error(str(exc))
     base = load_config(args.config)
     panels = [("class-1step", "meanflow", "class", 1, base.train.steps),
               ("subflow-1step", "meanflow", "subflow", 1, base.train.steps),

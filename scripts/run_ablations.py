@@ -17,6 +17,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from subflow import pipeline  # noqa: E402
+from subflow.cli import check_out  # noqa: E402
 from subflow.config import load_config  # noqa: E402
 
 # variant -> base config -> variant config
@@ -37,6 +38,10 @@ def main():
     parser.add_argument("--variants", default=",".join(VARIANTS))
     args = parser.parse_args()
 
+    try:  # before any training, as the CLI checks it
+        check_out(args.out)
+    except ValueError as exc:
+        parser.error(str(exc))
     variants = args.variants.split(",")
     unknown = [v for v in variants if v not in VARIANTS]
     if unknown:  # checked before the first training run

@@ -29,6 +29,14 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     return cfg
 
 
+def check_out(out) -> None:
+    """Refuse an --out that is, or lies under, a file, before any work."""
+    out = Path(out)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise ValueError(f"--out {out}: {existing} is not a directory")
+
+
 def cmd_train(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     manifest = pipeline.train_run(cfg, args.out)
@@ -81,8 +89,7 @@ def cmd_sweep_nfe(args) -> int:
 
 
 def cmd_check(args) -> int:
-    manifest = io.RunManifest.read(args.manifest)
-    bad = manifest.check()
+    bad = io.RunManifest.read(args.manifest).check()
     if bad:
         print(f"stale or missing artifacts: {', '.join(bad)}")
         return EXIT_VALIDATION
@@ -155,11 +162,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if hasattr(args, "out"):  # checked before the command does any work
-            out = Path(args.out)
-            existing = next(p for p in (out, *out.parents) if p.exists())
-            if not existing.is_dir():
-                raise ValueError(f"--out {out}: {existing} is not a directory")
+        if hasattr(args, "out"):
+            check_out(args.out)
         return args.func(args)
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,7 +4,7 @@ Sub-mode labels come from clustering each class separately: k-means++
 seeding followed by Lloyd iterations over squared Euclidean distance
 (arg-min assignment, ties to the lowest index).  `train` clusters each
 class's raw 2D coordinates (`pipeline.cluster_dataset`).  A `SubmodeTable`
-holds what a priors CSV holds: per class, each sub-mode's count and prior.
+holds per class each sub-mode's count and prior; checkpoints store counts.
 """
 
 from __future__ import annotations

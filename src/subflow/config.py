@@ -154,8 +154,14 @@ def parse_config(text: str) -> ExperimentConfig:
     parser = configparser.ConfigParser()
     try:
         parser.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(str(exc)) from exc
+    except configparser.MissingSectionHeaderError as exc:
+        raise ConfigError(f"line {exc.lineno}: no [section] header") from exc
+    except configparser.ParsingError as exc:
+        raise ConfigError(f"line {exc.errors[0][0]}: cannot parse "
+                          f"{exc.errors[0][1]}") from exc
+    except configparser.Error as exc:  # without configparser's '<string>'
+        raise ConfigError(f"line {exc.lineno}: "
+                          f"{exc.message.partition(': ')[2]}") from exc
     if parser.defaults():
         raise ConfigError("unknown section [DEFAULT]")
     for name in parser.sections():

@@ -6,8 +6,10 @@ Checkpoint layout (all little-endian):
   magic b"SFLW" | version u32 | descriptor length u32 | descriptor JSON |
   parameter f64 array | EMA f64 array.
 The JSON descriptor carries the net configuration, the parameter layout,
-the training step, and enough run metadata (objective, conditioning,
-source_std) to drive inference without re-reading the training config.
+the training step, the run metadata (objective, conditioning, source_std)
+and `submode_counts`, the training points per sub-mode of each class in
+class-id order: a checkpoint alone drives inference, its sub-mode priors
+being the counts' shares.
 """
 
 from __future__ import annotations
@@ -27,17 +29,19 @@ from .net import NetConfig, VelocityNet
 from .objectives import CONDITIONINGS, OBJECTIVES
 
 CHECKPOINT_MAGIC = b"SFLW"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def save_checkpoint(path, net: VelocityNet, ema_params: np.ndarray, step: int,
-                    meta: dict) -> None:
+                    meta: dict, table: SubmodeTable) -> None:
     descriptor = {
         "net": asdict(net.config),
         "layout": [[name, list(shape)] for name, shape in net.layout],
         "num_params": net.num_params,
         "step": step,
         "meta": meta,
+        "submode_counts": [table.per_class[c].counts.tolist()
+                           for c in range(net.config.num_classes)],
     }
     blob = json.dumps(descriptor, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
@@ -50,14 +54,15 @@ def save_checkpoint(path, net: VelocityNet, ema_params: np.ndarray, step: int,
 
 
 def load_checkpoint(path):
-    """Returns (net, ema_params, step, meta).
+    """Returns (net, ema_params, step, meta, table).
 
     A directory, or a file that is not exactly one checkpoint (bad magic
     or version, a header or array cut short, bytes after the EMA array, a
     descriptor that is not UTF-8 JSON with every key and a valid net, run
     metadata without a known objective and conditioning and a finite
-    positive source_std, or parameters or EMA that are not all finite)
-    raises ValueError naming the path.
+    positive source_std, submode_counts not one list per class of 1..K
+    integers >= 0 with a positive sum, or parameters or EMA that are not
+    all finite) raises ValueError naming the path.
     """
     try:
         data = Path(path).read_bytes()
@@ -82,7 +87,15 @@ def load_checkpoint(path):
                 and meta["conditioning"] in CONDITIONINGS
                 and 0.0 < meta["source_std"] < math.inf):
             raise ValueError(f"bad run metadata {meta!r}")
-    except (KeyError, TypeError, ValueError) as exc:
+        counts, k = descriptor["submode_counts"], net.config.num_submodes
+        # bool is an int, and int64 truncates a float
+        if not (type(counts) is list and len(counts) == net.config.num_classes
+                and all(type(row) is list and 0 < len(row) <= k and all(
+                    type(x) is int for x in row) for row in counts)):
+            raise ValueError(f"submode_counts {counts!r}: not one list of "
+                             f"1..{k} integers per class")
+        table = SubmodeTable.from_counts(dict(enumerate(counts)))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: bad checkpoint descriptor: {exc!r}") from exc
     if n != net.num_params or layout != [[name, list(shape)]
                                          for name, shape in net.layout]:
@@ -95,7 +108,7 @@ def load_checkpoint(path):
     ema = np.frombuffer(data, "<f8", n, start + 8 * n).astype(np.float64)
     if not (np.isfinite(net.params).all() and np.isfinite(ema).all()):
         raise ValueError(f"{path}: parameters or EMA not all finite")
-    return net, ema, step, meta
+    return net, ema, step, meta, table
 
 
 # ---- run manifests -------------------------------------------------------
@@ -132,8 +145,12 @@ class RunManifest:
         self.checksums[label] = _checksum(path)
 
     def write(self, path) -> None:
+        """Files beside the manifest go by name, so a run directory moves."""
         payload = {key: getattr(self, name)
                    for key, (name, _) in _MANIFEST_KEYS.items()}
+        here = Path(path).parent
+        payload["files"] = {label: Path(p).name if Path(p).parent == here
+                            else p for label, p in self.files.items()}
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
 
@@ -143,7 +160,8 @@ class RunManifest:
         a key or holds a value of the wrong type raises ValueError naming
         it.  run_id and config are strings, seed an integer, duration_s a
         number, and files and checksums map the same labels to strings;
-        other keys are ignored."""
+        other keys are ignored.  A relative file entry names a path in the
+        manifest's directory."""
         try:
             with open(path) as fh:
                 payload = json.load(fh)
@@ -159,6 +177,8 @@ class RunManifest:
                     for v in [*files.values(), *checksums.values()]):
                 raise TypeError("files and checksums do not map the same "
                                 "labels to strings")
+            values["files"] = {label: str(Path(path).parent / p)
+                               for label, p in files.items()}
             return RunManifest(**values)
         except (IsADirectoryError, KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: not a run manifest: {exc!r}") from exc
@@ -204,14 +224,6 @@ def write_assignments_csv(path,
                for i, label in enumerate(labels_by_class[class_id])))
 
 
-def write_priors_csv(path, table: SubmodeTable) -> None:
-    write_csv(path, ["class_id", "submode_id", "count", "prior"],
-              ([class_id, j, int(count), repr(float(prior))]
-               for class_id, cc in sorted(table.per_class.items())
-               for j, (count, prior) in enumerate(zip(cc.counts,
-                                                      cc.priors))))
-
-
 # the MetricReport columns of the metrics, sweep and grid CSVs
 REPORT_FIELDS = ["frechet", "precision", "recall", "mode_tv",
                  "coverage_count", "field_rmse"]
@@ -227,41 +239,6 @@ def append_report_csv(path, report, run_id: str, nfe: int,
                 repr(float(report.precision)), repr(float(report.recall)),
                 repr(float(report.mode_tv)), report.coverage_count, rmse]],
               append=True)
-
-
-def read_priors_table(path) -> SubmodeTable:
-    """The SubmodeTable a priors CSV holds, built from its counts.
-
-    A directory, a missing or non-numeric field, a class whose sub-mode
-    ids are not exactly 0..K-1, counts that are negative or sum to zero, or
-    a prior column that is not its counts' share (within 1e-12) raise
-    ValueError naming the path and, where there is one, the class.
-    """
-    rows: dict[int, list[tuple[int, int, float]]] = {}
-    try:
-        with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                rows.setdefault(int(row["class_id"]), []).append(
-                    (int(row["submode_id"]), int(row["count"]),
-                     float(row["prior"])))
-        for class_id, entries in rows.items():
-            entries.sort()
-            if [e[0] for e in entries] != list(range(len(entries))):
-                raise ValueError(f"class {class_id}: submode ids are not "
-                                 f"0..{len(entries) - 1}, each once")
-        table = SubmodeTable.from_counts(
-            {c: [e[1] for e in entries] for c, entries in rows.items()})
-        for class_id, entries in rows.items():
-            written = np.array([e[2] for e in entries])
-            share = table.per_class[class_id].priors
-            # phrased so that a NaN prior fails it too
-            if not np.all(np.abs(written - share) <= 1e-12):
-                raise ValueError(
-                    f"class {class_id}: priors {written.tolist()} are not "
-                    f"the counts' share {share.tolist()}")
-    except (IsADirectoryError, KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: bad priors file: {exc}") from exc
-    return table
 
 
 # ---- SVG scatter ---------------------------------------------------------

@@ -80,20 +80,18 @@ def train_run(cfg: ExperimentConfig, out_dir,
         "conditioning": cfg.train.conditioning,
         "source_std": cfg.mixture.source_std,
     }
-    io.save_checkpoint(ckpt_path, state.net, state.ema_params, state.step, meta)
+    io.save_checkpoint(ckpt_path, state.net, state.ema_params, state.step,
+                       meta, table)
     loss_path = out_dir / f"{run_id}.loss.csv"
     io.write_loss_csv(loss_path, losses)
     assign_path = out_dir / f"{run_id}.assignments.csv"
     io.write_assignments_csv(assign_path, labels)
-    priors_path = out_dir / f"{run_id}.priors.csv"
-    io.write_priors_csv(priors_path, table)
 
     manifest = io.RunManifest(run_id=run_id, config_text=config_text,
                               seed=cfg.train.seed)
     manifest.add_file("checkpoint", ckpt_path)
     manifest.add_file("loss_curve", loss_path)
     manifest.add_file("assignments", assign_path)
-    manifest.add_file("priors", priors_path)
     manifest.duration_s = time.monotonic() - started
     manifest.write(out_dir / f"{run_id}.manifest.json")
     return manifest
@@ -114,38 +112,13 @@ def checked_manifest(manifest_path, cfg: ExperimentConfig) -> io.RunManifest:
 
 
 def load_run(manifest_path):
-    """(net with EMA parameters, table or None, meta) for a finished run.
-
-    A subflow checkpoint whose manifest lists no priors file raises
-    ValueError naming the manifest.  A priors table whose classes are not
-    exactly the net's 0..C-1, or with a class of more sub-modes than the net
-    embeds, raises ValueError naming the priors file.
-    """
+    """(net with EMA parameters, sub-mode table, meta) for a finished run:
+    its checkpoint alone drives inference."""
     manifest = io.RunManifest.read(manifest_path)
     if "checkpoint" not in manifest.files:
         raise ValueError(f"{manifest_path}: manifest lists no checkpoint")
-    net, ema, _, meta = io.load_checkpoint(manifest.files["checkpoint"])
-    eval_net = net.__class__(net.config, ema)  # evaluation uses EMA weights
-    table = None
-    if "priors" not in manifest.files:
-        if meta["conditioning"] == "subflow":
-            raise ValueError(f"{manifest_path}: manifest lists no priors "
-                             "file, which a subflow checkpoint needs")
-    else:
-        priors_path = manifest.files["priors"]
-        table = io.read_priors_table(priors_path)
-        classes = sorted(table.per_class)
-        if classes != list(range(net.config.num_classes)):
-            raise ValueError(
-                f"{priors_path}: classes {classes} do not match the "
-                f"checkpoint's {net.config.num_classes} classes")
-        for c in classes:
-            n_sub = len(table.per_class[c].priors)
-            if n_sub > net.config.num_submodes:
-                raise ValueError(
-                    f"{priors_path}: class {c} has {n_sub} sub-modes, the "
-                    f"checkpoint's net embeds {net.config.num_submodes}")
-    return eval_net, table, meta
+    net, ema, _, meta, table = io.load_checkpoint(manifest.files["checkpoint"])
+    return net.__class__(net.config, ema), table, meta  # EMA weights
 
 
 def generate_all_classes(net, table, meta, cfg: ExperimentConfig, count: int,

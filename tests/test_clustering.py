@@ -234,15 +234,18 @@ class TestClusterDataset:
 
 class TestCsvRoundTrip:
     def test_assignments_and_priors(self, tmp_path):
+        """The assignments CSV holds every point's label, and the table's
+        priors are the shares of those rows per class."""
         feats = {0: two_blobs(seed=1), 1: two_blobs(seed=2)}
         labels = assign_submodes(feats, 2, seed=0)
         ap = tmp_path / "assignments.csv"
-        pp = tmp_path / "priors.csv"
         io.write_assignments_csv(ap, labels)
-        io.write_priors_csv(pp, SubmodeTable.from_labels(labels, 2))
         lines = ap.read_text().strip().splitlines()
         assert lines[0] == "sample_index,class_id,submode_id"
         assert len(lines) == 1 + 40
-        plines = pp.read_text().strip().splitlines()
-        assert plines[0] == "class_id,submode_id,count,prior"
-        assert len(plines) == 1 + 4
+        rows = np.array([line.split(",") for line in lines[1:]], dtype=int)
+        table = SubmodeTable.from_labels(labels, 2)
+        for c in (0, 1):
+            counts = np.bincount(rows[rows[:, 1] == c, 2], minlength=2)
+            assert np.array_equal(table.per_class[c].priors,
+                                  counts / counts.sum())

@@ -20,6 +20,7 @@ import pytest
 from subflow import cli, io, metrics, mixture, pipeline
 from subflow import net as net_module
 from subflow.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
+from subflow.clustering import SubmodeTable
 from subflow.config import (ConfigError, ExperimentConfig, emit_config,
                             load_config, parse_config)
 from subflow.net import NetConfig, VelocityNet
@@ -28,8 +29,9 @@ from subflow.mixture import toy_spec
 from support import ROOT, TINY_CONFIG
 
 
-# the run metadata load_checkpoint requires
+# the run metadata and sub-mode table load_checkpoint requires
 META = {"objective": "cfm", "conditioning": "class", "source_std": 1.0}
+TABLE = SubmodeTable.from_counts({0: [7012, 2988], 1: [3]})
 
 
 def small_net(seed=0, uses_interval=True):
@@ -40,22 +42,29 @@ def small_net(seed=0, uses_interval=True):
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
+        """Parameters, EMA, step, metadata and the sub-mode table come back
+        as saved: equal counts, and priors bit-equal to the saved table's."""
         net = small_net()
         ema = net.params * 0.5 + 0.1
         path = tmp_path / "ck.bin"
-        io.save_checkpoint(path, net, ema, step=42, meta=META)
-        net2, ema2, step, meta = io.load_checkpoint(path)
+        io.save_checkpoint(path, net, ema, step=42, meta=META, table=TABLE)
+        net2, ema2, step, meta, table = io.load_checkpoint(path)
         assert np.array_equal(net2.params, net.params)
         assert np.array_equal(ema2, ema)
         assert step == 42
         assert meta == META
         assert net2.config == net.config
+        assert sorted(table.per_class) == [0, 1]
+        for c, saved in TABLE.per_class.items():
+            assert np.array_equal(table.per_class[c].counts, saved.counts)
+            assert np.array_equal(table.per_class[c].priors, saved.priors)
+            assert table.per_class[c].priors.dtype == saved.priors.dtype
 
     def test_save_is_deterministic(self, tmp_path):
         net = small_net()
         a, b = tmp_path / "a.bin", tmp_path / "b.bin"
-        io.save_checkpoint(a, net, net.params, step=1, meta=META)
-        io.save_checkpoint(b, net, net.params, step=1, meta=META)
+        io.save_checkpoint(a, net, net.params, step=1, meta=META, table=TABLE)
+        io.save_checkpoint(b, net, net.params, step=1, meta=META, table=TABLE)
         assert a.read_bytes() == b.read_bytes()
 
     def test_bad_magic(self, tmp_path):
@@ -65,14 +74,18 @@ class TestCheckpoint:
             io.load_checkpoint(path)
 
     def test_bad_version(self, tmp_path):
+        """Another version, the table-less version 1 included, is refused."""
         net = small_net()
         path = tmp_path / "v.bin"
-        io.save_checkpoint(path, net, net.params, step=0, meta=META)
+        io.save_checkpoint(path, net, net.params, step=0, meta=META,
+                           table=TABLE)
         raw = bytearray(path.read_bytes())
-        raw[4:8] = struct.pack("<I", 99)
-        path.write_bytes(bytes(raw))
-        with pytest.raises(ValueError, match="version"):
-            io.load_checkpoint(path)
+        for version in (99, 1):
+            raw[4:8] = struct.pack("<I", version)
+            path.write_bytes(bytes(raw))
+            with pytest.raises(ValueError, match=f"unsupported checkpoint "
+                               f"version {version}$"):
+                io.load_checkpoint(path)
 
     @pytest.mark.parametrize("damage", [
         lambda raw: raw + b"\x00" * 8,     # trailing bytes
@@ -82,7 +95,8 @@ class TestCheckpoint:
     def test_damaged_file_rejected(self, tmp_path, damage):
         net = small_net()
         path = tmp_path / "damaged.bin"
-        io.save_checkpoint(path, net, net.params, step=0, meta=META)
+        io.save_checkpoint(path, net, net.params, step=0, meta=META,
+                           table=TABLE)
         path.write_bytes(damage(path.read_bytes()))
         with pytest.raises(ValueError, match="damaged.bin"):
             io.load_checkpoint(path)
@@ -334,18 +348,25 @@ def test_class_without_training_points_rejected(tmp_path, capsys):
 
 @pytest.mark.parametrize("content, match", [
     (b"[train]\nsteps = 5\nsteps = 6\n",
-     "option 'steps' in section 'train' already exists"),
+     "line 3: option 'steps' in section 'train' already exists$"),
+    (b"[train]\nsteps = 5\n[train]\n",
+     "line 3: section 'train' already exists$"),
+    (b"steps = 5\n", "line 1: no \\[section\\] header$"),
+    (b"[train]\nsteps = 5\nsoon\n", "line 3: cannot parse 'soon"),
     (b"[train]\nsteps = -1\n", r"\[train\] steps must be >= 0"),
     (b"[train]\nsteps = 5\n# \xff\n", "can't decode byte 0xff"),
-], ids=["syntax", "value", "not_utf8"])
+], ids=["syntax", "duplicate_section", "no_section", "not_key_value",
+        "value", "not_utf8"])
 def test_config_errors_name_the_file(tmp_path, capsys, content, match):
-    """Every error in a config file's contents starts with its path, and
-    train exits 1 on it."""
+    """Every error in a config file's contents starts with its path, which
+    it names once; train exits 1 on it."""
     path = tmp_path / "exp.cfg"
     path.write_bytes(content)
     with pytest.raises(ConfigError,
-                       match=f"^{re.escape(str(path))}: .*{match}"):
+                       match=f"^{re.escape(str(path))}: .*{match}") as exc:
         load_config(path)
+    assert str(exc.value).count(path.name) == 1
+    assert "<string>" not in str(exc.value)
     assert main(["train", "--config", str(path),
                  "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
@@ -379,22 +400,6 @@ class TestCsvEmission:
         assert sp.read_text().strip().splitlines() == [
             "sample_index,class_id,submode_id,x,y",
             "0,0,1,1.0,1.0", "1,1,-1,2.0,-0.5"]
-
-    def test_priors_round_trip(self, tmp_path):
-        """A trained table and its reloaded priors file hold equal counts,
-        bit-equal priors and the same number of sub-modes."""
-        cfg = parse_config(TINY_CONFIG + "[cluster]\nk = 3\n")
-        table, _ = pipeline.cluster_dataset(cfg, pipeline.build_dataset(cfg))
-        path = tmp_path / "priors.csv"
-        io.write_priors_csv(path, table)
-        loaded = io.read_priors_table(path)
-        assert sorted(loaded.per_class) == sorted(table.per_class) == [0, 1]
-        assert loaded.num_submodes() == table.num_submodes() == 3
-        for c in (0, 1):
-            assert np.array_equal(loaded.per_class[c].priors,
-                                  table.per_class[c].priors)
-            np.testing.assert_array_equal(loaded.per_class[c].counts,
-                                          table.per_class[c].counts)
 
     def test_scatter_svg(self, tmp_path):
         path = tmp_path / "fig.svg"
@@ -441,30 +446,12 @@ def _byte_12_set(value):
 
 def _arrays_set_nan(ema):
     def damage(path):
-        net, ema_params, step, meta = io.load_checkpoint(path)
+        net, ema_params, step, meta, table = io.load_checkpoint(path)
         if ema:
             ema_params = np.full_like(ema_params, np.nan)
         else:
             net.params[0] = np.nan
-        io.save_checkpoint(path, net, ema_params, step, meta)
-    return damage
-
-
-def _set_line(i, text):
-    """Damage that replaces line i of a CSV file, or drops it for None."""
-    def damage(path):
-        lines = path.read_text().splitlines()
-        lines[i:i + 1] = [] if text is None else [text]
-        path.write_text("\n".join(lines) + "\n")
-    return damage
-
-
-def _class_rows(class_id, rows):
-    """Damage that replaces every row of one class in a priors CSV."""
-    def damage(path):
-        lines = [line for line in path.read_text().splitlines()
-                 if not line.startswith(f"{class_id},")]
-        path.write_text("\n".join(lines + rows) + "\n")
+        io.save_checkpoint(path, net, ema_params, step, meta, table)
     return damage
 
 
@@ -473,6 +460,9 @@ def _run_with_damaged(trained_dir, tmp_path, label, damage):
     (manifest path, damaged file path)."""
     _, _, manifest = trained_dir
     payload = json.loads(manifest.read_text())
+    # the undamaged files stay in the run: an absolute entry is itself
+    payload["files"] = {key: str(manifest.parent / name)
+                        for key, name in payload["files"].items()}
     damaged = tmp_path / Path(payload["files"][label]).name
     shutil.copyfile(payload["files"][label], damaged)
     damage(damaged)
@@ -489,8 +479,8 @@ def _downstream_commands(cfg_path, manifest, out):
 
 
 class TestDamagedInputs:
-    """A damaged checkpoint, manifest or priors file fails generate and
-    evaluate with exit 1 and an error naming the file."""
+    """A damaged checkpoint or manifest fails generate and evaluate with
+    exit 1 and an error naming the file."""
 
     def _assert_rejected(self, trained_dir, tmp_path, capsys, manifest, bad):
         for argv in _downstream_commands(trained_dir[0], manifest,
@@ -515,11 +505,30 @@ class TestDamagedInputs:
         _descriptor_changed(lambda d: d["meta"].update(objective="ddpm")),
         _descriptor_changed(lambda d: d["meta"].update(source_std=0.0)),
         _descriptor_changed(lambda d: d["meta"].update(source_std="wide")),
+        _descriptor_changed(lambda d: d.pop("submode_counts")),
+        _descriptor_changed(lambda d: d["submode_counts"].pop()),
+        _descriptor_changed(lambda d: d["submode_counts"].append([5, 5])),
+        _descriptor_changed(lambda d: d["submode_counts"][0].append(5)),
+        _descriptor_changed(lambda d: d["submode_counts"].__setitem__(
+            0, [0, 0])),
+        _descriptor_changed(lambda d: d["submode_counts"][0].__setitem__(
+            0, -1)),
+        _descriptor_changed(lambda d: d["submode_counts"][0].__setitem__(
+            0, 2.5)),
+        _descriptor_changed(lambda d: d["submode_counts"][0].__setitem__(
+            0, True)),
+        _descriptor_changed(lambda d: d["submode_counts"][0].__setitem__(
+            0, "many")),
+        _descriptor_changed(lambda d: d.update(submode_counts={"0": [5]})),
+        _descriptor_changed(lambda d: d["submode_counts"].__setitem__(0, [])),
     ], ids=["not_json", "not_utf8", "missing_step", "missing_net",
             "net_rejected", "net_unknown_key", "nan_ema", "nan_params",
             "meta_empty", "meta_missing", "meta_bad_conditioning",
             "meta_bad_objective", "meta_zero_source_std",
-            "meta_text_source_std"])
+            "meta_text_source_std", "submode_counts_missing",
+            "class_missing", "extra_class", "more_submodes_than_net",
+            "zero_counts", "negative_count", "float_count", "bool_count",
+            "string_count", "submode_counts_not_a_list", "class_empty"])
     def test_checkpoint(self, trained_dir, tmp_path, capsys, damage):
         manifest, bad = _run_with_damaged(trained_dir, tmp_path,
                                           "checkpoint", damage)
@@ -561,43 +570,23 @@ class TestDamagedInputs:
         assert main(["check", "--manifest", str(manifest)]) == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith(f"error: {manifest}")
 
-    @pytest.mark.parametrize("label", ["checkpoint", "priors"])
+    @pytest.mark.parametrize("label", ["checkpoint", "assignments"])
     def test_listed_directory(self, trained_dir, tmp_path, capsys, label):
-        """A listed path that is a directory is a bad artifact to check, and
-        generate and evaluate exit 1 naming it."""
+        """A listed path that is a directory is a bad artifact to check.
+        generate and evaluate read only the checkpoint, and exit 1 naming
+        it when it is the directory."""
         def to_directory(path):
             path.unlink()
             path.mkdir()
 
         manifest, bad = _run_with_damaged(trained_dir, tmp_path, label,
                                           to_directory)
-        self._assert_rejected(trained_dir, tmp_path, capsys, manifest, bad)
+        if label == "checkpoint":
+            self._assert_rejected(trained_dir, tmp_path, capsys, manifest,
+                                  bad)
         assert main(["check", "--manifest", str(manifest)]) == EXIT_VALIDATION
         out = capsys.readouterr().out
         assert out == f"stale or missing artifacts: {label}\n"
-
-    @pytest.mark.parametrize("damage", [
-        _set_line(2, "0,2,1,0.5"),
-        _set_line(2, "0,0,1,0.5"),
-        _set_line(1, None),
-        _set_line(1, "0,0,many,0.5"),
-        _set_line(1, "0,0,1"),
-        _set_line(1, "0,0,1,0.9"),
-        _set_line(1, "0,0,1,nan"),
-        _set_line(0, "class,submode_id,count,prior"),
-        _class_rows(1, []),
-        _class_rows(0, ["0,0,1,0.25", "0,1,1,0.25", "0,2,2,0.5"]),
-        _class_rows(0, ["0,0,706,0.7", "0,1,0,0.3"]),
-        _class_rows(0, ["0,0,0,0.5", "0,1,0,0.5"]),
-        _class_rows(0, ["0,0,-1,-0.5", "0,1,3,1.5"]),
-    ], ids=["submode_gap", "submode_repeated", "submode_0_missing",
-            "non_numeric", "field_missing", "not_normalised", "nan_prior",
-            "column_missing", "class_missing", "more_submodes_than_net",
-            "prior_not_counts_share", "zero_counts", "negative_count"])
-    def test_priors(self, trained_dir, tmp_path, capsys, damage):
-        manifest, bad = _run_with_damaged(trained_dir, tmp_path, "priors",
-                                          damage)
-        self._assert_rejected(trained_dir, tmp_path, capsys, manifest, bad)
 
     def test_manifest_without_checkpoint(self, trained_dir, tmp_path, capsys):
         payload = json.loads(trained_dir[2].read_text())
@@ -607,19 +596,8 @@ class TestDamagedInputs:
         self._assert_rejected(trained_dir, tmp_path, capsys, manifest,
                               manifest)
 
-    def test_subflow_manifest_without_priors(self, trained_dir, tmp_path,
-                                             capsys):
-        payload = json.loads(trained_dir[2].read_text())
-        del payload["files"]["priors"], payload["checksums"]["priors"]
-        manifest = tmp_path / "no-priors.manifest.json"
-        manifest.write_text(json.dumps(payload))
-        self._assert_rejected(trained_dir, tmp_path, capsys, manifest,
-                              manifest)
-        with pytest.raises(ValueError, match="no priors file"):
-            pipeline.load_run(manifest)
-
     def test_undamaged_copy_accepted(self, trained_dir, tmp_path):
-        manifest, _ = _run_with_damaged(trained_dir, tmp_path, "priors",
+        manifest, _ = _run_with_damaged(trained_dir, tmp_path, "checkpoint",
                                         lambda path: None)
         for argv in _downstream_commands(trained_dir[0], manifest,
                                          tmp_path / "out"):
@@ -667,9 +645,10 @@ class TestCli:
         loads, and the net's outputs overflow to inf or NaN; the metrics
         refuse such samples, naming the set, and evaluate exits 1."""
         def scale(path):
-            net, ema_params, step, meta = io.load_checkpoint(path)
+            net, ema_params, step, meta, table = io.load_checkpoint(path)
             net.params *= 1e306
-            io.save_checkpoint(path, net, ema_params * 1e306, step, meta)
+            io.save_checkpoint(path, net, ema_params * 1e306, step, meta,
+                               table)
 
         manifest, _ = _run_with_damaged(trained_dir, tmp_path, "checkpoint",
                                         scale)
@@ -830,6 +809,53 @@ class TestCli:
                          str(manifest)]) == EXIT_VALIDATION
         finally:
             loss_csv.write_text(original)
+
+    def test_moved_run_directory_still_loads(self, tmp_path, monkeypatch):
+        """A manifest lists its run's files by name, beside itself: a run
+        trained into a relative --out is generated from, evaluated and
+        checked from another directory after the run directory moved."""
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY_CONFIG.replace("steps = 60", "steps = 20"))
+        (tmp_path / "a").mkdir()
+        monkeypatch.chdir(tmp_path / "a")
+        assert main(["train", "--config", str(cfg_path),
+                     "--out", "runs/t"]) == EXIT_OK
+        moved = tmp_path / "moved"
+        shutil.move(tmp_path / "a" / "runs" / "t", moved)
+        (tmp_path / "b" / "sub").mkdir(parents=True)
+        monkeypatch.chdir(tmp_path / "b" / "sub")
+        manifest = str(next(moved.glob("*.manifest.json")))
+        common = ["--config", str(cfg_path), "--out", "out", "--manifest",
+                  manifest]
+        assert main(["generate", *common, "--class-id", "1"]) == EXIT_OK
+        assert main(["evaluate", *common]) == EXIT_OK
+        assert main(["check", "--manifest", manifest]) == EXIT_OK
+        assert (Path("out") / "metrics.csv").is_file()
+
+    def test_checkpoint_alone_drives_inference(self, trained_dir, tmp_path,
+                                               capsys):
+        """Without its loss and assignments files, a run generates and
+        evaluates to the same CSV bytes; check lists both as missing."""
+        cfg_path, run, _ = trained_dir
+        bare = tmp_path / "bare"
+        shutil.copytree(run, bare)
+        for pattern in ("*.loss.csv", "*.assignments.csv"):
+            next(bare.glob(pattern)).unlink()
+        written = []
+        for where in (run, bare):
+            manifest = str(next(where.glob("*.manifest.json")))
+            out = tmp_path / f"out-{where.name}"
+            common = ["--config", str(cfg_path), "--out", str(out),
+                      "--manifest", manifest]
+            assert main(["generate", *common, "--class-id", "1"]) == EXIT_OK
+            assert main(["evaluate", *common]) == EXIT_OK
+            written.append([(out / name).read_bytes() for name in
+                            ("samples-class1.csv", "metrics.csv")])
+        assert written[0] == written[1]
+        capsys.readouterr()
+        assert main(["check", "--manifest", manifest]) == EXIT_VALIDATION
+        assert (capsys.readouterr().out
+                == "stale or missing artifacts: assignments, loss_curve\n")
 
     def test_cluster_subcommand_is_gone(self, tmp_path, capsys):
         """`cluster` is not a subcommand: argparse stops with its usage

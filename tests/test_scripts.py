@@ -40,18 +40,28 @@ def test_script_runs(tmp_path, script, flags, csvs):
      "unknown typo"),
     ("reproduce_figure.py", ["--baseline-nfe", "0"], "nfe must be >= 1"),
     ("reproduce_figure.py", ["--baseline-steps", "-1"], "steps must be >= 0"),
-], ids=["nfe_list", "variants", "baseline_nfe", "baseline_steps"])
+    ("nfe_sweep.py", ["--out", "taken"], "--out taken: taken is not a"),
+    ("run_ablations.py", ["--out", "taken"], "--out taken: taken is not a"),
+    ("reproduce_figure.py", ["--out", "taken/x"],
+     "--out taken/x: taken is not a"),
+], ids=["nfe_list", "variants", "baseline_nfe", "baseline_steps",
+        "out_file_nfe_sweep", "out_file_ablations", "out_under_file_figure"])
 def test_script_checks_its_list_before_training(tmp_path, script, flags,
                                                  match):
+    """A bad flag, --out a file or under one included, is a usage error
+    (exit 2) before any training: nothing is written."""
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text(TINY_CONFIG)
     out = tmp_path / "out"
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
     done = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), "--config", str(cfg),
          "--out", str(out), *flags],
         cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert done.returncode == 2 and match in done.stderr, done.stderr
     assert not out.exists()
+    assert taken.read_text() == "keep"
 
 
 def test_train_digests_ignore_submode_dropout_without_subflow():
