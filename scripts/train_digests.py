@@ -1,14 +1,18 @@
-"""Print the training-bit digest of every objective x conditioning x
-`p_drop_submode` setting, one `objective/conditioning/p_drop_submode
-digest` line each.
+"""Print the training-bit and generation-bit digests of every objective x
+conditioning x `p_drop_submode` setting, one `objective/conditioning/
+p_drop_submode training-digest generation-digest` line each.
 
 Each run trains on 2000 points of `toy_spec` drawn at seed 0, with their
 generating sub-mode labels, for 40 steps of batch 256 at seed 0 and
-`p_drop_class` 0.1.  The digest is the first 16 hex digits of sha256 over
-the float64 bytes of the parameters, the EMA parameters and the loss
-curve, so two trees train bit-identically where their tables are equal.
-The bits depend on the BLAS thread count: compare tables made with the
-same `OPENBLAS_NUM_THREADS`.
+`p_drop_class` 0.1.  The training digest is the first 16 hex digits of
+sha256 over the float64 bytes of the parameters, the EMA parameters and the
+loss curve, so two trees train bit-identically where that column is equal.
+The generation digest hashes the EMA net's `generate_all_classes` output
+(points, class ids and sub-mode ids) for 512 samples at seed 0 with the
+prior strategy, at NFE 1 and 3 and guidance scale 1 and 1.5, so two trees
+that train alike also sample alike where that column is equal.  The bits
+depend on the BLAS thread count: compare tables made with the same
+`OPENBLAS_NUM_THREADS`.
 
 Usage:
     python scripts/train_digests.py
@@ -22,18 +26,29 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
-from subflow import mixture, objectives  # noqa: E402
+from subflow import mixture, objectives, pipeline  # noqa: E402
 from subflow.clustering import SubmodeTable  # noqa: E402
+from subflow.config import parse_config  # noqa: E402
+from subflow.net import VelocityNet  # noqa: E402
 
 P_DROP_SUBMODE = (0.0, 0.3)
 KEYS = [f"{objective}/{conditioning}/{p}"
         for objective in objectives.OBJECTIVES
         for conditioning in objectives.CONDITIONINGS
         for p in P_DROP_SUBMODE]
+# (NFE, guidance scale) of each generation the generation digest covers
+GENERATIONS = [(nfe, w) for nfe in (1, 3) for w in (1.0, 1.5)]
 
 
-def digest(key: str) -> str:
-    """Train the run a key names and digest its parameters, EMA and losses."""
+def _sha(arrays) -> str:
+    sha = hashlib.sha256()
+    for array in arrays:
+        sha.update(np.asarray(array).tobytes())
+    return sha.hexdigest()[:16]
+
+
+def train(key: str):
+    """(state, losses, table) of the run a key names."""
     objective, conditioning, p_drop_submode = key.split("/")
     spec = mixture.toy_spec()
     data = mixture.sample_dataset(spec, 2000, 0)
@@ -45,15 +60,39 @@ def digest(key: str) -> str:
         p_drop_submode=float(p_drop_submode), steps=40, batch_size=256,
         seed=0)
     state, losses = objectives.train(data, spec, cfg, table)
-    sha = hashlib.sha256()
-    for array in (state.net.params, state.ema_params, losses):
-        sha.update(np.asarray(array, dtype=np.float64).tobytes())
-    return sha.hexdigest()[:16]
+    return state, losses, table
+
+
+def train_digest(state, losses) -> str:
+    return _sha(np.asarray(array, dtype=np.float64)
+                for array in (state.net.params, state.ema_params, losses))
+
+
+def generation_digest(key: str, state, table) -> str:
+    """Digest of the EMA net's samples at every entry of GENERATIONS."""
+    objective, conditioning, _ = key.split("/")
+    cfg = parse_config("")  # its [mixture] is toy_spec, as in training
+    ema = VelocityNet(state.net.config, state.ema_params)
+    meta = {"objective": objective, "conditioning": conditioning,
+            "source_std": cfg.mixture.source_std}
+    arrays = []
+    for nfe, w in GENERATIONS:
+        batch = pipeline.generate_all_classes(ema, table, meta, cfg, 512,
+                                              nfe, w, "prior", 0)
+        arrays += [batch.xs, batch.class_ids, batch.submode_ids]
+    return _sha(arrays)
+
+
+def digest(key: str) -> str:
+    """Train the run a key names and digest its parameters, EMA and losses."""
+    return train_digest(*train(key)[:2])
 
 
 def main():
     for key in KEYS:
-        print(key, digest(key))
+        state, losses, table = train(key)
+        print(key, train_digest(state, losses),
+              generation_digest(key, state, table))
 
 
 if __name__ == "__main__":

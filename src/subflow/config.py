@@ -151,7 +151,7 @@ def _parse_mixture(parser) -> MixtureSpec:
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.MissingSectionHeaderError as exc:
@@ -192,7 +192,7 @@ def load_config(path) -> ExperimentConfig:
 
 
 def emit_config(cfg: ExperimentConfig) -> str:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     parser["mixture"] = {key: _TO_TEXT[kind](getattr(cfg.mixture, key))
                          for key, kind in _MIXTURE_KEYS.items()}
     for i, c in enumerate(cfg.mixture.components):

@@ -201,7 +201,7 @@ def two_lanes(side: Callable, main: Callable) -> tuple:
     """
     if net.SWEEP_WORKERS < 2:
         return side(), main()
-    future = net._executor(1, "knn").submit(side)
+    future = net._executor("knn").submit(side)
     try:
         main_result = main()
     finally:

@@ -50,22 +50,21 @@ elif hasattr(os, "sched_getaffinity"):  # not on macOS or Windows
 else:
     SWEEP_WORKERS = os.cpu_count() or 1
 
-# name -> (pid, threads, executor): helper threads, created on first use
-# and again in a forked child, which inherits the executor but not its threads
+# name -> (pid, executor): helper threads, created on first use and again
+# in a forked child, which inherits the executor but not its threads
 _pools = {}
 _pool_lock = threading.Lock()
 
 
-def _executor(threads: int, name: str = "sweep") -> ThreadPoolExecutor:
-    """The process's pool `name` of `threads` helper threads."""
+def _executor(name: str = "sweep") -> ThreadPoolExecutor:
+    """The process's helper pool `name`: it starts a thread only when no
+    idle one is free, so one pool serves passes of any worker count."""
     with _pool_lock:
         pool = _pools.get(name)
-        if pool is None or pool[:2] != (os.getpid(), threads):
-            if pool is not None and pool[0] == os.getpid():
-                pool[2].shutdown(wait=False)
-            pool = _pools[name] = (os.getpid(), threads, ThreadPoolExecutor(
-                threads, thread_name_prefix=f"subflow-{name}"))
-        return pool[2]
+        if pool is None or pool[0] != os.getpid():
+            pool = _pools[name] = (os.getpid(), ThreadPoolExecutor(
+                thread_name_prefix=f"subflow-{name}"))
+        return pool[1]
 
 
 @dataclass(frozen=True)
@@ -271,7 +270,7 @@ class VelocityNet:
         args = (rows, encs, layers, hs, ds, scratch, out, next_block)
         slots = [slice(j * BLOCK_ROWS, (j + 1) * BLOCK_ROWS)
                  for j in range(workers)]
-        futures = [_executor(workers - 1).submit(self._run_blocks, *args, slot)
+        futures = [_executor().submit(self._run_blocks, *args, slot)
                    for slot in slots[1:]]
         try:
             self._run_blocks(*args, slots[0])

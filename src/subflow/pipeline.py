@@ -153,26 +153,6 @@ def generate_all_classes(net, table, meta, cfg: ExperimentConfig, count: int,
                                    submode_ids=np.concatenate(ks))
 
 
-def net_field(net, class_id=None, submode_id=None):
-    """Instantaneous (x, t) -> v field of a trained net for one context.
-
-    Interval-trained nets are evaluated at r = t.  class_id None means the
-    null token; submode_id None leaves the sub-mode slot empty (-1).
-    """
-    null = net.config.null_class
-    c = null if class_id is None else class_id
-    k = -1 if submode_id is None else submode_id
-
-    def field(xs, t):
-        n = len(xs)
-        t_arr = np.full(n, t)
-        r_arr = t_arr if net.config.uses_interval else None
-        return net.forward_batch(xs, t_arr, r_arr,
-                                 np.full(n, c, dtype=np.int64),
-                                 np.full(n, k, dtype=np.int64))
-    return field
-
-
 def model_field_rmse(net, meta, cfg: ExperimentConfig) -> float | None:
     """Learned-field error against the analytic oracle, averaged over the
     conditioning contexts the model was trained with, or None.
@@ -198,7 +178,7 @@ def model_field_rmse(net, meta, cfg: ExperimentConfig) -> float | None:
     total_sq = 0.0
     for c, k in contexts:
         rmse = metrics.field_rmse(
-            net_field(net, c, k),
+            sampler.net_field(net, c, k),
             lambda xs, t: mixture.oracle_velocity_batch(spec, xs, t, c, k),
             grid)
         total_sq += rmse ** 2

@@ -71,24 +71,43 @@ def sample_submode(table: SubmodeTable, class_id: int, strategy: str,
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def _cfg_velocity_batch(net: VelocityNet, x, t, r, c, k, w: float) -> np.ndarray:
-    """Guided field over a batch: v(null,k) + w * (v(c,k) - v(null,k)).
+def net_field(net: VelocityNet, class_id=None, submode_id=None, w: float = 1.0,
+              h: float = 0.0) -> Callable[[np.ndarray, float], np.ndarray]:
+    """A trained net's batched field (x, s) -> v in one context.
 
-    The same k is used in both branches.  w=1 evaluates only the conditional
-    branch, so it is bit-identical to the unguided conditional field.  w is
-    a SampleConfig's guidance scale, which that class checks.
+    The context is the oracle's: class_id None is the null class and
+    submode_id None the empty slot (-1); an int fills every row, and an
+    array of one index per row is passed on unchanged.  An interval net
+    gives its average velocity over [s, s + h], so h = 0 is its
+    instantaneous field (r = t = s); other nets are evaluated at s.  The
+    guided value is v(null, k) + w (v(c, k) - v(null, k)), the same k in
+    both branches; w = 1 runs only the conditional pass, bit-identical to
+    the unguided field.  SampleConfig checks w.
     """
-    if w == 1.0:
-        return net.forward_batch(x, t, r, c, k)
-    null = np.full(len(c), net.config.null_class, dtype=np.int64)
-    v_cond = net.forward_batch(x, t, r, c, k)
-    v_null = net.forward_batch(x, t, r, null, k)
-    return v_null + w * (v_cond - v_null)
+    null = net.config.null_class
+
+    def rows(ids, n):
+        return np.full(n, ids, dtype=np.int64) if np.ndim(ids) == 0 else ids
+
+    def field(x, s):
+        n = len(x)
+        c = rows(null if class_id is None else class_id, n)
+        k = rows(-1 if submode_id is None else submode_id, n)
+        r = np.full(n, s) if net.config.uses_interval else None
+        t = np.full(n, s if r is None else s + h)
+        v = net.forward_batch(x, t, r, c, k)
+        if w == 1.0:
+            return v
+        v_null = net.forward_batch(x, t, r, rows(null, n), k)
+        return v_null + w * (v - v_null)
+    return field
 
 
 def euler_integrate(field: Callable[[np.ndarray, float], np.ndarray],
                     x0: np.ndarray, nfe: int) -> np.ndarray:
-    """Fixed-step Euler for an instantaneous field (x, t) -> v, batched."""
+    """Fixed-step Euler from s = 0 to 1 of a batched field (x, s) -> v, read
+    at each step's start s; `net_field` at h = 1/nfe makes that an interval
+    net's average velocity over the step."""
     x = np.array(x0, dtype=np.float64)
     h = 1.0 / nfe
     for j in range(nfe):
@@ -116,8 +135,6 @@ def generate(net: VelocityNet, table: Optional[SubmodeTable], meta: dict,
     if fixed_submode != -1 and conditioning != "subflow":
         raise ValueError(f"fixed submode {fixed_submode}: a {conditioning} "
                          f"run is not conditioned on a sub-mode")
-    cs = np.full(n, net.config.null_class if conditioning == "uncond"
-                 else class_id, dtype=np.int64)
     if conditioning == "subflow":
         if table is None:
             raise ValueError("subflow generation needs a SubmodeTable")
@@ -127,20 +144,9 @@ def generate(net: VelocityNet, table: Optional[SubmodeTable], meta: dict,
         ks = np.full(n, -1, dtype=np.int64)
     x0 = meta["source_std"] * stream(seed, "sample.noise").standard_normal(
         (n, 2))
-
-    h = 1.0 / sample.nfe
-
-    def field(x, s):
-        t_arr = np.full(n, s)
-        if net.config.uses_interval:
-            # average-velocity head over the step's endpoints (s, s+h)
-            return _cfg_velocity_batch(net, x, np.full(n, s + h), t_arr, cs,
-                                       ks, sample.guidance_scale)
-        return _cfg_velocity_batch(net, x, t_arr, None, cs, ks,
-                                   sample.guidance_scale)
-
+    c = None if conditioning == "uncond" else class_id
+    field = net_field(net, c, ks, sample.guidance_scale, 1 / sample.nfe)
     return GenerationBatch(
         xs=euler_integrate(field, x0, sample.nfe),
-        class_ids=np.full(n, class_id if conditioning != "uncond" else -1,
-                          dtype=np.int64),
+        class_ids=np.full(n, -1 if c is None else c, dtype=np.int64),
         submode_ids=ks)

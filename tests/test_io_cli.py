@@ -355,8 +355,9 @@ def test_class_without_training_points_rejected(tmp_path, capsys):
     (b"[train]\nsteps = 5\nsoon\n", "line 3: cannot parse 'soon"),
     (b"[train]\nsteps = -1\n", r"\[train\] steps must be >= 0"),
     (b"[train]\nsteps = 5\n# \xff\n", "can't decode byte 0xff"),
+    (b"[train]\nobjective = cf%m\n", r"\[train\] unknown objective 'cf%m'$"),
 ], ids=["syntax", "duplicate_section", "no_section", "not_key_value",
-        "value", "not_utf8"])
+        "value", "not_utf8", "percent"])
 def test_config_errors_name_the_file(tmp_path, capsys, content, match):
     """Every error in a config file's contents starts with its path, which
     it names once; train exits 1 on it."""

@@ -247,6 +247,18 @@ class TestParallelSweep:
         finally:
             sys.setswitchinterval(switch)
 
+    def test_one_pool_serves_any_worker_count(self, monkeypatch):
+        """Passes of 2 and 3 blocks take 1 and 2 helper threads, all from
+        one pool: a pass of another worker count builds no new one."""
+        monkeypatch.setattr(net_module, "SWEEP_WORKERS", 3)
+        net, rows = TestBatchInvariance.wide_net_and_rows(False)
+        pools = []
+        for blocks in (2, 3, 2, 3, 2):
+            n = blocks * BLOCK_ROWS
+            net.forward_batch(*(None if a is None else a[:n] for a in rows))
+            pools.append(net_module._pools["sweep"][-1])
+        assert all(pool is pools[0] for pool in pools)
+
     def test_forked_child_gets_parent_bits(self, monkeypatch):
         """A child forked after the parent used its helper threads builds
         its own, and returns the parent's bits."""

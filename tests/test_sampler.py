@@ -15,8 +15,8 @@ from subflow.config import parse_config
 from subflow.mixture import oracle_velocity_batch, toy_spec
 from subflow.net import NetConfig, VelocityNet
 from subflow.rng import stream
-from subflow.sampler import (SampleConfig, _cfg_velocity_batch,
-                             euler_integrate, generate, sample_submode)
+from subflow.sampler import (SampleConfig, euler_integrate, generate,
+                             net_field, sample_submode)
 
 
 def tiny_net(uses_interval=False, seed=0):
@@ -97,11 +97,8 @@ class TestEulerIntegrate:
 
 
 def guided(net, x, t, c, k, w):
-    """_cfg_velocity_batch on a batch of rows sharing (t, c, k), no r."""
-    n = len(x)
-    return _cfg_velocity_batch(net, x, np.full(n, t), None,
-                               np.full(n, c, dtype=np.int64),
-                               np.full(n, k, dtype=np.int64), w)
+    """The guided net_field on a batch of rows sharing (t, c, k), no r."""
+    return net_field(net, c, k, w)(x, t)
 
 
 def branch(net, x, t, c, k):
@@ -153,6 +150,73 @@ class TestCfgVelocity:
             np.testing.assert_allclose(guided(clone, self.X, 0.6, 0, 1, w),
                                        branch(clone, self.X, 0.6, 0, 1),
                                        atol=1e-12)
+
+
+def rows(n, *ids):
+    """Each id as an (n,) int64 column."""
+    return [np.full(n, i, dtype=np.int64) for i in ids]
+
+
+class TestNetField:
+    X = TestCfgVelocity.X
+
+    def test_interval_net_averages_over_the_step(self):
+        """At h an interval net is read over [s, s + h]: t = s + h, r = s;
+        at h = 0, r = t = s."""
+        net = tiny_net(uses_interval=True)
+        n = len(self.X)
+        assert np.array_equal(
+            net_field(net, 1, 0, h=0.25)(self.X, 0.5),
+            net.forward_batch(self.X, np.full(n, 0.75), np.full(n, 0.5),
+                              *rows(n, 1, 0)))
+        assert np.array_equal(
+            net_field(net, 1, 0)(self.X, 0.5),
+            net.forward_batch(self.X, np.full(n, 0.5), np.full(n, 0.5),
+                              *rows(n, 1, 0)))
+
+    def test_plain_net_ignores_h(self):
+        net = tiny_net()
+        expected = branch(net, self.X, 0.5, 1, 0)
+        for h in (0.0, 0.25, 1.0):
+            assert np.array_equal(net_field(net, 1, 0, h=h)(self.X, 0.5),
+                                  expected)
+
+    @pytest.mark.parametrize("uses_interval", [False, True])
+    def test_none_is_null_class_and_empty_slot(self, uses_interval):
+        net = tiny_net(uses_interval)
+        null = net.config.null_class
+        for w in (1.0, 1.5):
+            assert np.array_equal(net_field(net, w=w)(self.X, 0.3),
+                                  net_field(net, null, -1, w)(self.X, 0.3))
+            assert np.array_equal(net_field(net, 0, None, w)(self.X, 0.3),
+                                  net_field(net, 0, -1, w)(self.X, 0.3))
+
+    def test_per_row_ids_pass_through(self):
+        """An array is one index per row: a mixed batch equals each row's
+        own context, and a wrong length is refused, not broadcast."""
+        net = tiny_net()
+        cs, ks = np.array([0, 1, 2]), np.array([1, -1, 0])
+        out = net_field(net, cs, ks)(self.X, 0.4)
+        for i in range(len(self.X)):
+            assert np.array_equal(
+                out[i:i + 1],
+                net_field(net, int(cs[i]), int(ks[i]))(self.X[i:i + 1], 0.4))
+        for c, k in ((cs[:2], 0), (0, ks[:2]), (cs[:1], None)):
+            with pytest.raises(ValueError, match="shape"):
+                net_field(net, c, k)(self.X, 0.4)
+
+    @pytest.mark.parametrize("conditioning", ["uncond", "class", "subflow"])
+    @pytest.mark.parametrize("w", [1.0, 1.5])
+    def test_one_step_generation_is_one_field_step(self, conditioning, w):
+        """At NFE 1, generate moves the noise by the net's field over the
+        whole interval [0, 1], bit for bit."""
+        net = tiny_net(uses_interval=True)
+        batch = generate(net, toy_table(), meta(conditioning),
+                         SampleConfig(count=5, guidance_scale=w), 1, 2)
+        x0 = stream(2, "sample.noise").standard_normal((5, 2))
+        c = None if conditioning == "uncond" else 1
+        field = net_field(net, c, batch.submode_ids, w, h=1.0)
+        assert np.array_equal(batch.xs, x0 + field(x0, 0.0))
 
 
 class TestSampleSubmode:

@@ -64,15 +64,30 @@ def test_script_checks_its_list_before_training(tmp_path, script, flags,
     assert taken.read_text() == "keep"
 
 
-def test_train_digests_ignore_submode_dropout_without_subflow():
-    """scripts/train_digests.py digests a run by its key; a class run never
-    sees a sub-mode, so its sub-mode dropout leaves the bits alone on any
-    BLAS."""
+@pytest.fixture(scope="module")
+def digests():
+    """scripts/train_digests.py, imported."""
     spec = importlib.util.spec_from_file_location(
         "train_digests", ROOT / "scripts" / "train_digests.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    assert "cfm/class/0.3" in module.KEYS
-    first, second = (module.digest(f"cfm/class/{p}")
-                     for p in module.P_DROP_SUBMODE)
+    return module
+
+
+def test_train_digests_ignore_submode_dropout_without_subflow(digests):
+    """scripts/train_digests.py digests a run by its key; a class run never
+    sees a sub-mode, so its sub-mode dropout leaves the bits alone on any
+    BLAS."""
+    assert "cfm/class/0.3" in digests.KEYS
+    first, second = (digests.digest(f"cfm/class/{p}")
+                     for p in digests.P_DROP_SUBMODE)
+    assert first == second and len(first) == 16
+
+
+def test_generation_digests_ignore_submode_dropout_without_subflow(digests):
+    """Beside each training digest, scripts/train_digests.py digests the EMA
+    net's samples; a class run's sub-mode dropout leaves those alone too."""
+    first, second = (digests.generation_digest(key, state, table)
+                     for key in ("cfm/class/0.0", "cfm/class/0.3")
+                     for state, _, table in [digests.train(key)])
     assert first == second and len(first) == 16
