@@ -1,10 +1,12 @@
 """Conditional velocity MLP with hand-rolled reverse- and forward-mode autodiff.
 
-The network maps (x, t[, r], class, sub-mode) to a 2D velocity.  Conditioning
-enters by concatenating learned class / sub-mode embeddings and a sinusoidal
-time encoding with the coordinates at the input.  The class table carries one
-extra row used as the null token for classifier-free guidance; an absent
-sub-mode fills its slot with zeros.
+The network maps (x, t[, r], class, sub-mode) to a 2D velocity.  Its input is
+the coordinates, a sinusoidal time encoding and learned class / sub-mode
+embeddings; the embeddings only add one term per (class, sub-mode) context to
+layer 0's pre-activation, which each pass reads from a table instead of
+multiplying embedding columns row by row.  The class table carries one extra
+row used as the null token for classifier-free guidance; an absent sub-mode
+fills its slot with zeros.
 
 Everything runs in float64.  Gradients (reverse mode, over parameters and
 embedding tables) and directional derivatives (forward mode, over x/t/r only)
@@ -187,19 +189,32 @@ class VelocityNet:
         if np.any(k < -1) or np.any(k >= cfg.num_submodes):
             raise IndexError("submode index out of range")
 
-    def _features(self, x, t, r, c, k, encs, out: np.ndarray) -> None:
-        """Write the input features of a block of rows into `out`.  A time
-        (t, then r) whose entry in `encs` is not None is that encoding,
-        shared by every row."""
-        out[:, :2] = x
-        for i, (s, enc) in enumerate(zip((t, r), encs)):
-            col = 2 + i * TIME_ENC_DIM
-            out[:, col:col + TIME_ENC_DIM] = (self._time_enc(s) if enc is None
-                                              else enc)
-        d = self.config.embed_dim
-        out[:, -2 * d:-d] = self.view("class_emb")[c]
-        out[:, -d:] = np.where((k >= 0)[:, None],
-                               self.view("submode_emb")[np.maximum(k, 0)], 0.0)
+    @property
+    def _plain_dim(self) -> int:
+        """Input columns that are not embeddings: x, then each time's
+        encoding.  They are the columns of a cache's hs[0]."""
+        return self.config.input_dim - 2 * self.config.embed_dim
+
+    def _contexts(self, c: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """Row index into the context table of each (class, sub-mode) pair."""
+        return c * (self.config.num_submodes + 1) + k + 1
+
+    def _context_table(self) -> np.ndarray:
+        """Layer 0's conditioning term of every context, one row per
+        (class including null, sub-mode slot including empty) as
+        `_contexts` numbers them: class_emb[c] W_c^T + b0, plus
+        submode_emb[k] W_k^T when k >= 0."""
+        cfg = self.config
+        d, col = cfg.embed_dim, self._plain_dim
+        w0 = self.view("w0")
+        base = self.view("class_emb") @ w0[:, col:col + d].T
+        base += self.view("b0")
+        sub = self.view("submode_emb") @ w0[:, col + d:].T
+        table = np.empty((cfg.num_classes + 1, cfg.num_submodes + 1,
+                          cfg.hidden_width))
+        table[:, 0] = base
+        np.add(base[:, None], sub[None], out=table[:, 1:])
+        return table.reshape(-1, cfg.hidden_width)
 
     # ---- forward / reverse / forward-mode -------------------------------
 
@@ -208,12 +223,21 @@ class VelocityNet:
         activation cache of the n rows (None otherwise).
 
         hs holds the input of every layer and the last hidden state; ds holds
-        each hidden layer's SiLU derivative.  Rows run in blocks of
-        BLOCK_ROWS; a short last block is padded with rows whose results are
-        dropped.  Up to SWEEP_WORKERS workers run the blocks: the calling
-        thread and helper threads, each claiming the next block when free.
-        Each worker reuses one block-sized set of scratch buffers, and
-        without a cache also of hs.
+        each hidden layer's SiLU derivative.  Layer 0 reads the embeddings
+        through the pass's context table (`_context_table`), so hs[0] holds
+        only the plain input columns: x, then each time's encoding.  Its
+        pre-activation is x W_x^T + (T W_t^T + table[context]), with T the
+        time encoding.  When every row holds one t (and one r), T W_t^T is
+        computed once, on one full block of that encoding, and added into the
+        table; a block then costs one K = 2 matmul and one gather-add, and
+        without a cache hs[0] holds only x.  Both paths add in the same
+        order, so a row's bits do not depend on whether its time is shared.
+
+        Rows run in blocks of BLOCK_ROWS; a short last block is padded with
+        rows whose results are dropped.  Up to SWEEP_WORKERS workers run the
+        blocks: the calling thread and helper threads, each claiming the next
+        block when free.  Each worker reuses one block-sized set of scratch
+        buffers, and without a cache also of hs.
         """
         x = np.asarray(x, dtype=np.float64)
         t = np.asarray(t, dtype=np.float64)
@@ -225,15 +249,17 @@ class VelocityNet:
         if x.shape != (n, 2) or any(a is not None and a.shape != (n,)
                                     for a in (t, r, c, k)):
             raise ValueError("x must have shape (n, 2) and t, r, c, k (n,)")
+        times = [s for s in (t, r) if s is not None]
         # a time every row holds bit for bit (an Euler step, a field pass)
         # is encoded once for the whole pass
         encs = [self._time_enc(s[:1]) if n and np.all(
                     s.view(np.int64) == s[:1].view(np.int64)) else None
-                for s in (t, r) if s is not None]
+                for s in times]
+        shared = all(enc is not None for enc in encs)
         pad = -n % BLOCK_ROWS
-        rows = [x, t, r, c, k]
-        if pad:  # all-zero rows are valid inputs: class 0, sub-mode 0
-            rows = [None if a is None else np.concatenate(
+        rows = [x, self._contexts(c, k), *times]
+        if pad:  # all-zero rows are valid inputs: context 0 is class 0, k -1
+            rows = [np.concatenate(
                 [a, np.zeros((pad, *a.shape[1:]), dtype=a.dtype)])
                 for a in rows]
         total = n + pad
@@ -242,12 +268,19 @@ class VelocityNet:
         depth = self.config.hidden_layers
         width = self.config.hidden_width
         held = total if cache else BLOCK_ROWS * workers
+        w0 = self.view("w0")
+        w_x, w_t = w0[:, :2].T, w0[:, 2:self._plain_dim].T
+        table = self._context_table()
+        if shared:
+            block = np.repeat(np.concatenate(encs, axis=1), BLOCK_ROWS, axis=0)
+            table += (block @ w_t)[0]
+            w_t = None
         # Every array of the pass is a view of one allocation: hs, then with
         # a cache ds, then each worker's block of (z, sigmoid(z)).  Once a
         # block that large is freed, glibc raises its dynamic mmap and trim
         # thresholds, so later passes (each training step) reuse heap pages
         # instead of faulting in fresh ones.
-        shapes = ([(held, self.config.input_dim)]
+        shapes = ([(held, self._plain_dim if cache or not shared else 2)]
                   + [(held, width)] * (depth * (2 if cache else 1))
                   + [(BLOCK_ROWS * workers, width)] * 2)
         sizes = [a * b for a, b in shapes]
@@ -257,7 +290,7 @@ class VelocityNet:
         hs, ds, scratch = arrays[:depth + 1], arrays[depth + 1:-2], arrays[-2:]
         out = np.empty((total, 2))
         layers = [(self.view(f"w{layer}").T, self.view(f"b{layer}"))
-                  for layer in range(depth)]
+                  for layer in range(1, depth)]
         # workers claim the next block as they become free, so one that the
         # OS deschedules does not hold back the others
         claim = threading.Lock()
@@ -267,7 +300,8 @@ class VelocityNet:
             with claim:
                 return next(todo, None)
 
-        args = (rows, encs, layers, hs, ds, scratch, out, next_block)
+        args = (rows, encs, (w_x, w_t, table), layers, hs, ds, scratch, out,
+                next_block)
         slots = [slice(j * BLOCK_ROWS, (j + 1) * BLOCK_ROWS)
                  for j in range(workers)]
         futures = [_executor().submit(self._run_blocks, *args, slot)
@@ -282,23 +316,45 @@ class VelocityNet:
             return out[:n], None
         return out[:n], ([h[:n] for h in hs], [d[:n] for d in ds], c, k)
 
-    def _run_blocks(self, rows, encs, layers, hs, ds, scratch, out,
+    def _run_blocks(self, rows, encs, layer0, layers, hs, ds, scratch, out,
                     next_block, slot):
         """Run the primal pass over the blocks that `next_block` hands out
         (their first rows; None when none are left), using the worker's
         `slot` rows of the scratch (and of hs when there is no cache, that
-        is when ds is empty).  Calls nothing traced, so it can run on a
-        helper thread."""
+        is when ds is empty).  `layer0` is (W_x^T, W_t^T, context table),
+        with W_t^T None when the table holds the shared time's term, and
+        `layers` the (W^T, b) of the later hidden layers.  Calls nothing
+        traced, so it can run on a helper thread."""
         z, sig = (a[slot] for a in scratch)
+        w_x, w_t, table = layer0
+        x, contexts, *times = rows
         w_out_t, b_out = self.view("w_out").T, self.view("b_out")
         while (lo := next_block()) is not None:
             block = slice(lo, lo + BLOCK_ROWS)
             at = block if ds else slot
-            self._features(*(None if a is None else a[block] for a in rows),
-                           encs, out=hs[0][at])
-            for layer, (w_t, b) in enumerate(layers):
-                np.matmul(hs[layer][at], w_t, out=z)
-                z += b
+            h = hs[0][at]
+            h[:, :2] = x[block]
+            if h.shape[1] > 2:  # the time columns: per-row times, or a cache
+                for i, (s, enc) in enumerate(zip(times, encs)):
+                    col = 2 + i * TIME_ENC_DIM
+                    h[:, col:col + TIME_ENC_DIM] = (
+                        self._time_enc(s[block]) if enc is None else enc)
+            # z = x W_x^T + (T W_t^T + table[context]), sig as scratch; the
+            # contexts are checked, and mode="clip" lets take fill its
+            # out unbuffered
+            if w_t is None:
+                np.take(table, contexts[block], axis=0, out=z, mode="clip")
+            else:
+                np.matmul(h[:, 2:], w_t, out=z)
+                np.take(table, contexts[block], axis=0, out=sig, mode="clip")
+                z += sig
+            np.matmul(h[:, :2], w_x, out=sig)
+            z += sig
+            for layer in range(len(hs) - 1):
+                if layer:
+                    w_layer, b = layers[layer - 1]
+                    np.matmul(hs[layer][at], w_layer, out=z)
+                    z += b
                 # sig = 1 / (1 + exp(-z)), in place
                 np.negative(z, out=sig)
                 np.exp(sig, out=sig)
@@ -336,26 +392,33 @@ class VelocityNet:
         hs, ds, c_arr, k_arr = cache
         if cotangents.shape != (len(hs[0]), 2):
             raise ValueError("cotangent shape mismatch")
+        cfg = self.config
         grad = np.zeros_like(self.params)
-        d = self.config.embed_dim
         g = cotangents
         self.view("w_out", grad)[:] += g.T @ hs[-1]
         self.view("b_out", grad)[:] += g.sum(axis=0)
         gh = g @ self.view("w_out")
-        for layer in reversed(range(self.config.hidden_layers)):
+        for layer in reversed(range(1, cfg.hidden_layers)):
             gz = gh * ds[layer]
             self.view(f"w{layer}", grad)[:] += gz.T @ hs[layer]
             self.view(f"b{layer}", grad)[:] += gz.sum(axis=0)
-            w = self.view(f"w{layer}")
-            # of the input features, only the embeddings have parameters
-            gh = gz @ (w if layer else w[:, -2 * d:])
-        # gh is now the cotangent on the class and sub-mode embeddings
-        self.view("class_emb", grad)[:] = _row_sums(
-            c_arr, gh[:, :d], self.config.num_classes + 1)
-        live = k_arr >= 0
-        if np.any(live):
-            self.view("submode_emb", grad)[:] = _row_sums(
-                k_arr[live], gh[live, d:], self.config.num_submodes)
+            gh = gz @ self.view(f"w{layer}")
+        gz = gh * ds[0]
+        # layer 0: the plain columns read hs[0]; the embedding columns and
+        # tables read the sums of gz over each context's rows, split into a
+        # class's rows and a sub-mode's rows (k >= 0)
+        d, col = cfg.embed_dim, self._plain_dim
+        w0, g_w0 = self.view("w0"), self.view("w0", grad)
+        g_w0[:, :col] += gz.T @ hs[0]
+        self.view("b0", grad)[:] += gz.sum(axis=0)
+        sums = _row_sums(self._contexts(c_arr, k_arr), gz,
+                         (cfg.num_classes + 1) * (cfg.num_submodes + 1))
+        sums = sums.reshape(cfg.num_classes + 1, cfg.num_submodes + 1, -1)
+        g_class, g_sub = sums.sum(axis=1), sums[:, 1:].sum(axis=0)
+        g_w0[:, col:col + d] = g_class.T @ self.view("class_emb")
+        g_w0[:, col + d:] = g_sub.T @ self.view("submode_emb")
+        self.view("class_emb", grad)[:] = g_class @ w0[:, col:col + d]
+        self.view("submode_emb", grad)[:] = g_sub @ w0[:, col + d:]
         return grad
 
     def jvp_batch(self, x, t, r, c, k, dx, dt, dr=None, *,

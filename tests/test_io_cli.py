@@ -639,6 +639,7 @@ class TestCli:
     # the net's passes overflow on purpose, on every worker thread
     @pytest.mark.filterwarnings(
         "ignore:overflow encountered in matmul:RuntimeWarning",
+        "ignore:invalid value encountered in matmul:RuntimeWarning",
         "ignore:invalid value encountered in multiply:RuntimeWarning")
     def test_evaluate_rejects_non_finite_samples(self, trained_dir,
                                                  tmp_path, capsys):

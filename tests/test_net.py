@@ -151,16 +151,25 @@ class TestBatchInvariance:
         """At one full block the cached passes return the uncached output,
         and their cache holds exactly the block's rows."""
         net, rows = self.wide_net_and_rows(uses_interval, n=BLOCK_ROWS)
-        out = net.forward_batch(*rows)
-        tangents = (np.ones((BLOCK_ROWS, 2)), np.ones(BLOCK_ROWS),
-                    np.ones(BLOCK_ROWS) if uses_interval else None)
-        fwd_out, fwd_cache = net.forward_batch(*rows, cache=True)
-        jvp_out, _, jvp_cache = net.jvp_batch(*rows, *tangents, cache=True)
-        for got, (hs, ds, c, k) in ((fwd_out, fwd_cache),
-                                    (jvp_out, jvp_cache)):
-            assert np.array_equal(got, out)
-            arrays = [*hs, *ds, c, k]
-            assert all(len(a) == BLOCK_ROWS for a in arrays)
+        check_cached_block(net, rows)
+
+
+def check_cached_block(net, rows):
+    """The cached forward and jvp passes over one full block return the
+    uncached output, and their cache holds exactly the block's rows, with
+    x and the time encodings, not the embeddings, in hs[0]."""
+    out = net.forward_batch(*rows)
+    uses_interval = rows[2] is not None
+    tangents = (np.ones((BLOCK_ROWS, 2)), np.ones(BLOCK_ROWS),
+                np.ones(BLOCK_ROWS) if uses_interval else None)
+    fwd_out, fwd_cache = net.forward_batch(*rows, cache=True)
+    jvp_out, _, jvp_cache = net.jvp_batch(*rows, *tangents, cache=True)
+    for got, (hs, ds, c, k) in ((fwd_out, fwd_cache), (jvp_out, jvp_cache)):
+        assert np.array_equal(got, out)
+        arrays = [*hs, *ds, c, k]
+        assert all(len(a) == BLOCK_ROWS for a in arrays)
+        assert hs[0].shape[1] == 2 + (2 if uses_interval else 1) * \
+            TIME_ENC_DIM
 
 
 def shared_time_rows(rows, n, t=0.37, r=0.21):
@@ -192,6 +201,15 @@ class TestSharedTime:
         assert np.array_equal(out, net.forward_batch(*mixed)[:n])
 
     @pytest.mark.parametrize("uses_interval", [False, True])
+    def test_cached_block_matches_uncached(self, uses_interval):
+        """At a shared time the uncached pass writes only x and reads the
+        time's term from the context table; the cached pass also writes the
+        time columns.  Their outputs are equal."""
+        net, rows = TestBatchInvariance.wide_net_and_rows(uses_interval,
+                                                          n=BLOCK_ROWS)
+        check_cached_block(net, shared_time_rows(rows, BLOCK_ROWS))
+
+    @pytest.mark.parametrize("uses_interval", [False, True])
     def test_cached_time_columns_are_the_row_encoding(self, uses_interval):
         """A cached pass's input features hold, in each time's columns, the
         per-row encoding, whether the rows share their time or not."""
@@ -204,6 +222,35 @@ class TestSharedTime:
                 col = 2 + i * TIME_ENC_DIM
                 assert np.array_equal(hs[0][:, col:col + TIME_ENC_DIM],
                                       net._time_enc(s))
+
+
+class TestContextTable:
+    """Layer 0 reads the embeddings' term from a table of every (class,
+    sub-mode) context, built from the parameters alone, so a row's bits do
+    not depend on which contexts the other rows of its pass hold."""
+
+    @pytest.mark.parametrize("uses_interval", [False, True])
+    @pytest.mark.parametrize("shared", [False, True],
+                             ids=["row-times", "shared-time"])
+    def test_row_independent_of_the_pass_contexts(self, uses_interval,
+                                                  shared):
+        """Each context's rows, null class and k = -1 among them, equal the
+        same rows in a pass where every row holds that one context."""
+        net, rows = TestBatchInvariance.wide_net_and_rows(uses_interval,
+                                                          n=BLOCK_ROWS + 1)
+        if shared:
+            rows = shared_time_rows(rows, BLOCK_ROWS + 1)
+        cfg = net.config
+        c, k = rows[3], rows[4]
+        contexts = [(a, b) for a in range(cfg.null_class + 1)
+                    for b in range(-1, cfg.num_submodes)]
+        assert set(zip(c.tolist(), k.tolist())) == set(contexts)
+        full = net.forward_batch(*rows)
+        for a, b in contexts:
+            alone = net.forward_batch(*rows[:3], np.full_like(c, a),
+                                      np.full_like(k, b))
+            mask = (c == a) & (k == b)
+            assert np.array_equal(alone[mask], full[mask]), (a, b)
 
 
 def _forward_in_child(conn, net, rows):
@@ -297,7 +344,8 @@ class TestBackward:
         (False, False), (True, False), (False, True), (True, True)],
         ids=["False", "True", "False-cache", "True-cache"])
     def test_gradient_matches_finite_differences(self, uses_interval, cached):
-        """50 random parameter coordinates, relative error < 1e-4.
+        """Layer 0's embedding columns, b0, both tables and 50 random
+        parameter coordinates, relative error < 1e-4.
 
         Checked on the reference path (backward reruns the primal pass) and
         on the fused path (backward consumes the cache of one pass).
@@ -313,12 +361,22 @@ class TestBackward:
         r = np.minimum(t, rng.uniform(0, 1, n)) if uses_interval else None
         c = rng.integers(0, 3, n)
         k = rng.integers(-1, 2, n)
+        # rows of the null class and rows with k = -1, in other contexts
+        assert np.any(c == cfg.null_class) and np.any(c < cfg.null_class)
+        assert np.any(k == -1) and np.any(k >= 0)
         cot = rng.standard_normal((n, 2))
         cache = None
         if cached:
             _, cache = net.forward_batch(x, t, r, c, k, cache=True)
         grad = net.backward(x, t, r, c, k, cot, cache=cache)
-        for i in rng.choice(net.num_params, size=50, replace=False):
+        # every coordinate that reads the per-context sums of layer 0, and
+        # b0, then 50 random coordinates
+        index = np.arange(net.num_params)
+        coords = [net.view("w0", index)[:, -2 * cfg.embed_dim:],
+                  *(net.view(name, index)
+                    for name in ("b0", "class_emb", "submode_emb")),
+                  rng.choice(net.num_params, size=50, replace=False)]
+        for i in np.concatenate([a.ravel() for a in coords]):
             fd = self.grad_fd(net, x, t, r, c, k, cot, i)
             denom = max(abs(fd), abs(grad[i]), 1e-8)
             assert abs(grad[i] - fd) / denom < 1e-4, (i, grad[i], fd)
