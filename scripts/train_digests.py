@@ -14,21 +14,27 @@ that train alike also sample alike where that column is equal.  The bits
 depend on the BLAS thread count: compare tables made with the same
 `OPENBLAS_NUM_THREADS`.
 
+A last line, `configs/toy.cfg/100 training-digest`, digests the run that
+`subflow train --config configs/toy.cfg` trains, stopped after 100 steps:
+the figure the README quotes.
+
 Usage:
     python scripts/train_digests.py
 """
 
+import dataclasses
 import hashlib
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
 from subflow import mixture, objectives, pipeline  # noqa: E402
 from subflow.clustering import SubmodeTable  # noqa: E402
-from subflow.config import parse_config  # noqa: E402
+from subflow.config import load_config, parse_config  # noqa: E402
 from subflow.net import VelocityNet  # noqa: E402
 
 P_DROP_SUBMODE = (0.0, 0.3)
@@ -38,6 +44,7 @@ KEYS = [f"{objective}/{conditioning}/{p}"
         for p in P_DROP_SUBMODE]
 # (NFE, guidance scale) of each generation the generation digest covers
 GENERATIONS = [(nfe, w) for nfe in (1, 3) for w in (1.0, 1.5)]
+TOY_STEPS = 100
 
 
 def _sha(arrays) -> str:
@@ -61,6 +68,17 @@ def train(key: str):
         seed=0)
     state, losses = objectives.train(data, spec, cfg, table)
     return state, losses, table
+
+
+def train_toy(steps: int = TOY_STEPS):
+    """(state, losses) of configs/toy.cfg's run, trained for `steps` steps
+    as `pipeline.train_run` trains it."""
+    cfg = load_config(ROOT / "configs" / "toy.cfg")
+    cfg = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train,
+                                                             steps=steps))
+    data = pipeline.build_dataset(cfg)
+    table, _ = pipeline.cluster_dataset(cfg, data)
+    return objectives.train(data, cfg.mixture, cfg.train, table)
 
 
 def train_digest(state, losses) -> str:
@@ -93,6 +111,7 @@ def main():
         state, losses, table = train(key)
         print(key, train_digest(state, losses),
               generation_digest(key, state, table))
+    print(f"configs/toy.cfg/{TOY_STEPS}", train_digest(*train_toy()))
 
 
 if __name__ == "__main__":

@@ -108,24 +108,6 @@ def _layout(cfg: NetConfig) -> list[tuple[str, tuple[int, ...]]]:
     return entries
 
 
-def _silu_grad(z: np.ndarray, sig: np.ndarray, out: np.ndarray) -> None:
-    """Write sig * (1 + z * (1 - sig)), the derivative of z * sigmoid(z)
-    given sig = sigmoid(z), into `out`."""
-    np.subtract(1.0, sig, out=out)
-    out *= z
-    out += 1.0
-    out *= sig
-
-
-def _row_sums(index: np.ndarray, values: np.ndarray, num_rows: int) -> np.ndarray:
-    """(num_rows, d) table whose row j sums the `values` rows with index j,
-    added in batch order onto zero, as np.add.at onto a zero table does."""
-    d = values.shape[1]
-    flat = (index[:, None] * d + np.arange(d)).ravel()
-    return np.bincount(flat, weights=values.ravel(),
-                       minlength=num_rows * d).reshape(num_rows, d)
-
-
 class VelocityNet:
     """Flat-parameter MLP; views into the flat array are exposed by name."""
 
@@ -223,15 +205,17 @@ class VelocityNet:
         activation cache of the n rows (None otherwise).
 
         hs holds the input of every layer and the last hidden state; ds holds
-        each hidden layer's SiLU derivative.  Layer 0 reads the embeddings
-        through the pass's context table (`_context_table`), so hs[0] holds
-        only the plain input columns: x, then each time's encoding.  Its
-        pre-activation is x W_x^T + (T W_t^T + table[context]), with T the
-        time encoding.  When every row holds one t (and one r), T W_t^T is
-        computed once, on one full block of that encoding, and added into the
-        table; a block then costs one K = 2 matmul and one gather-add, and
-        without a cache hs[0] holds only x.  Both paths add in the same
-        order, so a row's bits do not depend on whether its time is shared.
+        each hidden layer's SiLU derivative, sig (1 + z - h) with h its
+        output.  Layer 0 reads the embeddings through the pass's context
+        table (`_context_table`), so hs[0] holds only the plain input
+        columns: x, then each time's encoding, where a row whose r holds
+        t's bits copies t's encoding.  Its pre-activation is
+        x W_x^T + (T W_t^T + table[context]), with T the time encoding.
+        When every row holds one t (and one r), T W_t^T is computed once, on
+        one full block of that encoding, and added into the table; a block
+        then costs one K = 2 matmul and one gather-add, and without a cache
+        hs[0] holds only x.  Both paths add in the same order, so a row's
+        bits do not depend on whether its time is shared.
 
         Rows run in blocks of BLOCK_ROWS; a short last block is padded with
         rows whose results are dropped.  Up to SWEEP_WORKERS workers run the
@@ -335,10 +319,18 @@ class VelocityNet:
             h = hs[0][at]
             h[:, :2] = x[block]
             if h.shape[1] > 2:  # the time columns: per-row times, or a cache
+                t_bits = times[0][block].view(np.int64)
                 for i, (s, enc) in enumerate(zip(times, encs)):
                     col = 2 + i * TIME_ENC_DIM
-                    h[:, col:col + TIME_ENC_DIM] = (
-                        self._time_enc(s[block]) if enc is None else enc)
+                    cols = h[:, col:col + TIME_ENC_DIM]
+                    if enc is not None:
+                        cols[:] = enc
+                    elif i:  # r copies t's encoding where it holds t's bits
+                        fresh = s[block].view(np.int64) != t_bits
+                        cols[:] = h[:, 2:2 + TIME_ENC_DIM]
+                        cols[fresh] = self._time_enc(s[block][fresh])
+                    else:
+                        cols[:] = self._time_enc(s[block])
             # z = x W_x^T + (T W_t^T + table[context]), sig as scratch; the
             # contexts are checked, and mode="clip" lets take fill its
             # out unbuffered
@@ -360,9 +352,12 @@ class VelocityNet:
                 np.exp(sig, out=sig)
                 sig += 1.0
                 np.divide(1.0, sig, out=sig)
-                np.multiply(z, sig, out=hs[layer + 1][at])
-                if ds:
-                    _silu_grad(z, sig, out=ds[layer][block])
+                h = hs[layer + 1][at]
+                np.multiply(z, sig, out=h)
+                if ds:  # SiLU's derivative, sig (1 + z - h): three passes
+                    d = np.subtract(z, h, out=ds[layer][block])
+                    d += 1.0
+                    d *= sig
             np.matmul(hs[-1][at], w_out_t, out=out[block])
             out[block] += b_out
 
@@ -393,69 +388,83 @@ class VelocityNet:
         if cotangents.shape != (len(hs[0]), 2):
             raise ValueError("cotangent shape mismatch")
         cfg = self.config
-        grad = np.zeros_like(self.params)
+        # every block of the gradient is written exactly once, by out=
+        grad = np.empty_like(self.params)
         g = cotangents
-        self.view("w_out", grad)[:] += g.T @ hs[-1]
-        self.view("b_out", grad)[:] += g.sum(axis=0)
+        np.matmul(g.T, hs[-1], out=self.view("w_out", grad))
+        np.sum(g, axis=0, out=self.view("b_out", grad))
         gh = g @ self.view("w_out")
         for layer in reversed(range(1, cfg.hidden_layers)):
-            gz = gh * ds[layer]
-            self.view(f"w{layer}", grad)[:] += gz.T @ hs[layer]
-            self.view(f"b{layer}", grad)[:] += gz.sum(axis=0)
-            gh = gz @ self.view(f"w{layer}")
-        gz = gh * ds[0]
-        # layer 0: the plain columns read hs[0]; the embedding columns and
-        # tables read the sums of gz over each context's rows, split into a
-        # class's rows and a sub-mode's rows (k >= 0)
-        d, col = cfg.embed_dim, self._plain_dim
-        w0, g_w0 = self.view("w0"), self.view("w0", grad)
-        g_w0[:, :col] += gz.T @ hs[0]
-        self.view("b0", grad)[:] += gz.sum(axis=0)
-        sums = _row_sums(self._contexts(c_arr, k_arr), gz,
-                         (cfg.num_classes + 1) * (cfg.num_submodes + 1))
-        sums = sums.reshape(cfg.num_classes + 1, cfg.num_submodes + 1, -1)
+            gh *= ds[layer]  # gz, in place
+            np.matmul(gh.T, hs[layer], out=self.view(f"w{layer}", grad))
+            np.sum(gh, axis=0, out=self.view(f"b{layer}", grad))
+            gh = gh @ self.view(f"w{layer}")
+        gh *= ds[0]
+        # layer 0: the plain columns read hs[0]; b0, the embedding columns
+        # and the tables read the sums of gz over each context's rows (one
+        # one-hot product), split into a class's rows and a sub-mode's (k >= 0)
+        d, col, g_w0 = cfg.embed_dim, self._plain_dim, self.view("w0", grad)
+        w_c, w_k = np.split(self.view("w0")[:, col:], [d], axis=1)
+        np.matmul(gh.T, hs[0], out=g_w0[:, :col])
+        shape = (cfg.num_classes + 1, cfg.num_submodes + 1)
+        onehot = np.equal.outer(np.arange(np.prod(shape)),
+                                self._contexts(c_arr, k_arr))
+        sums = (onehot.astype(np.float64) @ gh).reshape(*shape, -1)
         g_class, g_sub = sums.sum(axis=1), sums[:, 1:].sum(axis=0)
-        g_w0[:, col:col + d] = g_class.T @ self.view("class_emb")
-        g_w0[:, col + d:] = g_sub.T @ self.view("submode_emb")
-        self.view("class_emb", grad)[:] = g_class @ w0[:, col:col + d]
-        self.view("submode_emb", grad)[:] = g_sub @ w0[:, col + d:]
+        np.sum(g_class, axis=0, out=self.view("b0", grad))
+        np.matmul(g_class.T, self.view("class_emb"), out=g_w0[:, col:col + d])
+        np.matmul(g_sub.T, self.view("submode_emb"), out=g_w0[:, col + d:])
+        np.matmul(g_class, w_c, out=self.view("class_emb", grad))
+        np.matmul(g_sub, w_k, out=self.view("submode_emb", grad))
         return grad
 
-    def jvp_batch(self, x, t, r, c, k, dx, dt, dr=None, *,
+    def jvp_batch(self, x, t, r, c, k, dx, dt, dr=None, *, rows=None,
                   cache: bool = False):
         """Forward-mode directional derivative in the (x, t[, r]) inputs.
 
         Embedding tables are constants under this derivative.  Returns the
-        (n,2) tangent; with cache=True returns (out, tangent, cache), where
-        out and cache are those of `forward_batch` on the same inputs: one
-        primal pass, then the tangent through each layer's cached SiLU
-        derivative.
+        (len(rows), 2) tangent of the `rows` (1-D integer indices, all n by
+        default); with cache=True returns (out, tangent, cache), where out
+        and cache are those of `forward_batch` on all n rows: one primal
+        pass, then the tangent through each layer's cached SiLU derivative,
+        unblocked, so its bits can depend on how many rows it runs on.
         """
+        n = len(x)
         dx = np.asarray(dx, dtype=np.float64)
-        dt = np.asarray(dt, dtype=np.float64)
-        if dx.shape != np.shape(x) or dt.shape != np.shape(t):
+        times = [np.asarray(dt, dtype=np.float64)]
+        if self.config.uses_interval:
+            times.append(np.zeros(n) if dr is None
+                         else np.asarray(dr, dtype=np.float64))
+        elif dr is not None:
+            raise ValueError("net does not use an interval: dr must be None")
+        if dx.shape != np.shape(x) or any(u.shape != np.shape(t)
+                                          for u in times):
             raise ValueError("tangent shape mismatch")
+        sel = slice(None) if rows is None else np.asarray(rows)
+        if rows is not None and (sel.ndim != 1 or sel.dtype.kind not in "iu"
+                                 or np.any((sel < 0) | (sel >= n))):
+            raise ValueError("rows must be 1-D integer indices in [0, n)")
         out, act = self._sweep(x, t, r, c, k, cache=True)
         hs, ds = act[:2]
-        times = [dt]
-        if self.config.uses_interval:
-            times.append(np.zeros(len(dx)) if dr is None
-                         else np.asarray(dr, dtype=np.float64))
         # along a time tangent u, the encoding [s, sin(s f), cos(s f)] moves
         # by u * [1, f cos(s f), -f sin(s f)]; sin and cos are read from the
-        # cached features
-        parts = [dx]
+        # cached features.  The first product skips the columns of the
+        # embeddings and of a time whose tangent is zero on every row.
+        parts, cols = [dx[sel]], [np.arange(2)]
         for i, u in enumerate(times):
-            col = 2 + i * TIME_ENC_DIM + 1
-            sin = hs[0][:, col:col + N_FREQS]
-            cos = hs[0][:, col + N_FREQS:col + 2 * N_FREQS]
+            u = u[sel]
+            if not u.any():
+                continue
+            col = 2 + i * TIME_ENC_DIM
+            sin = hs[0][sel, col + 1:col + 1 + N_FREQS]
+            cos = hs[0][sel, col + 1 + N_FREQS:col + TIME_ENC_DIM]
             dphase = u[:, None] * self._freqs[None, :]
             parts += [u[:, None], cos * dphase, -sin * dphase]
+            cols.append(np.arange(col, col + TIME_ENC_DIM))
         dh = np.concatenate(parts, axis=1)
+        w_in = self.view("w0")[:, np.concatenate(cols)]
         for layer in range(self.config.hidden_layers):
-            w = self.view(f"w{layer}")
-            # the embedding features' tangent is zero, so the first product
-            # skips their columns
-            dh = (dh @ (w if layer else w[:, :dh.shape[1]]).T) * ds[layer]
+            w = self.view(f"w{layer}") if layer else w_in
+            dh = (dh @ w.T) * ds[layer][sel]
         tangent = dh @ self.view("w_out").T
         return (out, tangent, act) if cache else tangent

@@ -152,16 +152,19 @@ def meanflow_loss(net: VelocityNet, x0, x1, c, k, r, t):
     sampler step x <- x + (t - r) * u uses it where it was trained.
     Differentiating (t - r) * u = the integral of the velocity over [r, t]
     in r, along the path, gives the target v + (t - r) * du/dr, with no
-    gradient through it; one jvp pass yields u, du/dr and the cache.
+    gradient through it; one jvp pass yields u, the cache and du/dr on the
+    rows with r < t: on rows with r = t the target is exactly v.
     """
     if not net.config.uses_interval:
         raise ValueError("meanflow_loss needs a net built with uses_interval")
 
     def net_pass(x_r, t, r, v):
-        u, dudr, cache = net.jvp_batch(x_r, t, r, c, k, dx=v,
-                                       dt=np.zeros_like(t),
-                                       dr=np.ones_like(r), cache=True)
-        return u, v + (t - r)[:, None] * dudr, cache
+        rows = np.flatnonzero(r < t)
+        u, dudr, cache = net.jvp_batch(x_r, t, r, c, k, v, np.zeros_like(t),
+                                       np.ones_like(r), rows=rows, cache=True)
+        target = v.copy()
+        target[rows] += (t - r)[rows, None] * dudr
+        return u, target, cache
     return _regression(net, x0, x1, c, k, r, t, net_pass)
 
 

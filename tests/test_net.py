@@ -212,16 +212,27 @@ class TestSharedTime:
     @pytest.mark.parametrize("uses_interval", [False, True])
     def test_cached_time_columns_are_the_row_encoding(self, uses_interval):
         """A cached pass's input features hold, in each time's columns, the
-        per-row encoding, whether the rows share their time or not."""
+        per-row encoding's bits, whether the rows share their time or not,
+        and on an interval net whether r equals t or not."""
         net, rows = TestBatchInvariance.wide_net_and_rows(uses_interval,
                                                           n=BLOCK_ROWS + 1)
-        for batch in (rows, shared_time_rows(rows, BLOCK_ROWS + 1)):
+        batches = [rows, shared_time_rows(rows, BLOCK_ROWS + 1)]
+        if uses_interval:
+            # r = t on every other row, where r copies t's encoding, and a
+            # -0.0 r at t = 0.0, equal by value but not by bits
+            x, t, r, c, k = rows
+            r = np.where(np.arange(len(t)) % 2 == 0, t, r)
+            t, r = t.copy(), r.copy()
+            t[1], r[1] = 0.0, -0.0
+            batches.append((x, t, r, c, k))
+        for batch in batches:
             _, (hs, _, _, _) = net.forward_batch(*batch, cache=True)
             times = [s for s in batch[1:3] if s is not None]
             for i, s in enumerate(times):
                 col = 2 + i * TIME_ENC_DIM
-                assert np.array_equal(hs[0][:, col:col + TIME_ENC_DIM],
-                                      net._time_enc(s))
+                cached = hs[0][:, col:col + TIME_ENC_DIM]
+                assert np.array_equal(cached.view(np.int64),  # bit for bit
+                                      net._time_enc(s).view(np.int64))
 
 
 class TestContextTable:
@@ -395,6 +406,29 @@ class TestBackward:
         g2 = net.backward(x[1:], t[1:], None, c[1:], k[1:], cot[1:])
         np.testing.assert_allclose(grad_both, g1 + g2, atol=1e-12)
 
+    def test_unused_contexts_get_exact_zeros(self):
+        """The gradient is written block by block into uninitialised
+        memory: on a batch of one class with no sub-mode, the other class
+        rows, the sub-mode table and its columns of W0 get exact zeros, and
+        every entry is finite."""
+        cfg = NetConfig(num_classes=2, num_submodes=2, uses_interval=True)
+        net = random_net(cfg, seed=2, scale=0.1)
+        rng = np.random.default_rng(6)
+        n = BLOCK_ROWS
+        t = rng.uniform(0, 1, n)
+        rows = (rng.standard_normal((n, 2)), t, t * rng.uniform(0, 1, n),
+                np.zeros(n, dtype=np.int64), np.full(n, -1))
+        cot = rng.standard_normal((n, 2))
+        junk = np.full(net.num_params, np.nan)  # memory the gradient may reuse
+        del junk
+        grad = net.backward(*rows, cot)
+        assert np.all(np.isfinite(grad))
+        d = cfg.embed_dim
+        assert np.all(net.view("class_emb", grad)[1:] == 0.0)
+        assert np.all(net.view("submode_emb", grad) == 0.0)
+        assert np.all(net.view("w0", grad)[:, -d:] == 0.0)
+        assert np.any(net.view("class_emb", grad)[0] != 0.0)
+
     def test_cotangent_shape_checked(self):
         net = VelocityNet(tiny_config())
         inputs = (np.zeros((2, 2)), np.zeros(2), None,
@@ -474,6 +508,70 @@ class TestJvp:
         ref = [*ref_hs, *ref_ds, ref_c, ref_k]
         assert len(cached) == len(ref)
         assert all(np.array_equal(a, b) for a, b in zip(cached, ref))
+
+    @staticmethod
+    def wide_batch(uses_interval, n=40, seed=0):
+        """A 128-wide net, n rows with r < t, and tangents in every input."""
+        cfg = NetConfig(num_classes=2, num_submodes=2,
+                        uses_interval=uses_interval)
+        net = random_net(cfg, seed=seed, scale=0.1)
+        rng = np.random.default_rng(seed + 1)
+        t = rng.uniform(0, 1, n)
+        rows = (rng.standard_normal((n, 2)), t,
+                t * rng.uniform(0, 1, n) if uses_interval else None,
+                rng.integers(0, 3, n), rng.integers(-1, 2, n))
+        tangents = (rng.standard_normal((n, 2)), rng.standard_normal(n),
+                    rng.standard_normal(n) if uses_interval else None)
+        return net, rows, tangents
+
+    @pytest.mark.parametrize("uses_interval", [False, True])
+    @pytest.mark.parametrize("idx", [[], [17], list(range(40))],
+                             ids=["empty", "one", "all"])
+    def test_selected_rows_match_the_full_tangent(self, uses_interval, idx):
+        net, rows, tangents = self.wide_batch(uses_interval)
+        full = net.jvp_batch(*rows, *tangents)
+        idx = np.array(idx, dtype=np.int64)
+        out, part, _ = net.jvp_batch(*rows, *tangents, rows=idx, cache=True)
+        assert part.shape == (len(idx), 2)
+        assert np.array_equal(out, net.forward_batch(*rows))
+        scale = np.max(np.abs(full))
+        assert np.max(np.abs(part - full[idx]), initial=0.0) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("uses_interval", [False, True])
+    def test_zero_time_tangent_drops_its_columns(self, uses_interval):
+        """A dt that is zero on every row adds no columns to the first
+        product; the tangent equals its linear decomposition through a
+        nonzero dt, whose t columns are carried."""
+        net, rows, (dx, dt, dr) = self.wide_batch(uses_interval)
+        zero = np.zeros_like(dt)
+        dropped = net.jvp_batch(*rows, dx, zero, dr)
+        carried = (net.jvp_batch(*rows, dx, dt, dr)
+                   - net.jvp_batch(*rows, np.zeros_like(dx), dt,
+                                   None if dr is None else np.zeros_like(dr)))
+        scale = np.max(np.abs(dropped))
+        assert np.max(np.abs(dropped - carried)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("uses_interval, dr, rows, match", [
+        (True, np.zeros(4), None, "tangent shape mismatch"),
+        (True, np.float64(1.0), None, "tangent shape mismatch"),
+        (False, np.zeros(3), None, "dr must be None"),
+        (True, None, [[0, 1]], "1-D integer"),
+        (True, None, [0.0, 1.0], "1-D integer"),
+        (True, None, np.int64(1), "1-D integer"),
+        (True, None, [0, 3], "1-D integer"),
+        (True, None, [-1], "1-D integer"),
+    ], ids=["dr-long", "dr-0d", "dr-no-interval", "rows-2d", "rows-float",
+            "rows-0d", "rows-past-end", "rows-negative"])
+    def test_tangent_inputs_checked(self, uses_interval, dr, rows, match):
+        """A dr of the wrong shape, a dr on a net without an interval and
+        rows that are not 1-D integer indices in range are refused."""
+        net = random_net(tiny_config(uses_interval), seed=0)
+        inputs = (np.zeros((3, 2)), np.full(3, 0.5),
+                  np.full(3, 0.2) if uses_interval else None, [0, 1, 2],
+                  [0, 1, -1])
+        with pytest.raises(ValueError, match=match):
+            net.jvp_batch(*inputs, np.zeros((3, 2)), np.zeros(3), dr,
+                          rows=rows)
 
     def test_zero_tangent_gives_zero(self):
         net = random_net(tiny_config(), seed=0)

@@ -212,6 +212,41 @@ class TestMeanflowLoss:
         assert loss_mf == pytest.approx(loss_cfm, rel=1e-12)
         np.testing.assert_allclose(grad_mf, grad_cfm, atol=1e-12)
 
+    def test_tangent_only_on_rows_with_r_below_t(self, monkeypatch):
+        """The jvp pass forms du/dr on the r < t rows alone: there the
+        target is v + (t - r) du/dr, and on r = t rows it is v, bit for
+        bit."""
+        net = small_net(uses_interval=True, seed=12)
+        rng = np.random.default_rng(13)
+        n = 16
+        x0, x1 = rng.standard_normal((n, 2)), rng.standard_normal((n, 2))
+        r, t = draw_times(n, 0.5, rng)
+        below = r < t
+        assert np.any(below) and not np.all(below)
+        c, k = rng.integers(0, 3, n), rng.integers(-1, 2, n)
+        seen = {}
+        jvp = net.jvp_batch
+
+        def spy_jvp(*args, rows=None, **kwargs):
+            seen["rows"] = rows
+            return jvp(*args, rows=rows, **kwargs)
+
+        def regression(net, x0, x1, c, k, r, t, net_pass):
+            seen["x_r"] = (1 - r)[:, None] * x0 + r[:, None] * x1
+            seen["target"] = net_pass(seen["x_r"], t, r, x1 - x0)[1]
+            return 0.0, None
+
+        monkeypatch.setattr(net, "jvp_batch", spy_jvp)
+        monkeypatch.setattr(objectives, "_regression", regression)
+        meanflow_loss(net, x0, x1, c, k, r, t)
+        assert np.array_equal(seen["rows"], np.flatnonzero(below))
+        v, target = x1 - x0, seen["target"]
+        assert np.array_equal(target[~below], v[~below])
+        dudr = jvp(seen["x_r"], t, r, c, k, v, np.zeros(n), np.ones(n))
+        np.testing.assert_allclose(target[below],
+                                   (v + (t - r)[:, None] * dudr)[below],
+                                   rtol=1e-12)
+
     def test_constant_field_target_is_v(self):
         g = np.array([1.5, -0.5])
         net = constant_net(g, uses_interval=True)

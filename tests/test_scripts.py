@@ -1,12 +1,17 @@
 """Smoke tests for scripts/: each experiment script runs as its own process
 on a tiny config and writes its CSVs, one row per panel, NFE or model;
-train_digests.py is imported and checked for one invariant."""
+train_digests.py is imported and checked for its invariants."""
 
+import dataclasses
 import importlib.util
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+
+from subflow import io, pipeline
+from subflow.config import load_config
 
 from support import ROOT, TINY_CONFIG
 
@@ -91,3 +96,17 @@ def test_generation_digests_ignore_submode_dropout_without_subflow(digests):
                      for key in ("cfm/class/0.0", "cfm/class/0.3")
                      for state, _, table in [digests.train(key)])
     assert first == second and len(first) == 16
+
+
+def test_toy_digest_trains_the_toy_run(digests, tmp_path):
+    """The toy line of scripts/train_digests.py trains the run that
+    `subflow train --config configs/toy.cfg` writes, bit for bit."""
+    cfg = load_config(ROOT / "configs" / "toy.cfg")
+    cfg = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train,
+                                                             steps=3))
+    manifest = pipeline.train_run(cfg, tmp_path)
+    net, ema, step, _, _ = io.load_checkpoint(manifest.files["checkpoint"])
+    state, losses = digests.train_toy(steps=3)
+    assert step == state.step == len(losses) == 3
+    assert np.array_equal(net.params, state.net.params)
+    assert np.array_equal(ema, state.ema_params)
