@@ -14,9 +14,15 @@ that train alike also sample alike where that column is equal.  The bits
 depend on the BLAS thread count: compare tables made with the same
 `OPENBLAS_NUM_THREADS`.
 
-A last line, `configs/toy.cfg/100 training-digest`, digests the run that
+The line `configs/toy.cfg/100 training-digest` digests the run that
 `subflow train --config configs/toy.cfg` trains, stopped after 100 steps:
 the figure the README quotes.
+
+A last line, `metrics metrics-digest`, digests the scoring path: the
+squared k-NN radii (`knn_radii_sq`) of the default config's 10k-point real
+set, then every `evaluate_all` field of each generation above, scored
+against that real set with those radii, so two trees that sample alike
+also score alike where that line is equal.
 
 Usage:
     python scripts/train_digests.py
@@ -32,7 +38,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from subflow import mixture, objectives, pipeline  # noqa: E402
+from subflow import metrics, mixture, objectives, pipeline  # noqa: E402
 from subflow.clustering import SubmodeTable  # noqa: E402
 from subflow.config import load_config, parse_config  # noqa: E402
 from subflow.net import VelocityNet  # noqa: E402
@@ -86,18 +92,37 @@ def train_digest(state, losses) -> str:
                 for array in (state.net.params, state.ema_params, losses))
 
 
-def generation_digest(key: str, state, table) -> str:
-    """Digest of the EMA net's samples at every entry of GENERATIONS."""
+def generations(key: str, state, table) -> list:
+    """The EMA net's sample batches, one per entry of GENERATIONS."""
     objective, conditioning, _ = key.split("/")
     cfg = parse_config("")  # its [mixture] is toy_spec, as in training
     ema = VelocityNet(state.net.config, state.ema_params)
     meta = {"objective": objective, "conditioning": conditioning,
             "source_std": cfg.mixture.source_std}
-    arrays = []
-    for nfe, w in GENERATIONS:
-        batch = pipeline.generate_all_classes(ema, table, meta, cfg, 512,
-                                              nfe, w, "prior", 0)
-        arrays += [batch.xs, batch.class_ids, batch.submode_ids]
+    return [pipeline.generate_all_classes(ema, table, meta, cfg, 512, nfe, w,
+                                          "prior", 0)
+            for nfe, w in GENERATIONS]
+
+
+def generation_digest(batches) -> str:
+    """Digest of the points, class ids and sub-mode ids of `batches`."""
+    return _sha(array for batch in batches
+                for array in (batch.xs, batch.class_ids, batch.submode_ids))
+
+
+def metrics_digest(batches) -> str:
+    """Digest of the default config's real-set k-NN radii and of every
+    `evaluate_all` field of each batch, scored against that set."""
+    cfg = parse_config("")
+    real = pipeline.real_set(cfg).xs
+    radii_sq = metrics.knn_radii_sq(real)
+    arrays = [radii_sq]
+    for batch in batches:
+        report = metrics.evaluate_all(cfg.mixture, real, batch.xs,
+                                      tau=cfg.metrics.coverage_tau,
+                                      real_radii_sq=radii_sq)
+        arrays += [np.asarray(value, dtype=np.float64)
+                   for value in vars(report).values() if value is not None]
     return _sha(arrays)
 
 
@@ -107,11 +132,14 @@ def digest(key: str) -> str:
 
 
 def main():
+    scored = []
     for key in KEYS:
         state, losses, table = train(key)
-        print(key, train_digest(state, losses),
-              generation_digest(key, state, table))
+        batches = generations(key, state, table)
+        scored += batches
+        print(key, train_digest(state, losses), generation_digest(batches))
     print(f"configs/toy.cfg/{TOY_STEPS}", train_digest(*train_toy()))
+    print("metrics", metrics_digest(scored))
 
 
 if __name__ == "__main__":

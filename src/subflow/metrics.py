@@ -98,7 +98,8 @@ class _Grid:
         # one spare column: a cell index can round up past span / h
         self.width = int(span / h) + 4
         keys = self.keys(points)
-        self.order = np.argsort(keys, kind="stable")
+        # tie order is free: a radius is a k-th smallest value, a hit an any
+        self.order = np.argsort(keys)
         self.table = keys[self.order]
         # a sentinel at infinity pads blocks of unequal size
         self.xs = np.append(points[self.order, 0], np.inf)
@@ -108,36 +109,61 @@ class _Grid:
         cells = np.floor((points - self.lo) / self.h).astype(np.int64)
         return (cells[:, 0] + 1) * self.width + cells[:, 1] + 1
 
-    def blocks(self, queries: np.ndarray):
-        """Yield (rows, idx, d2) batches.  Row i pairs query rows[i] with
-        the table positions idx[i] of its block, padded with the sentinel
-        (position len(table)); d2 holds their squared distances, inf on
-        the padding.  Rows are batched in order of block size, with at most
-        _PAIR_BUDGET padded pairs per batch (one row if its block alone is
-        larger)."""
-        cols = self.keys(queries)[:, None] + self.width * np.arange(-1, 2)
+    def blocks(self, queries: np.ndarray, least: int, keys=None):
+        """Yield (rows, idx, d2) batches for the queries whose block holds
+        at least `least` table points; the others get none.  The six
+        lookups per query (start and end of three runs) go in key order,
+        so each scans the table near-sequentially: `keys` are the queries'
+        cell keys where the caller has them in ascending order, as a
+        search of the table's own points does; otherwise the queries are
+        sorted by key here.  Row i pairs query rows[i] with the table
+        positions idx[i] of its block, padded with the sentinel (position
+        len(table)); d2 holds their squared distances, inf on the padding.
+        Rows are batched in order of block size, with at most _PAIR_BUDGET
+        padded pairs per batch (one row if its block alone is larger)."""
+        by_key = None
+        if keys is None:
+            keys = self.keys(queries)
+            by_key = np.argsort(keys)
+            keys, queries = keys[by_key], queries[by_key]
+        # one ascending run of needles per block column
+        cols = keys + self.width * np.arange(-1, 2)[:, None]
         starts = np.searchsorted(self.table, cols - 1, side="left")
-        counts = np.searchsorted(self.table, cols + 1, side="right") - starts
-        ends = np.cumsum(counts, axis=1)
-        # table position = run start + offset into the run; run 3 is padding
-        shift = np.column_stack([starts - (ends - counts),
-                                 np.full(len(queries), len(self.table))])
-        by_size = np.argsort(ends[:, 2], kind="stable")
-        sizes = ends[by_size, 2]
+        stops = np.searchsorted(self.table, cols + 1, side="right")
+        ends = np.cumsum(stops - starts, axis=0)
+        full = np.flatnonzero(ends[2] >= least)
+        by_size = full[np.argsort(ends[2, full])]
+        # where a row's offset reaches ends[j], its table position jumps
+        # from the end of run j to the start of the next, or after run 2
+        # past the table, where it is clamped to the sentinel
+        nexts = np.append(starts[1:, by_size],
+                          np.full((1, len(by_size)), len(self.table)), axis=0)
+        jumps = nexts - stops[:, by_size]
+        starts, ends = starts[0, by_size], ends[:, by_size]
         first = 0
         while first < len(by_size):
-            rest = sizes[first:]
+            rest = ends[2, first:]
             fits = np.arange(1, len(rest) + 1) * rest <= _PAIR_BUDGET
             last = first + max(1, int(np.count_nonzero(fits)))
+            widest = ends[2, last - 1]
+            # positions as a running sum of steps of 1 plus the jumps; the
+            # spare last column takes the jumps at the widest block's end
+            steps = np.ones((last - first, widest + 1), dtype=np.int64)
+            steps[:, 0] = starts[first:last]
+            lanes = np.arange(last - first)
+            for j in range(3):
+                steps[lanes, ends[j, first:last]] += jumps[j, first:last]
+            idx = np.cumsum(steps[:, :widest], axis=1)
+            np.minimum(idx, len(self.table), out=idx)
             rows = by_size[first:last]
-            pos = np.arange(sizes[last - 1])
-            run = ((pos >= ends[rows, 0:1]).astype(np.int64)
-                   + (pos >= ends[rows, 1:2]) + (pos >= ends[rows, 2:3]))
-            idx = np.minimum(np.take_along_axis(shift[rows], run, axis=1)
-                             + pos, len(self.table))
-            dx = queries[rows, 0:1] - self.xs[idx]
-            dy = queries[rows, 1:2] - self.ys[idx]
-            yield rows, idx, dx * dx + dy * dy
+            dx = self.xs[idx]
+            np.subtract(queries[rows, 0:1], dx, out=dx)
+            dy = self.ys[idx]
+            np.subtract(queries[rows, 1:2], dy, out=dy)
+            dx *= dx
+            dy *= dy
+            dx += dy
+            yield rows if by_key is None else by_key[rows], idx, dx
             first = last
 
 
@@ -151,18 +177,20 @@ def knn_radii_sq(points: np.ndarray, k: int = KNN_K) -> np.ndarray:
         raise ValueError(f"need k >= 1 and more than k={k} points")
     lo, span, h = _frame("points", points)
     radii = np.empty(len(points))
-    todo = np.arange(len(points))
-    while len(todo):
+    todo = np.ones(len(points), dtype=bool)
+    while todo.any():
         grid = _Grid(points, lo, span, h)
-        kth = np.full(len(todo), np.inf)
-        for rows, _, d2 in grid.blocks(points[todo]):
-            # a block holds its own point, at distance 0: index k is the
-            # k-th neighbour
-            if d2.shape[1] > k:
-                kth[rows] = np.partition(d2, k, axis=1)[:, k]
+        # the open rows in the table's own key order
+        open_ = todo[grid.order]
+        rows, keys = grid.order[open_], grid.table[open_]
+        kth = np.full(len(rows), np.inf)
+        # a block holds its own point, at distance 0: index k is the k-th
+        # neighbour, and a block of k points or fewer cannot finish its row
+        for batch, _, d2 in grid.blocks(points[rows], k + 1, keys):
+            kth[batch] = np.partition(d2, k, axis=1)[:, k]
         done = (kth <= _reach_sq(span, h)) | (h >= span)
-        radii[todo[done]] = kth[done]
-        todo = todo[~done]
+        radii[rows[done]] = kth[done]
+        todo[rows[done]] = False
         h *= 2.0
     return radii
 
@@ -172,20 +200,30 @@ def _in_manifold(queries: np.ndarray, support: np.ndarray,
     """Whether each query lies in some ball support[j] of squared radius
     radii_sq[j].  Balls are visited in levels of doubling cell side h; a
     ball within reach of h can only hold queries whose block contains its
-    centre.  Once h reaches the span, every block holds every centre, so
-    the remaining balls form the last level, however large their radii.
-    `frame` is `_frame` of both sets, in either order."""
+    centre, which is the same as the centre's block containing them.  So
+    a level looks up the smaller of its balls and its open queries in a
+    grid of the other.  Once h reaches the span, every block holds every
+    centre, so the remaining balls form the last level, however large
+    their radii.  `frame` is `_frame` of both sets, in either order."""
     lo, span, h = frame
     hits = np.zeros(len(queries), dtype=bool)
     balls = np.arange(len(support))
     while len(balls) and not hits.all():
         level = (radii_sq[balls] <= _reach_sq(span, h)) | (h >= span)
         if level.any():
-            grid = _Grid(support[balls[level]], lo, span, h)
-            r2 = np.append(radii_sq[balls[level]][grid.order], -np.inf)
+            centres, r2 = support[balls[level]], radii_sq[balls[level]]
             open_rows = np.flatnonzero(~hits)
-            for rows, idx, d2 in grid.blocks(queries[open_rows]):
-                hits[open_rows[rows]] = np.any(d2 <= r2[idx], axis=1)
+            if len(centres) < len(open_rows):
+                grid = _Grid(queries[open_rows], lo, span, h)
+                for rows, idx, d2 in grid.blocks(centres, 1):
+                    # the sentinel's d2 is inf, above every radius
+                    inside = idx[d2 <= r2[rows, None]]
+                    hits[open_rows[grid.order[inside]]] = True
+            else:
+                grid = _Grid(centres, lo, span, h)
+                r2 = np.append(r2[grid.order], -np.inf)
+                for rows, idx, d2 in grid.blocks(queries[open_rows], 1):
+                    hits[open_rows[rows]] = np.any(d2 <= r2[idx], axis=1)
             balls = balls[~level]
         h *= 2.0
     return hits

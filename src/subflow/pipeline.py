@@ -190,12 +190,15 @@ NFE_LADDER = (1, 2, 4, 8, 16, 32, 64, 128)
 
 
 def _scored_samples(sample: sampler.SampleConfig, nfe_list) -> list:
-    """`sample` at each NFE, for scoring: every NFE is checked, and the
-    count must exceed the k of the k-NN metrics."""
+    """`sample` at each NFE, for scoring: the list must name an NFE, every
+    NFE is checked, and the count must exceed the k of the k-NN metrics."""
     if sample.count <= metrics.KNN_K:
         raise ValueError(f"[sample] count {sample.count} must exceed the "
                          f"kNN k ({metrics.KNN_K}) to be scored")
-    return [dataclasses.replace(sample, nfe=nfe) for nfe in nfe_list]
+    samples = [dataclasses.replace(sample, nfe=nfe) for nfe in nfe_list]
+    if not samples:
+        raise ValueError("the NFE list is empty: there is nothing to score")
+    return samples
 
 
 def evaluate_run(manifest_path, cfg: ExperimentConfig,

@@ -424,6 +424,18 @@ def trained_dir(tmp_path_factory):
     return cfg_path, out, manifest
 
 
+def _record_calls(monkeypatch, *targets):
+    """Wrap each (module, name) function so that a call appends its name
+    to the returned list before it runs."""
+    calls = []
+    for module, name in targets:
+        def recorded(*args, _name=name, _fn=getattr(module, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
 def _descriptor_changed(change):
     """Damage that rewrites a checkpoint's JSON descriptor with `change`."""
     def damage(path):
@@ -710,6 +722,19 @@ class TestCli:
                    "--nfe-list", "1,2,0"])
         assert rc == EXIT_VALIDATION
         assert not (out / "nfe_sweep.csv").exists()
+
+    def test_sweep_rejects_an_empty_nfe_list(self, trained_dir, tmp_path,
+                                             monkeypatch):
+        """An empty NFE list raises before the run loads: no directory is
+        created and no k-NN radius search runs."""
+        cfg_path, _, manifest = trained_dir
+        calls = _record_calls(monkeypatch, (pipeline, "load_run"),
+                              (metrics, "knn_radii_sq"))
+        out_csv = tmp_path / "sweep" / "nfe_sweep.csv"
+        with pytest.raises(ValueError, match="NFE list is empty"):
+            pipeline.sweep_nfe(manifest, load_config(cfg_path), out_csv, [])
+        assert not out_csv.parent.exists()
+        assert calls == []
 
     def test_sweep_rejects_a_non_integer_nfe(self, trained_dir, tmp_path,
                                              capsys):
@@ -1059,6 +1084,18 @@ class TestRunGrid:
             pipeline.run_grid(_grid_rows(parse_config(GRID_CONFIG)), [1, 0],
                               out_csv)
         assert not out_csv.parent.exists()
+
+    def test_empty_nfe_list_creates_nothing(self, tmp_path, monkeypatch):
+        """An empty NFE list stops the grid before the first training run:
+        no directory is created and no k-NN radius search runs."""
+        calls = _record_calls(monkeypatch, (pipeline, "train_run"),
+                              (metrics, "knn_radii_sq"))
+        out_csv = tmp_path / "grid" / "g.csv"
+        with pytest.raises(ValueError, match="NFE list is empty"):
+            pipeline.run_grid(_grid_rows(parse_config(GRID_CONFIG)), [],
+                              out_csv)
+        assert not out_csv.parent.exists()
+        assert calls == []
 
     def test_unscorable_count_creates_nothing(self, tmp_path):
         """A row whose [sample] count the k-NN metrics cannot use stops the

@@ -109,6 +109,33 @@ def assert_grid_search_exact(real, gen, k, monkeypatch):
     assert lanes_agree(monkeypatch, real, gen, k) == tuple(hits)
 
 
+def _lattice_sets():
+    """A 17 x 17 integer lattice whose points sit on cell edges, and
+    queries on and between its points."""
+    xs, ys = np.meshgrid(np.arange(17.0), np.arange(17.0))
+    real = np.column_stack([xs.ravel(), ys.ravel()])
+    inner = real[(real[:, 0] < 16) & (real[:, 1] < 15)]
+    return real, np.concatenate([inner[::3] + [0.5, 0.0], real[1::5],
+                                 inner[::7] + [0.0, 2.0]])
+
+
+def _duplicate_sets():
+    """Every real point three times over, and queries that repeat some of
+    them exactly."""
+    rng = np.random.default_rng(22)
+    real = np.repeat(rng.standard_normal((300, 2)), 3, axis=0)
+    return real, np.concatenate([real[::4], rng.standard_normal((200, 2))])
+
+
+def _toy_sets():
+    """Toy-mixture points and a generated set collapsed onto its means."""
+    spec = toy_spec()
+    rng = np.random.default_rng(23)
+    idx = rng.choice(4, size=1500, p=spec.weights())
+    gen = spec.means()[idx] + 1e-3 * rng.standard_normal((1500, 2))
+    return sample_dataset(spec, 2000, seed=24).xs, gen
+
+
 def spectral_frechet(real, gen):
     mu1, mu2 = real.mean(axis=0), gen.mean(axis=0)
     s1 = np.cov(real, rowvar=False)
@@ -302,15 +329,37 @@ class TestGridSearchDegenerateSets:
         """Integer lattices whose coordinates sit on cell edges; each inner
         point has four neighbours at distance 1, tied at the k-th, and
         queries at exactly a ball's radius count as inside."""
-        xs, ys = np.meshgrid(np.arange(17.0), np.arange(17.0))
-        real = np.column_stack([xs.ravel(), ys.ravel()])
-        inner = real[(real[:, 0] < 16) & (real[:, 1] < 15)]
-        gen = np.concatenate([inner[::3] + [0.5, 0.0], real[1::5],
-                              inner[::7] + [0.0, 2.0]])
+        real, gen = _lattice_sets()
         for sets in ((real,), (real, gen)):
             lo, _, h = metrics._frame("sets", *sets)
             assert np.all(np.mod(np.concatenate(sets) - lo, h) == 0.0)
         assert_grid_search_exact(real, gen, k, monkeypatch)
+
+    @pytest.mark.parametrize("make_sets", [_toy_sets, _duplicate_sets,
+                                           _lattice_sets],
+                             ids=["toy", "duplicates", "lattice"])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_independent_of_input_order(self, make_sets, k, monkeypatch):
+        """The grid sorts cell keys without keeping the order of ties, so
+        no result may depend on it: permuted sets give radii and hit masks
+        permuted bit for bit, and the same precision and recall with the
+        lanes inline and on the helper thread."""
+        real, gen = make_sets()
+        rng = np.random.default_rng(25)
+        p_real, p_gen = (rng.permutation(len(real)),
+                         rng.permutation(len(gen)))
+        frame = metrics._frame("sets", real, gen)
+        for support, p_support, queries, p_queries in (
+                (real, p_real, gen, p_gen), (gen, p_gen, real, p_real)):
+            radii = metrics.knn_radii_sq(support, k)
+            shuffled = metrics.knn_radii_sq(support[p_support], k)
+            np.testing.assert_array_equal(shuffled, radii[p_support])
+            hits = metrics._in_manifold(queries, support, radii, frame)
+            np.testing.assert_array_equal(
+                metrics._in_manifold(queries[p_queries], support[p_support],
+                                     shuffled, frame), hits[p_queries])
+        assert (lanes_agree(monkeypatch, real[p_real], gen[p_gen], k)
+                == lanes_agree(monkeypatch, real, gen, k))
 
     def test_far_outlier(self, monkeypatch):
         """A real point 1e6 away, whose ball reaches back to the bulk and

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from subflow import io, pipeline
+from subflow import io, net, pipeline
 from subflow.config import load_config
 
 from support import ROOT, TINY_CONFIG
@@ -92,10 +92,25 @@ def test_train_digests_ignore_submode_dropout_without_subflow(digests):
 def test_generation_digests_ignore_submode_dropout_without_subflow(digests):
     """Beside each training digest, scripts/train_digests.py digests the EMA
     net's samples; a class run's sub-mode dropout leaves those alone too."""
-    first, second = (digests.generation_digest(key, state, table)
-                     for key in ("cfm/class/0.0", "cfm/class/0.3")
-                     for state, _, table in [digests.train(key)])
+    first, second = (
+        digests.generation_digest(digests.generations(key, state, table))
+        for key in ("cfm/class/0.0", "cfm/class/0.3")
+        for state, _, table in [digests.train(key)])
     assert first == second and len(first) == 16
+
+
+def test_metrics_digest_independent_of_worker_count(digests, monkeypatch):
+    """The last line of scripts/train_digests.py digests the k-NN radii of
+    the real set and the scores of the generations: the same bits whether
+    the net's blocks and the k-NN lanes run on one worker or on two."""
+    key = "meanflow/subflow/0.0"
+    state, _, table = digests.train(key)
+    lines = []
+    for workers in (1, 2):
+        monkeypatch.setattr(net, "SWEEP_WORKERS", workers)
+        lines.append(digests.metrics_digest(
+            digests.generations(key, state, table)))
+    assert lines[0] == lines[1] and len(lines[0]) == 16
 
 
 def test_toy_digest_trains_the_toy_run(digests, tmp_path):
