@@ -18,6 +18,10 @@ The line `configs/toy.cfg/100 training-digest` digests the run that
 `subflow train --config configs/toy.cfg` trains, stopped after 100 steps:
 the figure the README quotes.
 
+The line `field_rmse rmse-digest` digests `pipeline.model_field_rmse` of
+every EMA net above, in key order, so two trees whose nets train alike
+also score the learned field alike where that line is equal.
+
 A last line, `metrics metrics-digest`, digests the scoring path: the
 squared k-NN radii (`knn_radii_sq`) of the default config's 10k-point real
 set, then every `evaluate_all` field of each generation above, scored
@@ -92,16 +96,30 @@ def train_digest(state, losses) -> str:
                 for array in (state.net.params, state.ema_params, losses))
 
 
-def generations(key: str, state, table) -> list:
-    """The EMA net's sample batches, one per entry of GENERATIONS."""
+def ema_run(key: str, state):
+    """(EMA net, run meta, config) of a trained key; the config's [mixture]
+    is toy_spec, as in training."""
     objective, conditioning, _ = key.split("/")
-    cfg = parse_config("")  # its [mixture] is toy_spec, as in training
+    cfg = parse_config("")
     ema = VelocityNet(state.net.config, state.ema_params)
     meta = {"objective": objective, "conditioning": conditioning,
             "source_std": cfg.mixture.source_std}
+    return ema, meta, cfg
+
+
+def generations(key: str, state, table) -> list:
+    """The EMA net's sample batches, one per entry of GENERATIONS."""
+    ema, meta, cfg = ema_run(key, state)
     return [pipeline.generate_all_classes(ema, table, meta, cfg, 512, nfe, w,
                                           "prior", 0)
             for nfe, w in GENERATIONS]
+
+
+def field_rmse_digest(keyed_states) -> str:
+    """Digest of `pipeline.model_field_rmse` of each (key, state)'s EMA
+    net."""
+    return _sha(np.float64(pipeline.model_field_rmse(*ema_run(key, state)))
+                for key, state in keyed_states)
 
 
 def generation_digest(batches) -> str:
@@ -132,13 +150,15 @@ def digest(key: str) -> str:
 
 
 def main():
-    scored = []
+    scored, states = [], []
     for key in KEYS:
         state, losses, table = train(key)
         batches = generations(key, state, table)
         scored += batches
+        states.append((key, state))
         print(key, train_digest(state, losses), generation_digest(batches))
     print(f"configs/toy.cfg/{TOY_STEPS}", train_digest(*train_toy()))
+    print("field_rmse", field_rmse_digest(states))
     print("metrics", metrics_digest(scored))
 
 

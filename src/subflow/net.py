@@ -58,6 +58,20 @@ _pools = {}
 _pool_lock = threading.Lock()
 
 
+def _silu(neg_z, h, s, d=None) -> None:
+    """SiLU of z, given neg_z = -z, into h: with e = exp(-z) and
+    s = -(1 + e), h = (-z) / s = z / (1 + e), three passes.  `s` is
+    scratch, left holding s; `d`, when given, receives the derivative
+    sig (1 + z - h) as ((-z + h) - 1) / s, three more."""
+    np.exp(neg_z, out=s)
+    np.subtract(-1.0, s, out=s)
+    np.divide(neg_z, s, out=h)
+    if d is not None:
+        np.add(neg_z, h, out=d)
+        d -= 1.0
+        d /= s
+
+
 def _executor(name: str = "sweep") -> ThreadPoolExecutor:
     """The process's helper pool `name`: it starts a thread only when no
     idle one is free, so one pool serves passes of any worker count."""
@@ -206,7 +220,10 @@ class VelocityNet:
 
         hs holds the input of every layer and the last hidden state; ds holds
         each hidden layer's SiLU derivative, sig (1 + z - h) with h its
-        output.  Layer 0 reads the embeddings through the pass's context
+        output.  The pass negates W_x, W_t, the context table and each
+        hidden W^T once, so the blocks form -z exactly (negation commutes
+        with rounding) and take each SiLU from it in three passes
+        (`_silu`).  Layer 0 reads the embeddings through the pass's context
         table (`_context_table`), so hs[0] holds only the plain input
         columns: x, then each time's encoding, where a row whose r holds
         t's bits copies t's encoding.  Its pre-activation is
@@ -217,11 +234,13 @@ class VelocityNet:
         hs[0] holds only x.  Both paths add in the same order, so a row's
         bits do not depend on whether its time is shared.
 
-        Rows run in blocks of BLOCK_ROWS; a short last block is padded with
-        rows whose results are dropped.  Up to SWEEP_WORKERS workers run the
-        blocks: the calling thread and helper threads, each claiming the next
-        block when free.  Each worker reuses one block-sized set of scratch
-        buffers, and without a cache also of hs.
+        Rows run in blocks of BLOCK_ROWS, read in place; the last block
+        reads a copy of its rows, padded when short with rows whose results
+        are dropped.  Up to SWEEP_WORKERS workers run the blocks: the calling
+        thread and helper threads, each claiming the next block (its first
+        row and input rows) when free.  Each worker reuses one block-sized
+        set of scratch buffers, and without a cache also of hs, whose hidden
+        layers then alternate between two buffers.
         """
         x = np.asarray(x, dtype=np.float64)
         t = np.asarray(t, dtype=np.float64)
@@ -242,38 +261,45 @@ class VelocityNet:
         shared = all(enc is not None for enc in encs)
         pad = -n % BLOCK_ROWS
         rows = [x, self._contexts(c, k), *times]
-        if pad:  # all-zero rows are valid inputs: context 0 is class 0, k -1
-            rows = [np.concatenate(
-                [a, np.zeros((pad, *a.shape[1:]), dtype=a.dtype)])
-                for a in rows]
         total = n + pad
+        # the last block's rows, padded to a full block; all-zero rows are
+        # valid inputs: context 0 is class 0, k -1
+        last = total - BLOCK_ROWS
+        tail = [np.concatenate([a[last:], np.zeros((pad, *a.shape[1:]),
+                                                   dtype=a.dtype)])
+                for a in rows]
         starts = range(0, total, BLOCK_ROWS)
         workers = min(SWEEP_WORKERS, len(starts))
         depth = self.config.hidden_layers
         width = self.config.hidden_width
         held = total if cache else BLOCK_ROWS * workers
+        # layer 0's terms, negated so that a block forms -z
         w0 = self.view("w0")
-        w_x, w_t = w0[:, :2].T, w0[:, 2:self._plain_dim].T
-        table = self._context_table()
+        w_x, w_t = -w0[:, :2].T, -w0[:, 2:self._plain_dim].T
+        table = -self._context_table()
         if shared:
             block = np.repeat(np.concatenate(encs, axis=1), BLOCK_ROWS, axis=0)
             table += (block @ w_t)[0]
             w_t = None
         # Every array of the pass is a view of one allocation: hs, then with
-        # a cache ds, then each worker's block of (z, sigmoid(z)).  Once a
+        # a cache ds, then each worker's block of (-z, s).  Once a
         # block that large is freed, glibc raises its dynamic mmap and trim
         # thresholds, so later passes (each training step) reuse heap pages
         # instead of faulting in fresh ones.
         shapes = ([(held, self._plain_dim if cache or not shared else 2)]
-                  + [(held, width)] * (depth * (2 if cache else 1))
+                  + [(held, width)] * (2 * depth if cache else min(depth, 2))
                   + [(BLOCK_ROWS * workers, width)] * 2)
         sizes = [a * b for a, b in shapes]
         work = np.empty(sum(sizes))
         arrays = [a.reshape(shape) for a, shape
                   in zip(np.split(work, np.cumsum(sizes)[:-1]), shapes)]
-        hs, ds, scratch = arrays[:depth + 1], arrays[depth + 1:-2], arrays[-2:]
+        hidden, scratch = arrays[1:-2], arrays[-2:]
+        if cache:
+            hs, ds = arrays[:1] + hidden[:depth], hidden[depth:]
+        else:  # the layers alternate between two buffers
+            hs, ds = arrays[:1] + [hidden[i % 2] for i in range(depth)], []
         out = np.empty((total, 2))
-        layers = [(self.view(f"w{layer}").T, self.view(f"b{layer}"))
+        layers = [(-self.view(f"w{layer}").T, self.view(f"b{layer}"))
                   for layer in range(1, depth)]
         # workers claim the next block as they become free, so one that the
         # OS deschedules does not hold back the others
@@ -282,9 +308,13 @@ class VelocityNet:
 
         def next_block():
             with claim:
-                return next(todo, None)
+                lo = next(todo, None)
+            if lo is None:
+                return None
+            return lo, tail if lo == last else [a[lo:lo + BLOCK_ROWS]
+                                                for a in rows]
 
-        args = (rows, encs, (w_x, w_t, table), layers, hs, ds, scratch, out,
+        args = (encs, (w_x, w_t, table), layers, hs, ds, scratch, out,
                 next_block)
         slots = [slice(j * BLOCK_ROWS, (j + 1) * BLOCK_ROWS)
                  for j in range(workers)]
@@ -300,64 +330,58 @@ class VelocityNet:
             return out[:n], None
         return out[:n], ([h[:n] for h in hs], [d[:n] for d in ds], c, k)
 
-    def _run_blocks(self, rows, encs, layer0, layers, hs, ds, scratch, out,
+    def _run_blocks(self, encs, layer0, layers, hs, ds, scratch, out,
                     next_block, slot):
         """Run the primal pass over the blocks that `next_block` hands out
-        (their first rows; None when none are left), using the worker's
+        (each block's first row and its BLOCK_ROWS rows of x, the contexts
+        and each time; None when none are left), using the worker's
         `slot` rows of the scratch (and of hs when there is no cache, that
-        is when ds is empty).  `layer0` is (W_x^T, W_t^T, context table),
-        with W_t^T None when the table holds the shared time's term, and
-        `layers` the (W^T, b) of the later hidden layers.  Calls nothing
-        traced, so it can run on a helper thread."""
-        z, sig = (a[slot] for a in scratch)
+        is when ds is empty).  `layer0` is (-W_x^T, -W_t^T, -context table),
+        with -W_t^T None when the table holds the shared time's term, and
+        `layers` the (-W^T, b) of the later hidden layers, so each layer
+        forms -z, subtracting b, and takes its SiLU (and with a cache its
+        derivative) from -z by `_silu`.  Calls nothing traced, so it can run
+        on a helper thread."""
+        neg_z, s = (a[slot] for a in scratch)
         w_x, w_t, table = layer0
-        x, contexts, *times = rows
         w_out_t, b_out = self.view("w_out").T, self.view("b_out")
-        while (lo := next_block()) is not None:
+        while (claimed := next_block()) is not None:
+            lo, (x, contexts, *times) = claimed
             block = slice(lo, lo + BLOCK_ROWS)
             at = block if ds else slot
             h = hs[0][at]
-            h[:, :2] = x[block]
+            h[:, :2] = x
             if h.shape[1] > 2:  # the time columns: per-row times, or a cache
-                t_bits = times[0][block].view(np.int64)
-                for i, (s, enc) in enumerate(zip(times, encs)):
+                t_bits = times[0].view(np.int64)
+                for i, (t, enc) in enumerate(zip(times, encs)):
                     col = 2 + i * TIME_ENC_DIM
                     cols = h[:, col:col + TIME_ENC_DIM]
                     if enc is not None:
                         cols[:] = enc
                     elif i:  # r copies t's encoding where it holds t's bits
-                        fresh = s[block].view(np.int64) != t_bits
+                        fresh = t.view(np.int64) != t_bits
                         cols[:] = h[:, 2:2 + TIME_ENC_DIM]
-                        cols[fresh] = self._time_enc(s[block][fresh])
+                        cols[fresh] = self._time_enc(t[fresh])
                     else:
-                        cols[:] = self._time_enc(s[block])
-            # z = x W_x^T + (T W_t^T + table[context]), sig as scratch; the
-            # contexts are checked, and mode="clip" lets take fill its
-            # out unbuffered
+                        cols[:] = self._time_enc(t)
+            # -z = x (-W_x^T) + (T (-W_t^T) + (-table)[context]), s as
+            # scratch; the contexts are checked, and mode="clip" lets take
+            # fill its out unbuffered
             if w_t is None:
-                np.take(table, contexts[block], axis=0, out=z, mode="clip")
+                np.take(table, contexts, axis=0, out=neg_z, mode="clip")
             else:
-                np.matmul(h[:, 2:], w_t, out=z)
-                np.take(table, contexts[block], axis=0, out=sig, mode="clip")
-                z += sig
-            np.matmul(h[:, :2], w_x, out=sig)
-            z += sig
+                np.matmul(h[:, 2:], w_t, out=neg_z)
+                np.take(table, contexts, axis=0, out=s, mode="clip")
+                neg_z += s
+            np.matmul(h[:, :2], w_x, out=s)
+            neg_z += s
             for layer in range(len(hs) - 1):
                 if layer:
                     w_layer, b = layers[layer - 1]
-                    np.matmul(hs[layer][at], w_layer, out=z)
-                    z += b
-                # sig = 1 / (1 + exp(-z)), in place
-                np.negative(z, out=sig)
-                np.exp(sig, out=sig)
-                sig += 1.0
-                np.divide(1.0, sig, out=sig)
-                h = hs[layer + 1][at]
-                np.multiply(z, sig, out=h)
-                if ds:  # SiLU's derivative, sig (1 + z - h): three passes
-                    d = np.subtract(z, h, out=ds[layer][block])
-                    d += 1.0
-                    d *= sig
+                    np.matmul(hs[layer][at], w_layer, out=neg_z)
+                    neg_z -= b
+                _silu(neg_z, hs[layer + 1][at], s,
+                      ds[layer][block] if ds else None)
             np.matmul(hs[-1][at], w_out_t, out=out[block])
             out[block] += b_out
 

@@ -128,7 +128,10 @@ def generate_all_classes(net, table, meta, cfg: ExperimentConfig, count: int,
 
     Counts are apportioned by largest remainder: each class gets the floor
     of its quota, and the classes with the largest fractional parts (ties
-    to the lowest class id) one more each, so they sum to `count`.
+    to the lowest class id) one more each, so they sum to `count`.  Each
+    class draws its noise and sub-modes as `sampler.generate` does at
+    seed + c, and all classes then run as one Euler integration, so class
+    c's rows equal that call's samples bit for bit.
     """
     spec = cfg.mixture
     sample = sampler.SampleConfig(count, nfe, w, strategy)
@@ -138,19 +141,11 @@ def generate_all_classes(net, table, meta, cfg: ExperimentConfig, count: int,
     counts = np.floor(quotas).astype(np.int64)
     by_remainder = np.argsort(-(quotas - counts), kind="stable")
     counts[by_remainder[:count - int(counts.sum())]] += 1
-    xs, cs, ks = [], [], []
-    for c, n_c in zip(spec.class_ids, counts.tolist()):
-        if n_c == 0:
-            continue
-        batch = sampler.generate(net, table, meta,
-                                 dataclasses.replace(sample, count=n_c), c,
-                                 seed + c)
-        xs.append(batch.xs)
-        cs.append(batch.class_ids)
-        ks.append(batch.submode_ids)
-    return sampler.GenerationBatch(xs=np.concatenate(xs),
-                                   class_ids=np.concatenate(cs),
-                                   submode_ids=np.concatenate(ks))
+    drawn = sampler.GenerationBatch.concatenate([
+        sampler.draw(net, table, meta, dataclasses.replace(sample, count=n_c),
+                     c, seed + c)
+        for c, n_c in zip(spec.class_ids, counts.tolist()) if n_c])
+    return sampler.integrate(net, drawn, sample)
 
 
 def model_field_rmse(net, meta, cfg: ExperimentConfig) -> float | None:
@@ -175,14 +170,19 @@ def model_field_rmse(net, meta, cfg: ExperimentConfig) -> float | None:
         (None if conditioning == "uncond" else comp.class_id,
          comp.submode_id if conditioning == "subflow" else None)
         for comp in spec.components))
-    total_sq = 0.0
-    for c, k in contexts:
-        rmse = metrics.field_rmse(
-            sampler.net_field(net, c, k),
-            lambda xs, t: mixture.oracle_velocity_batch(spec, xs, t, c, k),
-            grid)
-        total_sq += rmse ** 2
-    return float(np.sqrt(total_sq / len(contexts)))
+    # the grid once per context, so each time is one net pass
+    n = len(grid)
+    cs = np.repeat([net.config.null_class if c is None else c
+                    for c, _ in contexts], n)
+    ks = np.repeat([-1 if k is None else k for _, k in contexts], n)
+
+    def oracle(xs, t):
+        return np.concatenate([
+            mixture.oracle_velocity_batch(spec, part, t, c, k)
+            for part, (c, k) in zip(np.split(xs, len(contexts)), contexts)])
+    return metrics.field_rmse(sampler.net_field(net, cs, ks), oracle,
+                              np.tile(grid, (len(contexts), 1)),
+                              len(contexts))
 
 
 # the default NFE values of a sweep: a doubling ladder from one step

@@ -44,8 +44,16 @@ class SampleConfig:
 @dataclass
 class GenerationBatch:
     xs: np.ndarray                 # (n, 2) endpoints
-    class_ids: np.ndarray          # (n,)
+    class_ids: np.ndarray          # (n,), -1 when unconditioned on c
     submode_ids: np.ndarray        # (n,), -1 when unconditioned on k
+
+    @classmethod
+    def concatenate(cls, batches: list) -> "GenerationBatch":
+        """The rows of `batches`, in order."""
+        return cls(xs=np.concatenate([b.xs for b in batches]),
+                   class_ids=np.concatenate([b.class_ids for b in batches]),
+                   submode_ids=np.concatenate([b.submode_ids
+                                               for b in batches]))
 
 
 def sample_submode(table: SubmodeTable, class_id: int, strategy: str,
@@ -115,18 +123,19 @@ def euler_integrate(field: Callable[[np.ndarray, float], np.ndarray],
     return x
 
 
-def generate(net: VelocityNet, table: Optional[SubmodeTable], meta: dict,
-             sample: SampleConfig, class_id: int, seed: int,
-             fixed_submode: int = -1) -> GenerationBatch:
-    """Generate `sample.count` samples for one class.
+def draw(net: VelocityNet, table: Optional[SubmodeTable], meta: dict,
+         sample: SampleConfig, class_id: int, seed: int,
+         fixed_submode: int = -1) -> GenerationBatch:
+    """The draws of `sample.count` samples of one class, before
+    integration: a batch whose xs hold the source noise.
 
     `conditioning` and `source_std` come from the checkpoint's `meta`.
     `class_id` must be one of the net's classes on every run; an uncond run
-    feeds the null token instead.  Only subflow runs read the sub-mode
-    strategy and accept a `fixed_submode` other than -1, which overrides
-    the strategy.  The noise and the sub-modes come from one stream each,
-    keyed by (seed, purpose): sample i takes the i-th draw of each, so each
-    sample index gets the same draws at any count.
+    records -1 and feeds the null token instead.  Only subflow runs read
+    the sub-mode strategy and accept a `fixed_submode` other than -1, which
+    overrides the strategy.  The noise and the sub-modes come from one
+    stream each, keyed by (seed, purpose): sample i takes the i-th draw of
+    each, so each sample index gets the same draws at any count.
     """
     n = sample.count
     conditioning = meta["conditioning"]
@@ -144,9 +153,30 @@ def generate(net: VelocityNet, table: Optional[SubmodeTable], meta: dict,
         ks = np.full(n, -1, dtype=np.int64)
     x0 = meta["source_std"] * stream(seed, "sample.noise").standard_normal(
         (n, 2))
-    c = None if conditioning == "uncond" else class_id
-    field = net_field(net, c, ks, sample.guidance_scale, 1 / sample.nfe)
-    return GenerationBatch(
-        xs=euler_integrate(field, x0, sample.nfe),
-        class_ids=np.full(n, -1 if c is None else c, dtype=np.int64),
-        submode_ids=ks)
+    c = -1 if conditioning == "uncond" else class_id
+    return GenerationBatch(xs=x0, class_ids=np.full(n, c, dtype=np.int64),
+                           submode_ids=ks)
+
+
+def integrate(net: VelocityNet, drawn: GenerationBatch,
+              sample: SampleConfig) -> GenerationBatch:
+    """Carry every row of `drawn` from its source noise to its sample in
+    one Euler integration at `sample`'s NFE and guidance scale, each row in
+    its own (class, sub-mode) context; a class id of -1 reads the null
+    token.  A row's bits do not depend on the other rows."""
+    cs = np.where(drawn.class_ids < 0, net.config.null_class,
+                  drawn.class_ids)
+    field = net_field(net, cs, drawn.submode_ids, sample.guidance_scale,
+                      1 / sample.nfe)
+    return GenerationBatch(xs=euler_integrate(field, drawn.xs, sample.nfe),
+                           class_ids=drawn.class_ids,
+                           submode_ids=drawn.submode_ids)
+
+
+def generate(net: VelocityNet, table: Optional[SubmodeTable], meta: dict,
+             sample: SampleConfig, class_id: int, seed: int,
+             fixed_submode: int = -1) -> GenerationBatch:
+    """Generate `sample.count` samples for one class: `draw`, then
+    `integrate`."""
+    return integrate(net, draw(net, table, meta, sample, class_id, seed,
+                               fixed_submode), sample)

@@ -652,7 +652,8 @@ class TestCli:
     @pytest.mark.filterwarnings(
         "ignore:overflow encountered in matmul:RuntimeWarning",
         "ignore:invalid value encountered in matmul:RuntimeWarning",
-        "ignore:invalid value encountered in multiply:RuntimeWarning")
+        "ignore:invalid value encountered in multiply:RuntimeWarning",
+        "ignore:invalid value encountered in divide:RuntimeWarning")
     def test_evaluate_rejects_non_finite_samples(self, trained_dir,
                                                  tmp_path, capsys):
         """A checkpoint whose weights are finite but near the float64 limit

@@ -18,7 +18,8 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
 
-from subflow import io, metrics, net
+from subflow import io, metrics, mixture, net, pipeline, sampler
+from subflow.config import parse_config
 from subflow.metrics import (field_rmse, frechet_2d, knn_precision_recall,
                              mode_shares)
 from subflow.mixture import (MixtureComponent, MixtureSpec, sample_dataset,
@@ -582,6 +583,51 @@ class TestFieldRmse:
     def test_grid_shape(self):
         grid = metrics.default_grid(toy_spec())
         assert grid.shape == (41 * 41, 2)
+
+    def test_parts_are_scored_as_grids_of_their_own(self):
+        """Three runs of rows read in one call give the root mean square
+        of each run's own RMSE, summed in run order, bit for bit; rows that
+        do not split evenly are refused."""
+        rng = np.random.default_rng(8)
+        grid = rng.standard_normal((3 * 50, 2))
+        a = lambda xs, t: np.sin(xs * t) * np.arange(1, len(xs) + 1)[:, None]
+        b = lambda xs, t: xs ** 2 * t
+        total_sq = 0.0
+        for part in np.split(np.arange(len(grid)), 3):
+            a_part = lambda xs, t, rows=part: a(grid, t)[rows]
+            total_sq += field_rmse(a_part, b, grid[part]) ** 2
+        assert field_rmse(a, b, grid, 3) == float(np.sqrt(total_sq / 3))
+        with pytest.raises(ValueError, match="equal parts"):
+            field_rmse(a, b, grid, 4)
+
+    @pytest.mark.parametrize("conditioning", ["uncond", "class", "subflow"])
+    def test_model_field_rmse_matches_one_pass_per_context(self,
+                                                           conditioning):
+        """`model_field_rmse` reads every context in one net pass per time,
+        with the bits of scoring each context on its own, as
+        sqrt(mean(rmse_c^2)) in context order."""
+        cfg = parse_config("")
+        model = net.VelocityNet(net.NetConfig(
+            num_classes=2, num_submodes=2, hidden_width=32, hidden_layers=2,
+            embed_dim=4, uses_interval=conditioning != "class"))
+        model.params[:] = 0.3 * np.random.default_rng(9).standard_normal(
+            model.num_params)
+        meta = {"objective": "meanflow", "conditioning": conditioning,
+                "source_std": cfg.mixture.source_std}
+        spec, grid = cfg.mixture, metrics.default_grid(cfg.mixture)
+        contexts = list(dict.fromkeys(
+            (None if conditioning == "uncond" else comp.class_id,
+             comp.submode_id if conditioning == "subflow" else None)
+            for comp in spec.components))
+        total_sq = 0.0
+        for c, k in contexts:
+            total_sq += field_rmse(
+                sampler.net_field(model, c, k),
+                lambda xs, t: mixture.oracle_velocity_batch(spec, xs, t, c,
+                                                            k),
+                grid) ** 2
+        assert pipeline.model_field_rmse(model, meta, cfg) == float(
+            np.sqrt(total_sq / len(contexts)))
 
 
 class TestEvaluateAll:

@@ -8,6 +8,8 @@ net is checked against an independent matrix-arithmetic transcription.
 import multiprocessing
 import os
 import sys
+import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from subflow import net as net_module
 from subflow.net import (BLOCK_ROWS, FREQ_MAX, FREQ_MIN, N_FREQS, TIME_ENC_DIM,
-                         NetConfig, VelocityNet)
+                         NetConfig, VelocityNet, _silu)
 
 
 def tiny_config(uses_interval=False) -> NetConfig:
@@ -32,6 +34,61 @@ def random_net(cfg: NetConfig, seed: int = 0, scale: float = 0.3) -> VelocityNet
 
 def silu(z):
     return z / (1.0 + np.exp(-z))
+
+
+def silu_reference(zs):
+    """z sig(z), sig(z) (1 + z - h) and the size sig (1 + |z| + |h|) of the
+    derivative's terms, each rounded once from 40 decimal digits."""
+    out = []
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for z in zs:
+            z = Decimal(float(z))
+            sig = 1 / (1 + (-z).exp())
+            h = z * sig
+            out.append((float(h), float(sig * (1 + z - h)),
+                        float(sig * (1 + abs(z) + abs(h)))))
+    return np.array(out).T
+
+
+def run_silu(z):
+    """`_silu` of z with its derivative: (h, d)."""
+    h, s, d = (np.empty_like(z) for _ in range(3))
+    _silu(-z, h, s, d)
+    return h, d
+
+
+class TestSilu:
+    """The pass's SiLU, taken from -z, against an independent reference."""
+
+    Z = np.concatenate([np.linspace(-700.0, 700.0, 14001),
+                        np.linspace(-5.0, 5.0, 10001),
+                        [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300]])
+
+    def test_within_a_few_ulp_of_the_reference(self):
+        """h within 4 ulp of z sig(z); the derivative within 4 ulp of the
+        size of its terms, since 1 + z - h cancels near z = -1.28."""
+        h, d = run_silu(self.Z)
+        h_ref, d_ref, d_size = silu_reference(self.Z)
+        assert np.all(np.abs(h - h_ref) <= 4 * np.spacing(np.abs(h_ref)))
+        assert np.all(np.abs(d - d_ref) <= 4 * np.spacing(d_size))
+
+    def test_finite_z_warns_only_where_exp_overflows(self):
+        """No warning on [-700, 700]; beyond, down to -max, only exp's
+        overflow (as 1 / (1 + exp(-z)) gives), and h and d go to -0.0."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_silu(self.Z)
+        big = np.finfo(np.float64).max
+        z = np.array([-big, -1e300, -746.0, -710.0, 710.0, 1e300, big])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            h, d = run_silu(z)
+        assert {str(w.message) for w in caught} == {
+            "overflow encountered in exp"}
+        assert np.array_equal(h, [-0.0, -0.0, -0.0, -0.0, 710.0, 1e300, big])
+        assert np.all(np.signbit(h[:4]))
+        assert np.array_equal(d, [0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
 
 
 class TestForward:

@@ -376,3 +376,35 @@ class TestGenerateAllClasses:
                                               count, 1, 1.0, "prior", 0)
         assert len(batch.xs) == count
         assert np.bincount(batch.class_ids, minlength=4).tolist() == per_class
+
+    @pytest.mark.parametrize("count, per_class", [(5, [2, 2, 1, 0]),
+                                                  (700, [210, 210, 210, 70])])
+    @pytest.mark.parametrize("nfe", [1, 3])
+    @pytest.mark.parametrize("w", [1.0, 1.5])
+    @pytest.mark.parametrize("conditioning", ["class", "subflow", "uncond"])
+    def test_class_rows_equal_one_class_generation(self, conditioning, w,
+                                                   nfe, count, per_class):
+        """All classes run as one integration, yet class c's rows are
+        `generate(..., c, seed + c)` bit for bit, wherever they fall in the
+        net's row blocks; a class with no samples adds no rows."""
+        cfg = parse_config(self.FOUR_CLASSES)
+        # both kinds of net: the class run's plain, the others' interval
+        net = VelocityNet(NetConfig(num_classes=4, num_submodes=2,
+                                    hidden_width=32, hidden_layers=2,
+                                    embed_dim=4,
+                                    uses_interval=conditioning != "class"))
+        net.params[:] = 0.3 * np.random.default_rng(1).standard_normal(
+            net.num_params)
+        table = SubmodeTable.from_labels(
+            {c: np.array([0, 1, 1]) for c in range(4)}, 2)
+        seed = 7
+        batch = pipeline.generate_all_classes(net, table, meta(conditioning),
+                                              cfg, count, nfe, w, "prior",
+                                              seed)
+        parts = [generate(net, table, meta(conditioning),
+                          SampleConfig(n_c, nfe, w, "prior"), c, seed + c)
+                 for c, n_c in enumerate(per_class) if n_c]
+        for name in ("xs", "class_ids", "submode_ids"):
+            assert np.array_equal(
+                getattr(batch, name),
+                np.concatenate([getattr(part, name) for part in parts]))
