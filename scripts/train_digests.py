@@ -18,6 +18,14 @@ The line `configs/toy.cfg/100 training-digest` digests the run that
 `subflow train --config configs/toy.cfg` trains, stopped after 100 steps:
 the figure the README quotes.
 
+The line `clustering labels-digest` digests the K-Means labels the runs
+above never compute, since they train on generating labels: for
+`configs/toy.cfg` at seeds 0-9, the labels and priors of each class that
+`pipeline.cluster_dataset` returns, then `clustering.lloyd`'s labels at
+K = 2, 6 and 12 on a fixed six-mode ring (20k points, radius 4, std 0.4,
+weights 0.40 down to 0.06), so two trees cluster alike where that line is
+equal.  It does not depend on the BLAS thread count.
+
 The line `field_rmse rmse-digest` digests `pipeline.model_field_rmse` of
 every EMA net above, in key order, so two trees whose nets train alike
 also score the learned field alike where that line is equal.
@@ -42,10 +50,12 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from subflow import metrics, mixture, objectives, pipeline  # noqa: E402
+from subflow import (clustering, metrics, mixture, objectives,  # noqa: E402
+                     pipeline)
 from subflow.clustering import SubmodeTable  # noqa: E402
 from subflow.config import load_config, parse_config  # noqa: E402
 from subflow.net import VelocityNet  # noqa: E402
+from subflow.rng import stream  # noqa: E402
 
 P_DROP_SUBMODE = (0.0, 0.3)
 KEYS = [f"{objective}/{conditioning}/{p}"
@@ -55,6 +65,8 @@ KEYS = [f"{objective}/{conditioning}/{p}"
 # (NFE, guidance scale) of each generation the generation digest covers
 GENERATIONS = [(nfe, w) for nfe in (1, 3) for w in (1.0, 1.5)]
 TOY_STEPS = 100
+CLUSTER_SEEDS = range(10)  # toy.cfg seeds the clustering digest covers
+RING_K = (2, 6, 12)  # Lloyd's K on the ring
 
 
 def _sha(arrays) -> str:
@@ -89,6 +101,38 @@ def train_toy(steps: int = TOY_STEPS):
     data = pipeline.build_dataset(cfg)
     table, _ = pipeline.cluster_dataset(cfg, data)
     return objectives.train(data, cfg.mixture, cfg.train, table)
+
+
+def ring_points() -> np.ndarray:
+    """20k points of one class with six sub-modes spaced evenly on a circle
+    of radius 4, std 0.4, weights 0.40/0.22/0.14/0.10/0.08/0.06, at seed
+    0."""
+    angles = np.arange(6) * np.pi / 3
+    spec = mixture.MixtureSpec(tuple(
+        mixture.MixtureComponent(w, (4 * np.cos(a), 4 * np.sin(a)), 0.4,
+                                 class_id=0, submode_id=j)
+        for j, (w, a) in enumerate(zip((0.40, 0.22, 0.14, 0.10, 0.08, 0.06),
+                                       angles))))
+    return mixture.sample_dataset(spec, 20000, 0).xs
+
+
+def clustering_digest() -> str:
+    """Digest of `pipeline.cluster_dataset`'s labels and priors per class
+    for toy.cfg at each of CLUSTER_SEEDS, then of `clustering.lloyd`'s
+    labels at each of RING_K on `ring_points`."""
+    cfg = load_config(ROOT / "configs" / "toy.cfg")
+    arrays = []
+    for seed in CLUSTER_SEEDS:
+        cfg = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train,
+                                                                 seed=seed))
+        table, labels = pipeline.cluster_dataset(cfg,
+                                                 pipeline.build_dataset(cfg))
+        for c in sorted(labels):
+            arrays += [labels[c], table.per_class[c].priors]
+    ring = ring_points()
+    arrays += [clustering.lloyd(ring, k, stream(0, "train_digests.ring", k))[1]
+               for k in RING_K]
+    return _sha(arrays)
 
 
 def train_digest(state, losses) -> str:
@@ -158,6 +202,7 @@ def main():
         states.append((key, state))
         print(key, train_digest(state, losses), generation_digest(batches))
     print(f"configs/toy.cfg/{TOY_STEPS}", train_digest(*train_toy()))
+    print("clustering", clustering_digest())
     print("field_rmse", field_rmse_digest(states))
     print("metrics", metrics_digest(scored))
 

@@ -53,53 +53,107 @@ class SubmodeTable:
         return max(len(cc.counts) for cc in self.per_class.values())
 
 
-def _kmeanspp_seeds(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = len(points)
-    centroids = np.empty((k, points.shape[1]))
-    centroids[0] = points[rng.integers(n)]
-    d2 = np.sum((points - centroids[0]) ** 2, axis=1)
+def _sq_dist(cols: np.ndarray, centroid) -> np.ndarray:
+    """Squared distance of each point, given as the (d, n) contiguous
+    columns of its coordinates, to `centroid` (d scalars, or d (n,) columns
+    of a per-point centroid): (x - cx)^2 + (y - cy)^2, added in column
+    order.  In 2-D that is the sum numpy's reduction forms over a length-2
+    axis, so it matches `np.sum((points - centroid) ** 2, axis=-1)` bit for
+    bit."""
+    d2 = cols[0] - centroid[0]
+    d2 *= d2
+    for col, c in zip(cols[1:], centroid[1:]):
+        term = col - c
+        term *= term
+        d2 += term
+    return d2
+
+
+def _kmeanspp_seeds(cols: np.ndarray, k: int,
+                    rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeds of the points in (d, n) columns: the first uniform,
+    each next one drawn with probability proportional to the squared
+    distance (`_sq_dist`) to the nearest seed so far, or uniform when every
+    point sits on a seed."""
+    n = cols.shape[1]
+    centroids = np.empty((k, len(cols)))
+    centroids[0] = cols[:, rng.integers(n)]
+    d2 = _sq_dist(cols, centroids[0])
     for j in range(1, k):
         total = d2.sum()
         if total <= 0.0:
-            centroids[j] = points[rng.integers(n)]
+            centroids[j] = cols[:, rng.integers(n)]
             continue
-        centroids[j] = points[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, np.sum((points - centroids[j]) ** 2, axis=1))
+        centroids[j] = cols[:, rng.choice(n, p=d2 / total)]
+        d2 = np.minimum(d2, _sq_dist(cols, centroids[j]))
     return centroids
 
 
-def _assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    d2 = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
-    # argmin ties break to the lowest index
-    return np.argmin(d2, axis=1)
+def _assign(cols: np.ndarray, centroids: np.ndarray):
+    """(labels, squared distances to them) of the points in (d, n)
+    columns: one `_sq_dist` pass per centroid and a running minimum that
+    moves only on a strict `<`, so ties go to the lowest index as `argmin`
+    breaks them, without an (n, K, d) temporary."""
+    best = _sq_dist(cols, centroids[0])
+    labels = np.zeros(cols.shape[1], dtype=np.intp)
+    for j in range(1, len(centroids)):
+        d2 = _sq_dist(cols, centroids[j])
+        closer = d2 < best
+        labels[closer] = j
+        np.copyto(best, d2, where=closer)
+    return labels, best
 
 
-def _sse(points: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> float:
-    return float(np.sum((points - centroids[labels]) ** 2))
+def _cluster_sums(cols: np.ndarray, labels: np.ndarray, k: int):
+    """(counts, (k, d) coordinate sums) of each cluster.  bincount adds a
+    cluster's coordinates one point at a time in point order, the sum that
+    `points[labels == j].mean(axis=0)` forms before it divides."""
+    counts = np.bincount(labels, minlength=k)
+    sums = np.stack([np.bincount(labels, weights=col, minlength=k)
+                     for col in cols], axis=1)
+    return counts, sums
+
+
+def _sse(d2: np.ndarray) -> float:
+    """Within-cluster SSE from each point's squared distance to its
+    centroid."""
+    return float(d2.sum())
 
 
 def lloyd(points: np.ndarray, k: int,
           rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Lloyd's algorithm with k-means++ seeding; returns (centroids, labels).
 
-    Within-cluster SSE is checked non-increasing across iterations.  Empty
-    clusters are re-seeded to the point farthest from its current centroid.
+    Each iteration works on the contiguous coordinate columns of the
+    points: K column passes assign (`_assign`), and one bincount per
+    column gives every centroid as its cluster's sum over its count.  Labels
+    and centroids are those of the arg-min assignment over
+    `np.sum((points[:, None] - centroids[None]) ** 2, axis=2)` and of the
+    masked `points[labels == j].mean(axis=0)` update, bit for bit, in 2-D.
+
+    Within-cluster SSE, read from the assignment's squared distances, is
+    checked non-increasing across iterations.  Clusters update in index
+    order, and an empty one is re-seeded to the point farthest from its
+    current centroid (with the clusters before it already moved), which
+    then joins it; the sums are recomputed after each re-seed, so the
+    clusters after it see the move.
     """
-    centroids = _kmeanspp_seeds(points, k, rng)
-    labels = _assign(points, centroids)
-    prev_sse = _sse(points, centroids, labels)
+    cols = np.ascontiguousarray(np.asarray(points, dtype=np.float64).T)
+    centroids = _kmeanspp_seeds(cols, k, rng)
+    labels, d2 = _assign(cols, centroids)
+    prev_sse = _sse(d2)
     for _ in range(LLOYD_MAX_ITERS):
+        counts, sums = _cluster_sums(cols, labels, k)
         for j in range(k):
-            mask = labels == j
-            if np.any(mask):
-                centroids[j] = points[mask].mean(axis=0)
-            else:
-                residual = np.sum((points - centroids[labels]) ** 2, axis=1)
-                far = int(np.argmax(residual))
-                centroids[j] = points[far]
-                labels[far] = j
-        new_labels = _assign(points, centroids)
-        cur_sse = _sse(points, centroids, new_labels)
+            if counts[j]:
+                centroids[j] = sums[j] / counts[j]
+                continue
+            far = int(np.argmax(_sq_dist(cols, centroids[labels].T)))
+            centroids[j] = cols[:, far]
+            labels[far] = j
+            counts, sums = _cluster_sums(cols, labels, k)
+        new_labels, d2 = _assign(cols, centroids)
+        cur_sse = _sse(d2)
         if not cur_sse <= prev_sse + 1e-9:
             raise RuntimeError(
                 f"Lloyd SSE increased from {prev_sse!r} to {cur_sse!r}")

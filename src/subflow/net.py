@@ -269,7 +269,8 @@ class VelocityNet:
                                                    dtype=a.dtype)])
                 for a in rows]
         starts = range(0, total, BLOCK_ROWS)
-        workers = min(SWEEP_WORKERS, len(starts))
+        # at least the calling thread, which finds no block in an empty batch
+        workers = max(1, min(SWEEP_WORKERS, len(starts)))
         depth = self.config.hidden_layers
         width = self.config.hidden_width
         held = total if cache else BLOCK_ROWS * workers

@@ -48,6 +48,103 @@ def brute_force_two_partition(points):
     return best, best_sse
 
 
+def reference_lloyd(points, k, rng):
+    """Lloyd as it stood before the column passes: the 3-D arg-min
+    assignment and the masked-mean update.  Returns (centroids, labels,
+    how many empty clusters were re-seeded)."""
+    def assign(centroids):
+        d2 = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+        return np.argmin(d2, axis=1)
+
+    n = len(points)
+    centroids = np.empty((k, points.shape[1]))
+    centroids[0] = points[rng.integers(n)]
+    d2 = np.sum((points - centroids[0]) ** 2, axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total <= 0.0:
+            centroids[j] = points[rng.integers(n)]
+            continue
+        centroids[j] = points[rng.choice(n, p=d2 / total)]
+        d2 = np.minimum(d2, np.sum((points - centroids[j]) ** 2, axis=1))
+    labels, reseeds = assign(centroids), 0
+    for _ in range(clustering.LLOYD_MAX_ITERS):
+        for j in range(k):
+            mask = labels == j
+            if np.any(mask):
+                centroids[j] = points[mask].mean(axis=0)
+            else:
+                residual = np.sum((points - centroids[labels]) ** 2, axis=1)
+                far = int(np.argmax(residual))
+                centroids[j] = points[far]
+                labels[far] = j
+                reseeds += 1
+        new_labels = assign(centroids)
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+    return centroids, labels, reseeds
+
+
+def point_sets(kind, trials, seed):
+    """(points, k) cases: gaussian clouds ("random"), small integer
+    lattices, whose distances tie ("lattice"), and a few distinct points
+    repeated, which leave clusters empty ("few")."""
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        n = int(rng.integers(1, 3000))
+        if kind == "random":
+            points = (rng.standard_normal((n, 2)) * rng.uniform(0.1, 10)
+                      + rng.uniform(-5, 5, 2))
+        elif kind == "lattice":
+            points = rng.integers(-3, 4, size=(n, 2)).astype(np.float64)
+        else:
+            distinct = rng.standard_normal((int(rng.integers(1, 5)), 2))
+            points = distinct[rng.integers(0, len(distinct), n)]
+        yield points, min(int(rng.integers(1, 13)), n)
+
+
+class TestLloydMatchesReference:
+    """`lloyd`'s column passes give the reference's labels and centroids
+    bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["random", "lattice", "few"])
+    def test_labels_and_centroids_equal(self, kind):
+        reseeds = 0
+        for trial, (points, k) in enumerate(point_sets(kind, 40, seed=17)):
+            want = reference_lloyd(points, k, stream(trial, "test.ref"))
+            centroids, labels = lloyd(points, k, stream(trial, "test.ref"))
+            assert labels.dtype == want[1].dtype
+            assert np.array_equal(labels, want[1]), (kind, trial)
+            assert np.array_equal(centroids, want[0]), (kind, trial)
+            reseeds += want[2]
+        if kind == "few":  # the re-seed path ran
+            assert reseeds > 0
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_every_k_on_one_set(self, k):
+        points = np.random.default_rng(k).standard_normal((2000, 2))
+        points[::7] = points[0]  # exact duplicates, so distances tie
+        want = reference_lloyd(points, k, stream(k, "test.ref.k"))
+        centroids, labels = lloyd(points, k, stream(k, "test.ref.k"))
+        assert np.array_equal(labels, want[1])
+        assert np.array_equal(centroids, want[0])
+
+    @pytest.mark.parametrize("n, k", [(1, 1), (17, 3), (30_000, 12)])
+    def test_bincount_mean_is_the_masked_mean(self, n, k):
+        rng = np.random.default_rng(n)
+        points = rng.standard_normal((n, 2)) * 3.0 + 1.0
+        labels = rng.integers(0, k, n)
+        counts, sums = clustering._cluster_sums(
+            np.ascontiguousarray(points.T), labels, k)
+        for j in range(k):
+            mask = labels == j
+            assert counts[j] == mask.sum()
+            if counts[j]:
+                assert np.array_equal(sums[j] / counts[j],
+                                      points[mask].mean(axis=0))
+
+
 class TestLloyd:
     def test_two_blobs_match_brute_force(self):
         points = two_blobs(n_per=8)

@@ -211,6 +211,39 @@ class TestBatchInvariance:
         check_cached_block(net, rows)
 
 
+class TestEmptyBatch:
+    """A batch of zero rows runs no block: every pass returns (0, 2)
+    outputs and a zero-row cache, and backward a zero gradient."""
+
+    @pytest.mark.parametrize("uses_interval", [False, True])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_pass_accepts_zero_rows(self, uses_interval, workers,
+                                          monkeypatch):
+        monkeypatch.setattr(net_module, "SWEEP_WORKERS", workers)
+        cfg = NetConfig(num_classes=2, num_submodes=2,
+                        uses_interval=uses_interval)
+        net = random_net(cfg, seed=14, scale=0.1)
+        x, t = np.zeros((0, 2)), np.zeros(0)
+        r = np.zeros(0) if uses_interval else None
+        rows = (x, t, r, np.zeros(0, np.int64), np.zeros(0, np.int64))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = net.forward_batch(*rows)
+            fwd_out, cache = net.forward_batch(*rows, cache=True)
+            tangent = net.jvp_batch(*rows, x, t, r)
+            jvp_out, jvp_tangent, _ = net.jvp_batch(*rows, x, t, r,
+                                                    cache=True)
+            grads = [net.backward(*rows, np.zeros((0, 2))),
+                     net.backward(*rows, np.zeros((0, 2)), cache=cache)]
+        for a in (out, fwd_out, tangent, jvp_out, jvp_tangent):
+            assert a.shape == (0, 2)
+        hs, ds, c, k = cache
+        assert all(len(a) == 0 for a in (*hs, *ds, c, k))
+        for grad in grads:
+            assert grad.shape == (net.num_params,)
+            assert not grad.any()
+
+
 def check_cached_block(net, rows):
     """The cached forward and jvp passes over one full block return the
     uncached output, and their cache holds exactly the block's rows, with

@@ -10,10 +10,11 @@ import sys
 import numpy as np
 import pytest
 
-from subflow import io, net, pipeline
+from subflow import clustering, io, net, pipeline
 from subflow.config import load_config
 
 from support import ROOT, TINY_CONFIG
+from test_clustering import reference_lloyd
 
 # script, extra flags, {CSV written: lines including the header}
 SCRIPTS = [
@@ -125,3 +126,14 @@ def test_toy_digest_trains_the_toy_run(digests, tmp_path):
     assert step == state.step == len(losses) == 3
     assert np.array_equal(net.params, state.net.params)
     assert np.array_equal(ema, state.ema_params)
+
+
+def test_clustering_digest_reads_the_reference_lloyd(digests, monkeypatch):
+    """The clustering line of scripts/train_digests.py is the same when
+    every Lloyd run is the masked-mean reference's: toy.cfg's labels and
+    priors at ten seeds and the ring at K = 2, 6 and 12."""
+    line = digests.clustering_digest()
+    monkeypatch.setattr(clustering, "lloyd",
+                        lambda points, k, rng: reference_lloyd(points, k,
+                                                               rng)[:2])
+    assert digests.clustering_digest() == line and len(line) == 16
