@@ -26,6 +26,13 @@ K = 2, 6 and 12 on a fixed six-mode ring (20k points, radius 4, std 0.4,
 weights 0.40 down to 0.06), so two trees cluster alike where that line is
 equal.  It does not depend on the BLAS thread count.
 
+The line `oracle oracle-digest` digests the analytic oracle: one
+`oracle_velocity_batch` call per time t in {0, 0.25, 0.5, 0.75, 0.99}
+over `toy_spec`'s default grid and three far rows (one resolved, two whose
+densities underflow), stacked once per context (the null class, each
+class, each class and sub-mode), so two trees give every context the same
+field where that line is equal.
+
 The line `field_rmse rmse-digest` digests `pipeline.model_field_rmse` of
 every EMA net above, in key order, so two trees whose nets train alike
 also score the learned field alike where that line is equal.
@@ -67,6 +74,9 @@ GENERATIONS = [(nfe, w) for nfe in (1, 3) for w in (1.0, 1.5)]
 TOY_STEPS = 100
 CLUSTER_SEEDS = range(10)  # toy.cfg seeds the clustering digest covers
 RING_K = (2, 6, 12)  # Lloyd's K on the ring
+ORACLE_TIMES = (0.0, 0.25, 0.5, 0.75, 0.99)
+# rows far off the grid: one resolved, two whose densities underflow
+FAR_ROWS = ((1e9, 1e9), (1e200, 1e200), (1e160, -1e160))
 
 
 def _sha(arrays) -> str:
@@ -133,6 +143,31 @@ def clustering_digest() -> str:
     arrays += [clustering.lloyd(ring, k, stream(0, "train_digests.ring", k))[1]
                for k in RING_K]
     return _sha(arrays)
+
+
+def oracle_contexts(spec) -> list:
+    """(c, k) of every context of `spec` as the net numbers them: the null
+    class, then each class, then each (class, sub-mode)."""
+    return ([(spec.num_classes, -1)] + [(c, -1) for c in spec.class_ids]
+            + [(comp.class_id, comp.submode_id) for comp in spec.components])
+
+
+def oracle_points(spec) -> np.ndarray:
+    """The default grid of `spec`, then FAR_ROWS."""
+    return np.concatenate([metrics.default_grid(spec), FAR_ROWS])
+
+
+def oracle_digest() -> str:
+    """Digest of `oracle_velocity_batch` on toy_spec at each of
+    ORACLE_TIMES: one call over `oracle_points` stacked once per context of
+    `oracle_contexts`."""
+    spec = mixture.toy_spec()
+    points = oracle_points(spec)
+    contexts = np.array(oracle_contexts(spec))
+    cs, ks = np.repeat(contexts.T, len(points), axis=1)
+    xs = np.tile(points, (len(contexts), 1))
+    return _sha(mixture.oracle_velocity_batch(spec, xs, t, cs, ks)
+                for t in ORACLE_TIMES)
 
 
 def train_digest(state, losses) -> str:
@@ -203,6 +238,7 @@ def main():
         print(key, train_digest(state, losses), generation_digest(batches))
     print(f"configs/toy.cfg/{TOY_STEPS}", train_digest(*train_toy()))
     print("clustering", clustering_digest())
+    print("oracle", oracle_digest())
     print("field_rmse", field_rmse_digest(states))
     print("metrics", metrics_digest(scored))
 

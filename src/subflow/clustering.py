@@ -132,7 +132,10 @@ def lloyd(points: np.ndarray, k: int,
     masked `points[labels == j].mean(axis=0)` update, bit for bit, in 2-D.
 
     Within-cluster SSE, read from the assignment's squared distances, is
-    checked non-increasing across iterations.  Clusters update in index
+    checked non-increasing across iterations, and Lloyd stops once the
+    labels stop changing or an assignment no longer lowers it: where K
+    exceeds the distinct points, a re-seeded duplicate would otherwise
+    tie its way back at every iteration.  Clusters update in index
     order, and an empty one is re-seeded to the point farthest from its
     current centroid (with the clusters before it already moved), which
     then joins it; the sums are recomputed after each re-seed, so the
@@ -157,10 +160,10 @@ def lloyd(points: np.ndarray, k: int,
         if not cur_sse <= prev_sse + 1e-9:
             raise RuntimeError(
                 f"Lloyd SSE increased from {prev_sse!r} to {cur_sse!r}")
-        prev_sse = cur_sse
-        if np.array_equal(new_labels, labels):
+        done = np.array_equal(new_labels, labels) or not cur_sse < prev_sse
+        prev_sse, labels = cur_sse, new_labels
+        if done:
             break
-        labels = new_labels
     return centroids, labels
 
 

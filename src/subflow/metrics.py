@@ -335,31 +335,18 @@ def default_grid(spec: MixtureSpec) -> np.ndarray:
 
 def field_rmse(field_a: Callable[[np.ndarray, float], np.ndarray],
                field_b: Callable[[np.ndarray, float], np.ndarray],
-               grid: np.ndarray, parts: int = 1) -> float:
+               grid: np.ndarray) -> float:
     """RMS of ||A(x,t) - B(x,t)|| over grid x times t in {0.25, 0.5, 0.75}.
 
-    Both fields take an (n,2) batch and a scalar time.  With `parts` > 1
-    the grid's rows are that many equal runs, say one per context, read in
-    one call of each field per time: the result is then the root mean
-    square of the runs' RMS values, each run scored as a grid of its own.
+    Both fields take an (n,2) batch and a scalar time.
     """
     grid = np.asarray(grid, dtype=np.float64)
     if len(grid) == 0:
         raise ValueError("grid must be nonempty")
-    if parts < 1 or len(grid) % parts:
-        raise ValueError(f"{len(grid)} grid rows do not split into {parts} "
-                         f"equal parts")
-    sq = [0.0] * parts
-    count = 0
-    for t in (0.25, 0.5, 0.75):
-        diffs = np.split(field_a(grid, t) - field_b(grid, t), parts)
-        sq = [total + float(np.sum(diff ** 2))
-              for total, diff in zip(sq, diffs)]
-        count += len(grid) // parts
     total_sq = 0.0
-    for part_sq in sq:
-        total_sq += np.sqrt(part_sq / count) ** 2
-    return float(np.sqrt(total_sq / parts))
+    for t in (0.25, 0.5, 0.75):
+        total_sq += float(np.sum((field_a(grid, t) - field_b(grid, t)) ** 2))
+    return float(np.sqrt(total_sq / (3 * len(grid))))
 
 
 def evaluate_all(spec: MixtureSpec, real: np.ndarray, gen: np.ndarray,

@@ -150,70 +150,92 @@ def dataset_arrays(dataset: Dataset):
     return dataset.xs, dataset.class_ids, dataset.submode_ids
 
 
-def _select(spec: MixtureSpec, class_id, submode_id) -> np.ndarray:
-    """Indices of the components in the context (class_id, submode_id).
+def _context_components(spec: MixtureSpec, c, k, n: int) -> np.ndarray:
+    """(n, width) component indices of each row's context (c[i], k[i]), in
+    component order, padded with -1 to the widest context among the rows.
 
-    None leaves that label free; a sub-mode needs its class.
+    Contexts are numbered as the net numbers them: c == spec.num_classes is
+    the null class (every class) and k == -1 every sub-mode of the class.
+    A table holds the components of each context; a context that selects
+    none raises ValueError.
     """
-    if class_id is None and submode_id is not None:
-        raise ValueError(f"sub-mode {submode_id} given without its class")
-    idx = np.array([i for i, c in enumerate(spec.components)
-                    if class_id in (None, c.class_id)
-                    and submode_id in (None, c.submode_id)], dtype=int)
-    if idx.size == 0:
-        raise ValueError(f"context (class {class_id}, sub-mode {submode_id}) "
-                         "selects no component")
-    return idx
+    c, k = np.asarray(c, dtype=np.int64), np.asarray(k, dtype=np.int64)
+    if c.shape != (n,) or k.shape != (n,):
+        raise ValueError(f"contexts must be two ({n},) arrays, got "
+                         f"{c.shape} and {k.shape}")
+    classes = np.array([comp.class_id for comp in spec.components])
+    subs = np.array([comp.submode_id for comp in spec.components])
+    null, slots = spec.num_classes, int(subs.max()) + 2
+    # context c * slots + k + 1, as a (class, slot = k + 1) pair per row
+    ctx_c, slot = np.divmod(np.arange((null + 1) * slots)[:, None], slots)
+    member = ((ctx_c == classes) & ((slot == subs + 1) | (slot == 0))
+              | (ctx_c == null) & (slot == 0))
+    order = np.argsort(~member, axis=1, kind="stable")
+    table = np.where(np.take_along_axis(member, order, axis=1), order, -1)
+    counts = member.sum(axis=1)
+    known = (c >= 0) & (c <= null) & (k >= -1) & (k < slots - 1)
+    ids = np.where(known, c * slots + k + 1, 0)
+    bad = np.flatnonzero(~known | (counts[ids] == 0))
+    if bad.size:
+        raise ValueError(f"context (class {c[bad[0]]}, sub-mode {k[bad[0]]}) "
+                         f"is not in the mixture: its classes are "
+                         f"0..{null - 1}, and the null class {null} takes "
+                         f"sub-mode -1 only")
+    return table[ids, :counts[ids].max(initial=0)]
 
 
-def posterior_weights_batch(spec: MixtureSpec, xs, t: float,
-                            class_id=None, submode_id=None):
-    """Posterior component weights given x_t = x for each row of an (n,2) batch.
+def _padded_terms(spec: MixtureSpec, t: float):
+    """Per component, then for a padding entry that index -1 reads: log
+    prior, mean, s2 = Var(x_t) per coordinate, and the velocity's linear
+    coefficient.  The padding entry has prior 0 and velocity 0."""
+    s0, sig = spec.source_std, spec.stds()
+    s2 = (1.0 - t) ** 2 * s0 ** 2 + t ** 2 * sig ** 2
+    coef = (t * sig ** 2 - (1.0 - t) * s0 ** 2) / s2
+    return (np.append(np.log(spec.weights()), -np.inf),
+            np.append(spec.means(), [[0.0, 0.0]], axis=0),
+            np.append(s2, 1.0), np.append(coef, 0.0))
 
-    Returns (indices, weights (n, m), underflowed (n,)), restricted to the
-    components of the context (class_id, submode_id); None leaves a label
-    free.  Weights are computed in log-space with per-row max-subtraction; a row
-    where every density underflows falls back to uniform weights over the
-    subset and is flagged in `underflowed`.
+
+def posterior_weights_batch(spec: MixtureSpec, xs, t: float, c, k):
+    """Posterior component weights given x_t = x for each row of an (n,2)
+    batch, within row i's context (c[i], k[i]) (`_context_components`).
+
+    Returns (indices (n, width), weights (n, width), underflowed (n,)): row
+    i's components, padded with -1 at weight 0.  Weights are computed in
+    log-space with per-row max-subtraction; a row where every density
+    underflows falls back to uniform weights over its context and is
+    flagged in `underflowed`.
     """
-    idx = _select(spec, class_id, submode_id)
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must be in [0,1], got {t}")
     xs = np.asarray(xs, dtype=np.float64)
-
-    pri = spec.weights()[idx]
-    mu = spec.means()[idx]
-    sig = spec.stds()[idx]
-    s2 = (1.0 - t) ** 2 * spec.source_std ** 2 + t ** 2 * sig ** 2
-    diff = xs[:, None, :] - t * mu[None, :, :]
+    idx = _context_components(spec, c, k, len(xs))
+    log_pri, mu, s2, _ = (term[idx] for term in _padded_terms(spec, t))
+    diff = xs[:, None, :] - t * mu
     with np.errstate(over="ignore", invalid="ignore"):
-        logw = (np.log(pri)[None, :]
-                - 0.5 * np.sum(diff ** 2, axis=2) / s2[None, :]
-                - np.log(2.0 * np.pi * s2)[None, :])
+        logw = (log_pri - 0.5 * np.sum(diff ** 2, axis=2) / s2
+                - np.log(2.0 * np.pi * s2))
         m = logw.max(axis=1, keepdims=True)
         w = np.exp(logw - m)
         w /= w.sum(axis=1, keepdims=True)
     underflowed = ~np.isfinite(m[:, 0])
-    w[underflowed] = 1.0 / len(idx)
+    live = idx[underflowed] >= 0
+    w[underflowed] = live / live.sum(axis=1, keepdims=True)
     return idx, w, underflowed
 
 
 def oracle_velocity_batch(spec: MixtureSpec, xs: np.ndarray, t: float,
-                          class_id=None, submode_id=None) -> np.ndarray:
+                          c, k) -> np.ndarray:
     """Closed-form conditional mean velocity E[x1 - x0 | x_t = x, context]
-    per row, for the context (class_id, submode_id); None leaves a label free.
+    per row, row i in the context (c[i], k[i]): c == spec.num_classes is
+    the null class, k == -1 every sub-mode of the class.
 
     Per component, (x_t, x1 - x0) are jointly Gaussian, so the conditional
     mean is mu_j plus a linear correction; components are then mixed with
     their posterior weights (`posterior_weights_batch`).
     """
-    idx, w, _ = posterior_weights_batch(spec, xs, t, class_id, submode_id)
+    idx, w, _ = posterior_weights_batch(spec, xs, t, c, k)
     xs = np.asarray(xs, dtype=np.float64)
-    mu = spec.means()[idx]
-    sig = spec.stds()[idx]
-    s0 = spec.source_std
-    s2 = (1.0 - t) ** 2 * s0 ** 2 + t ** 2 * sig ** 2
-    coef = (t * sig ** 2 - (1.0 - t) * s0 ** 2) / s2
-    per_comp = mu[None, :, :] + coef[None, :, None] * (
-        xs[:, None, :] - t * mu[None, :, :])
+    _, mu, _, coef = (term[idx] for term in _padded_terms(spec, t))
+    per_comp = mu + coef[:, :, None] * (xs[:, None, :] - t * mu)
     return np.einsum("nj,njd->nd", w, per_comp)

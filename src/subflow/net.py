@@ -391,24 +391,21 @@ class VelocityNet:
 
         x: (n,2); t, r: (n,) (r None unless uses_interval); c: (n,) class or
         null indices; k: (n,) sub-mode indices with -1 meaning absent.
-        Returns the (n,2) output, plus the activation cache when requested;
-        `backward(..., cache=...)` consumes that cache without a second pass.
+        Returns the (n,2) output, plus the activation cache when requested,
+        which `backward(cotangents, cache)` consumes without a second pass.
         """
         out, act = self._sweep(x, t, r, c, k, cache)
         return (out, act) if cache else out
 
-    def backward(self, x, t, r, c, k, cotangents: np.ndarray, *,
-                 cache=None) -> np.ndarray:
+    def backward(self, cotangents: np.ndarray, cache) -> np.ndarray:
         """Gradient of sum_i <cotangent_i, forward_i> over all parameters.
 
         `cache` is the activation cache that `forward_batch` or `jvp_batch`
-        returned for these same inputs and parameters; given one, only the
-        reverse sweep runs.  Without it the primal pass is recomputed.
-        Accumulation order is fixed, so results are bit-reproducible.
+        returned for the rows the cotangents belong to, under these
+        parameters; only the reverse sweep runs.  Accumulation order is
+        fixed, so results are bit-reproducible.
         """
         cotangents = np.asarray(cotangents, dtype=np.float64)
-        if cache is None:
-            _, cache = self.forward_batch(x, t, r, c, k, cache=True)
         hs, ds, c_arr, k_arr = cache
         if cotangents.shape != (len(hs[0]), 2):
             raise ValueError("cotangent shape mismatch")

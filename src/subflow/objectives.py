@@ -109,7 +109,7 @@ def _condition_inputs(net: VelocityNet, c: np.ndarray, k: np.ndarray,
     return c_in, k_in
 
 
-def _regression(net: VelocityNet, x0, x1, c, k, r, t, net_pass):
+def _regression(net: VelocityNet, x0, x1, r, t, net_pass):
     """The body both losses share: mean_i || pred_i - target_i ||^2 at the
     path point x_s, s = r (t when r is None), and its parameter gradient.
     `net_pass(x_s, t, r_in, v)` returns (prediction, target, cache)."""
@@ -130,7 +130,7 @@ def _regression(net: VelocityNet, x0, x1, c, k, r, t, net_pass):
     pred, target, cache = net_pass(x_s, t, r_in, v)
     resid = pred - target
     loss = float(np.mean(np.sum(resid ** 2, axis=1)))
-    grad = net.backward(x_s, t, r_in, c, k, 2.0 * resid / len(x0), cache=cache)
+    grad = net.backward(2.0 * resid / len(x0), cache)
     return loss, grad
 
 
@@ -142,7 +142,7 @@ def cfm_loss(net: VelocityNet, x0, x1, c, k, r, t):
     def net_pass(x_t, t, r_in, v):
         pred, cache = net.forward_batch(x_t, t, r_in, c, k, cache=True)
         return pred, v, cache
-    return _regression(net, x0, x1, c, k, None, t, net_pass)
+    return _regression(net, x0, x1, None, t, net_pass)
 
 
 def meanflow_loss(net: VelocityNet, x0, x1, c, k, r, t):
@@ -165,7 +165,7 @@ def meanflow_loss(net: VelocityNet, x0, x1, c, k, r, t):
         target = v.copy()
         target[rows] += (t - r)[rows, None] * dudr
         return u, target, cache
-    return _regression(net, x0, x1, c, k, r, t, net_pass)
+    return _regression(net, x0, x1, r, t, net_pass)
 
 
 def draw_times(n: int, rt_equal_fraction: float, rng: np.random.Generator):

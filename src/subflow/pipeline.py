@@ -149,16 +149,19 @@ def generate_all_classes(net, table, meta, cfg: ExperimentConfig, count: int,
 
 
 def model_field_rmse(net, meta, cfg: ExperimentConfig) -> float | None:
-    """Learned-field error against the analytic oracle, averaged over the
+    """Learned-field error against the analytic oracle over the
     conditioning contexts the model was trained with, or None.
 
-    A context is a (class_id, submode_id) pair, None where the label is not
-    conditioned on; each pair drives both the net and the oracle.  A subflow
-    net is given the generating sub-mode id as its cluster id:
-    `cluster_dataset` renumbers each class's clusters after their
-    generating sub-mode wherever `match_labels` finds a one-to-one map,
-    and keeps K-Means' numbering elsewhere.  With a different number of
-    sub-modes per class there is no such pairing, and the result is None.
+    A context is a (class, sub-mode) pair as the net numbers it: the null
+    class where the run is not conditioned on a class, -1 where it is not
+    conditioned on a sub-mode.  The default grid is stacked once per
+    context, and the same per-row arrays drive the net and the oracle, so
+    each time is one pass of each.  A subflow net is given the generating
+    sub-mode id as its cluster id: `cluster_dataset` renumbers each class's
+    clusters after their generating sub-mode wherever `match_labels` finds
+    a one-to-one map, and keeps K-Means' numbering elsewhere.  With a
+    different number of sub-modes per class there is no such pairing, and
+    the result is None.
     """
     spec = cfg.mixture
     grid = metrics.default_grid(spec)
@@ -166,23 +169,15 @@ def model_field_rmse(net, meta, cfg: ExperimentConfig) -> float | None:
     if conditioning == "subflow" and net.config.num_submodes != 1 + max(
             comp.submode_id for comp in spec.components):
         return None
-    contexts = list(dict.fromkeys(
-        (None if conditioning == "uncond" else comp.class_id,
-         comp.submode_id if conditioning == "subflow" else None)
-        for comp in spec.components))
-    # the grid once per context, so each time is one net pass
-    n = len(grid)
-    cs = np.repeat([net.config.null_class if c is None else c
-                    for c, _ in contexts], n)
-    ks = np.repeat([-1 if k is None else k for _, k in contexts], n)
-
-    def oracle(xs, t):
-        return np.concatenate([
-            mixture.oracle_velocity_batch(spec, part, t, c, k)
-            for part, (c, k) in zip(np.split(xs, len(contexts)), contexts)])
-    return metrics.field_rmse(sampler.net_field(net, cs, ks), oracle,
-                              np.tile(grid, (len(contexts), 1)),
-                              len(contexts))
+    contexts = np.array(list(dict.fromkeys(
+        (net.config.null_class if conditioning == "uncond" else comp.class_id,
+         comp.submode_id if conditioning == "subflow" else -1)
+        for comp in spec.components)))
+    cs, ks = np.repeat(contexts.T, len(grid), axis=1)
+    return metrics.field_rmse(
+        sampler.net_field(net, cs, ks),
+        lambda xs, t: mixture.oracle_velocity_batch(spec, xs, t, cs, ks),
+        np.tile(grid, (len(contexts), 1)))
 
 
 # the default NFE values of a sweep: a doubling ladder from one step

@@ -79,34 +79,29 @@ def sample_submode(table: SubmodeTable, class_id: int, strategy: str,
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def net_field(net: VelocityNet, class_id=None, submode_id=None, w: float = 1.0,
+def net_field(net: VelocityNet, cs: np.ndarray, ks: np.ndarray,
+              w: float = 1.0,
               h: float = 0.0) -> Callable[[np.ndarray, float], np.ndarray]:
-    """A trained net's batched field (x, s) -> v in one context.
+    """A trained net's batched field (x, s) -> v, row i in the context
+    (cs[i], ks[i]) as the net numbers it: the null class is
+    `net.config.null_class`, an empty sub-mode slot -1.
 
-    The context is the oracle's: class_id None is the null class and
-    submode_id None the empty slot (-1); an int fills every row, and an
-    array of one index per row is passed on unchanged.  An interval net
-    gives its average velocity over [s, s + h], so h = 0 is its
-    instantaneous field (r = t = s); other nets are evaluated at s.  The
-    guided value is v(null, k) + w (v(c, k) - v(null, k)), the same k in
-    both branches; w = 1 runs only the conditional pass, bit-identical to
-    the unguided field.  SampleConfig checks w.
+    An interval net gives its average velocity over [s, s + h], so h = 0
+    is its instantaneous field (r = t = s); other nets are evaluated at s.
+    The guided value is v(null, k) + w (v(c, k) - v(null, k)), the same k
+    in both branches; w = 1 runs only the conditional pass, bit-identical
+    to the unguided field.  SampleConfig checks w.
     """
-    null = net.config.null_class
-
-    def rows(ids, n):
-        return np.full(n, ids, dtype=np.int64) if np.ndim(ids) == 0 else ids
+    null = np.full(len(cs), net.config.null_class)
 
     def field(x, s):
         n = len(x)
-        c = rows(null if class_id is None else class_id, n)
-        k = rows(-1 if submode_id is None else submode_id, n)
         r = np.full(n, s) if net.config.uses_interval else None
         t = np.full(n, s if r is None else s + h)
-        v = net.forward_batch(x, t, r, c, k)
+        v = net.forward_batch(x, t, r, cs, ks)
         if w == 1.0:
             return v
-        v_null = net.forward_batch(x, t, r, rows(null, n), k)
+        v_null = net.forward_batch(x, t, r, null, ks)
         return v_null + w * (v - v_null)
     return field
 

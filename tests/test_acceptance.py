@@ -96,13 +96,15 @@ def test_criterion_04_oracle_decomposition_identity():
     worst = 0.0
     for t in rng.uniform(0.0, 0.999, size=10):
         for c in (0, 1):
-            v_class = mixture.oracle_velocity_batch(spec, xs, t, c)
-            idx, w, _ = mixture.posterior_weights_batch(spec, xs, t, c)
+            ctx = np.full(len(xs), c), np.full(len(xs), -1)
+            v_class = mixture.oracle_velocity_batch(spec, xs, t, *ctx)
+            idx, w, _ = mixture.posterior_weights_batch(spec, xs, t, *ctx)
             mix = np.zeros_like(xs)
-            for col, j in enumerate(idx):
+            for col, j in enumerate(idx[0]):  # every row's class components
                 comp = spec.components[j]
                 mix += w[:, col, None] * mixture.oracle_velocity_batch(
-                    spec, xs, t, comp.class_id, comp.submode_id)
+                    spec, xs, t, np.full(len(xs), comp.class_id),
+                    np.full(len(xs), comp.submode_id))
             worst = max(worst, float(np.max(np.abs(v_class - mix))))
     assert worst < 1e-10, f"max decomposition error {worst:.3e}"
 
@@ -112,9 +114,11 @@ def test_criterion_05_single_gaussian_field_regression():
     cfg = load_config(ROOT / "configs" / "single_gaussian.cfg")
     run = train_variant(cfg, "cfm", "uncond")
     rmse = pipeline.model_field_rmse(run.net, run.meta, run.cfg)
-    grid = metrics.default_grid(run.cfg.mixture)
+    spec = run.cfg.mixture
+    grid = metrics.default_grid(spec)
+    free = np.full(len(grid), spec.num_classes), np.full(len(grid), -1)
     speeds = [np.linalg.norm(
-        mixture.oracle_velocity_batch(run.cfg.mixture, grid, t), axis=1)
+        mixture.oracle_velocity_batch(spec, grid, t, *free), axis=1)
         for t in (0.25, 0.5, 0.75)]
     mean_speed = float(np.mean(np.concatenate(speeds)))
     assert rmse < 0.1, f"field_rmse {rmse:.4f} >= 0.1"
@@ -133,7 +137,8 @@ def test_criterion_06_nfe_sweep_trend(meanflow_class_run):
 
     spec = mixture.toy_spec()
     x0 = np.random.default_rng(55).standard_normal((64, 2))
-    field = lambda x, t: mixture.oracle_velocity_batch(spec, x, t)
+    free = np.full(len(x0), spec.num_classes), np.full(len(x0), -1)
+    field = lambda x, t: mixture.oracle_velocity_batch(spec, x, t, *free)
     ref = sampler.euler_integrate(field, x0, 4096)
     errors = []
     nfe = 2

@@ -47,13 +47,14 @@ def test_traced_name_exists(name, owner, attr, counts):
 
 
 def test_net_passes_keep_their_positional_arguments():
-    """The tracer's work counts read positional arguments of the net passes
-    (the net, then the input rows)."""
+    """The tracer's work counts read positional arguments of the net passes:
+    the net, then an argument with one entry per row (x, or backward's
+    cotangents)."""
     from subflow.net import VelocityNet
     expected = {
         "forward_batch": ["self", "x", "t", "r", "c", "k"],
         "jvp_batch": ["self", "x", "t", "r", "c", "k", "dx", "dt", "dr"],
-        "backward": ["self", "x", "t", "r", "c", "k", "cotangents"],
+        "backward": ["self", "cotangents", "cache"],
     }
     for attr, params in expected.items():
         sig = inspect.signature(vars(VelocityNet)[attr])

@@ -50,11 +50,12 @@ def brute_force_two_partition(points):
 
 def reference_lloyd(points, k, rng):
     """Lloyd as it stood before the column passes: the 3-D arg-min
-    assignment and the masked-mean update.  Returns (centroids, labels,
-    how many empty clusters were re-seeded)."""
+    assignment and the masked-mean update, stopping once the labels stop
+    changing or an assignment no longer lowers the SSE.  Returns
+    (centroids, labels, how many empty clusters were re-seeded)."""
     def assign(centroids):
         d2 = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
-        return np.argmin(d2, axis=1)
+        return np.argmin(d2, axis=1), float(np.min(d2, axis=1).sum())
 
     n = len(points)
     centroids = np.empty((k, points.shape[1]))
@@ -67,7 +68,7 @@ def reference_lloyd(points, k, rng):
             continue
         centroids[j] = points[rng.choice(n, p=d2 / total)]
         d2 = np.minimum(d2, np.sum((points - centroids[j]) ** 2, axis=1))
-    labels, reseeds = assign(centroids), 0
+    (labels, sse), reseeds = assign(centroids), 0
     for _ in range(clustering.LLOYD_MAX_ITERS):
         for j in range(k):
             mask = labels == j
@@ -79,10 +80,11 @@ def reference_lloyd(points, k, rng):
                 centroids[j] = points[far]
                 labels[far] = j
                 reseeds += 1
-        new_labels = assign(centroids)
-        if np.array_equal(new_labels, labels):
+        new_labels, new_sse = assign(centroids)
+        done = np.array_equal(new_labels, labels) or not new_sse < sse
+        labels, sse = new_labels, new_sse
+        if done:
             break
-        labels = new_labels
     return centroids, labels, reseeds
 
 
@@ -161,6 +163,25 @@ class TestLloyd:
         centroids, labels = lloyd(points, 1, stream(1, "test.lloyd"))
         assert np.all(labels == 0)
         np.testing.assert_allclose(centroids[0], points.mean(axis=0), atol=1e-12)
+
+    @pytest.mark.parametrize("k", [3, 4, 6])
+    def test_more_clusters_than_distinct_points_converge(self, k,
+                                                         monkeypatch):
+        """300 points on 3 locations: at K > 3 a re-seeded duplicate ties
+        its way back to the cluster it left, and Lloyd stops there, after
+        the seeding's assignment and one iteration's.  The labels (one per
+        location, the extra clusters empty) are those Lloyd returned when
+        it went on re-seeding to LLOYD_MAX_ITERS."""
+        points = np.repeat([[0.0, 0.0], [3.0, 1.0], [-2.0, 4.0]], 100,
+                           axis=0)
+        calls = []
+        assign = clustering._assign
+        monkeypatch.setattr(clustering, "_assign",
+                            lambda *args: calls.append(1) or assign(*args))
+        _, labels = lloyd(points, k, stream(0, "test.lloyd.duplicates", k))
+        assert len(calls) <= 3
+        per_location = {3: [0, 2, 1], 4: [1, 0, 2], 6: [0, 2, 1]}[k]
+        assert np.array_equal(labels, np.repeat(per_location, 100))
 
     def test_identical_points_degenerate(self):
         points = np.zeros((12, 2))

@@ -584,28 +584,14 @@ class TestFieldRmse:
         grid = metrics.default_grid(toy_spec())
         assert grid.shape == (41 * 41, 2)
 
-    def test_parts_are_scored_as_grids_of_their_own(self):
-        """Three runs of rows read in one call give the root mean square
-        of each run's own RMSE, summed in run order, bit for bit; rows that
-        do not split evenly are refused."""
-        rng = np.random.default_rng(8)
-        grid = rng.standard_normal((3 * 50, 2))
-        a = lambda xs, t: np.sin(xs * t) * np.arange(1, len(xs) + 1)[:, None]
-        b = lambda xs, t: xs ** 2 * t
-        total_sq = 0.0
-        for part in np.split(np.arange(len(grid)), 3):
-            a_part = lambda xs, t, rows=part: a(grid, t)[rows]
-            total_sq += field_rmse(a_part, b, grid[part]) ** 2
-        assert field_rmse(a, b, grid, 3) == float(np.sqrt(total_sq / 3))
-        with pytest.raises(ValueError, match="equal parts"):
-            field_rmse(a, b, grid, 4)
-
     @pytest.mark.parametrize("conditioning", ["uncond", "class", "subflow"])
     def test_model_field_rmse_matches_one_pass_per_context(self,
-                                                           conditioning):
-        """`model_field_rmse` reads every context in one net pass per time,
-        with the bits of scoring each context on its own, as
-        sqrt(mean(rmse_c^2)) in context order."""
+                                                           conditioning,
+                                                           monkeypatch):
+        """`model_field_rmse` reads the grid stacked once per context in
+        one net pass and one oracle call per time, with the bits of one
+        RMS over the rows of a net pass and an oracle call per context,
+        stacked in context order."""
         cfg = parse_config("")
         model = net.VelocityNet(net.NetConfig(
             num_classes=2, num_submodes=2, hidden_width=32, hidden_layers=2,
@@ -615,19 +601,24 @@ class TestFieldRmse:
         meta = {"objective": "meanflow", "conditioning": conditioning,
                 "source_std": cfg.mixture.source_std}
         spec, grid = cfg.mixture, metrics.default_grid(cfg.mixture)
-        contexts = list(dict.fromkeys(
-            (None if conditioning == "uncond" else comp.class_id,
-             comp.submode_id if conditioning == "subflow" else None)
-            for comp in spec.components))
+        n = len(grid)
+        contexts = {"uncond": [(2, -1)], "class": [(0, -1), (1, -1)],
+                    "subflow": [(0, 0), (0, 1), (1, 0), (1, 1)]}[conditioning]
         total_sq = 0.0
-        for c, k in contexts:
-            total_sq += field_rmse(
-                sampler.net_field(model, c, k),
-                lambda xs, t: mixture.oracle_velocity_batch(spec, xs, t, c,
-                                                            k),
-                grid) ** 2
+        for t in (0.25, 0.5, 0.75):
+            diff = np.concatenate([
+                sampler.net_field(model, np.full(n, c), np.full(n, k))(grid, t)
+                - mixture.oracle_velocity_batch(spec, grid, t, np.full(n, c),
+                                                np.full(n, k))
+                for c, k in contexts])
+            total_sq += float(np.sum(diff ** 2))
+        calls = []
+        oracle = mixture.oracle_velocity_batch
+        monkeypatch.setattr(mixture, "oracle_velocity_batch",
+                            lambda *args: calls.append(args) or oracle(*args))
         assert pipeline.model_field_rmse(model, meta, cfg) == float(
-            np.sqrt(total_sq / len(contexts)))
+            np.sqrt(total_sq / (3 * n * len(contexts))))
+        assert len(calls) == 3
 
 
 class TestEvaluateAll:

@@ -231,10 +231,10 @@ class TestEmptyBatch:
             out = net.forward_batch(*rows)
             fwd_out, cache = net.forward_batch(*rows, cache=True)
             tangent = net.jvp_batch(*rows, x, t, r)
-            jvp_out, jvp_tangent, _ = net.jvp_batch(*rows, x, t, r,
-                                                    cache=True)
-            grads = [net.backward(*rows, np.zeros((0, 2))),
-                     net.backward(*rows, np.zeros((0, 2)), cache=cache)]
+            jvp_out, jvp_tangent, jvp_cache = net.jvp_batch(*rows, x, t, r,
+                                                            cache=True)
+            grads = [net.backward(np.zeros((0, 2)), cache),
+                     net.backward(np.zeros((0, 2)), jvp_cache)]
         for a in (out, fwd_out, tangent, jvp_out, jvp_tangent):
             assert a.shape == (0, 2)
         hs, ds, c, k = cache
@@ -441,15 +441,16 @@ class TestBackward:
         net.params[i] = saved
         return (up - dn) / (2 * eps)
 
-    @pytest.mark.parametrize("uses_interval, cached", [
+    @pytest.mark.parametrize("uses_interval, from_forward", [
         (False, False), (True, False), (False, True), (True, True)],
         ids=["False", "True", "False-cache", "True-cache"])
-    def test_gradient_matches_finite_differences(self, uses_interval, cached):
+    def test_gradient_matches_finite_differences(self, uses_interval,
+                                                 from_forward):
         """Layer 0's embedding columns, b0, both tables and 50 random
         parameter coordinates, relative error < 1e-4.
 
-        Checked on the reference path (backward reruns the primal pass) and
-        on the fused path (backward consumes the cache of one pass).
+        Checked on the cache of each pass a loss runs: `forward_batch`'s
+        (ids ending in -cache) and `jvp_batch`'s.
         """
         cfg = NetConfig(num_classes=2, num_submodes=2, hidden_width=8,
                         hidden_layers=2, embed_dim=3,
@@ -466,10 +467,12 @@ class TestBackward:
         assert np.any(c == cfg.null_class) and np.any(c < cfg.null_class)
         assert np.any(k == -1) and np.any(k >= 0)
         cot = rng.standard_normal((n, 2))
-        cache = None
-        if cached:
+        if from_forward:
             _, cache = net.forward_batch(x, t, r, c, k, cache=True)
-        grad = net.backward(x, t, r, c, k, cot, cache=cache)
+        else:
+            dr = None if r is None else np.ones(n)
+            _, _, cache = net.jvp_batch(x, t, r, c, k, x, t, dr, cache=True)
+        grad = net.backward(cot, cache)
         # every coordinate that reads the per-context sums of layer 0, and
         # b0, then 50 random coordinates
         index = np.arange(net.num_params)
@@ -491,9 +494,12 @@ class TestBackward:
         c = np.array([1, 1])
         k = np.array([0, 1])
         cot = np.ones((2, 2))
-        grad_both = net.backward(x, t, None, c, k, cot)
-        g1 = net.backward(x[:1], t[:1], None, c[:1], k[:1], cot[:1])
-        g2 = net.backward(x[1:], t[1:], None, c[1:], k[1:], cot[1:])
+        def grad(rows):
+            _, cache = net.forward_batch(x[rows], t[rows], None, c[rows],
+                                         k[rows], cache=True)
+            return net.backward(cot[rows], cache)
+        grad_both = grad(slice(None))
+        g1, g2 = grad(slice(0, 1)), grad(slice(1, 2))
         np.testing.assert_allclose(grad_both, g1 + g2, atol=1e-12)
 
     def test_unused_contexts_get_exact_zeros(self):
@@ -509,9 +515,10 @@ class TestBackward:
         rows = (rng.standard_normal((n, 2)), t, t * rng.uniform(0, 1, n),
                 np.zeros(n, dtype=np.int64), np.full(n, -1))
         cot = rng.standard_normal((n, 2))
+        _, cache = net.forward_batch(*rows, cache=True)
         junk = np.full(net.num_params, np.nan)  # memory the gradient may reuse
         del junk
-        grad = net.backward(*rows, cot)
+        grad = net.backward(cot, cache)
         assert np.all(np.isfinite(grad))
         d = cfg.embed_dim
         assert np.all(net.view("class_emb", grad)[1:] == 0.0)
@@ -523,11 +530,9 @@ class TestBackward:
         net = VelocityNet(tiny_config())
         inputs = (np.zeros((2, 2)), np.zeros(2), None,
                   np.zeros(2, dtype=int), np.zeros(2, dtype=int))
-        with pytest.raises(ValueError, match="cotangent"):
-            net.backward(*inputs, np.zeros((3, 2)))
         _, cache = net.forward_batch(*inputs, cache=True)
         with pytest.raises(ValueError, match="cotangent"):
-            net.backward(*inputs, np.zeros((3, 2)), cache=cache)
+            net.backward(np.zeros((3, 2)), cache)
 
 
 class TestJvp:

@@ -231,7 +231,7 @@ class TestMeanflowLoss:
             seen["rows"] = rows
             return jvp(*args, rows=rows, **kwargs)
 
-        def regression(net, x0, x1, c, k, r, t, net_pass):
+        def regression(net, x0, x1, r, t, net_pass):
             seen["x_r"] = (1 - r)[:, None] * x0 + r[:, None] * x1
             seen["target"] = net_pass(seen["x_r"], t, r, x1 - x0)[1]
             return 0.0, None
@@ -338,11 +338,11 @@ class TestMeanflowLoss:
 
 def three_pass_loss(net, objective, x0, x1, c_in, k_in, r, t):
     """Loss and gradient from separate passes: forward, tangent-only jvp,
-    and a backward that recomputes the primal (the unfused reference)."""
+    and a backward on the forward pass's cache (the unfused reference)."""
     x_s = (1.0 - r)[:, None] * x0 + r[:, None] * x1
     v = x1 - x0
     r_in = r if net.config.uses_interval else None
-    pred = net.forward_batch(x_s, t, r_in, c_in, k_in)
+    pred, cache = net.forward_batch(x_s, t, r_in, c_in, k_in, cache=True)
     target = v
     if objective == "meanflow":
         dudr = net.jvp_batch(x_s, t, r, c_in, k_in, dx=v,
@@ -350,7 +350,7 @@ def three_pass_loss(net, objective, x0, x1, c_in, k_in, r, t):
         target = v + (t - r)[:, None] * dudr
     resid = pred - target
     loss = float(np.mean(np.sum(resid ** 2, axis=1)))
-    grad = net.backward(x_s, t, r_in, c_in, k_in, 2.0 * resid / len(x0))
+    grad = net.backward(2.0 * resid / len(x0), cache)
     return loss, grad
 
 

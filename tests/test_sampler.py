@@ -38,6 +38,11 @@ def toy_table(n=4000, seed=0):
         assign_submodes({c: xs[cs == c] for c in (0, 1)}, 2, seed=seed), 2)
 
 
+def rows(n, *ids):
+    """Each id as an (n,) int64 column."""
+    return [np.full(n, i, dtype=np.int64) for i in ids]
+
+
 class TestSampleConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -84,7 +89,7 @@ class TestEulerIntegrate:
         x0 = rng.standard_normal((64, 2))
 
         def field(x, t):
-            return oracle_velocity_batch(spec, x, t)
+            return oracle_velocity_batch(spec, x, t, *rows(len(x), 2, -1))
 
         ref = euler_integrate(field, x0, 4096)
         errs = []
@@ -98,7 +103,7 @@ class TestEulerIntegrate:
 
 def guided(net, x, t, c, k, w):
     """The guided net_field on a batch of rows sharing (t, c, k), no r."""
-    return net_field(net, c, k, w)(x, t)
+    return net_field(net, *rows(len(x), c, k), w)(x, t)
 
 
 def branch(net, x, t, c, k):
@@ -152,11 +157,6 @@ class TestCfgVelocity:
                                        atol=1e-12)
 
 
-def rows(n, *ids):
-    """Each id as an (n,) int64 column."""
-    return [np.full(n, i, dtype=np.int64) for i in ids]
-
-
 class TestNetField:
     X = TestCfgVelocity.X
 
@@ -166,11 +166,11 @@ class TestNetField:
         net = tiny_net(uses_interval=True)
         n = len(self.X)
         assert np.array_equal(
-            net_field(net, 1, 0, h=0.25)(self.X, 0.5),
+            net_field(net, *rows(n, 1, 0), h=0.25)(self.X, 0.5),
             net.forward_batch(self.X, np.full(n, 0.75), np.full(n, 0.5),
                               *rows(n, 1, 0)))
         assert np.array_equal(
-            net_field(net, 1, 0)(self.X, 0.5),
+            net_field(net, *rows(n, 1, 0))(self.X, 0.5),
             net.forward_batch(self.X, np.full(n, 0.5), np.full(n, 0.5),
                               *rows(n, 1, 0)))
 
@@ -178,30 +178,22 @@ class TestNetField:
         net = tiny_net()
         expected = branch(net, self.X, 0.5, 1, 0)
         for h in (0.0, 0.25, 1.0):
-            assert np.array_equal(net_field(net, 1, 0, h=h)(self.X, 0.5),
-                                  expected)
-
-    @pytest.mark.parametrize("uses_interval", [False, True])
-    def test_none_is_null_class_and_empty_slot(self, uses_interval):
-        net = tiny_net(uses_interval)
-        null = net.config.null_class
-        for w in (1.0, 1.5):
-            assert np.array_equal(net_field(net, w=w)(self.X, 0.3),
-                                  net_field(net, null, -1, w)(self.X, 0.3))
-            assert np.array_equal(net_field(net, 0, None, w)(self.X, 0.3),
-                                  net_field(net, 0, -1, w)(self.X, 0.3))
+            assert np.array_equal(
+                net_field(net, *rows(len(self.X), 1, 0), h=h)(self.X, 0.5),
+                expected)
 
     def test_per_row_ids_pass_through(self):
-        """An array is one index per row: a mixed batch equals each row's
-        own context, and a wrong length is refused, not broadcast."""
+        """The arrays hold one index per row: a mixed batch equals each
+        row's own context, and a wrong length is refused, not broadcast."""
         net = tiny_net()
         cs, ks = np.array([0, 1, 2]), np.array([1, -1, 0])
         out = net_field(net, cs, ks)(self.X, 0.4)
         for i in range(len(self.X)):
             assert np.array_equal(
                 out[i:i + 1],
-                net_field(net, int(cs[i]), int(ks[i]))(self.X[i:i + 1], 0.4))
-        for c, k in ((cs[:2], 0), (0, ks[:2]), (cs[:1], None)):
+                net_field(net, cs[i:i + 1], ks[i:i + 1])(self.X[i:i + 1],
+                                                         0.4))
+        for c, k in ((cs[:2], ks), (cs, ks[:2]), (cs[:1], ks[:1])):
             with pytest.raises(ValueError, match="shape"):
                 net_field(net, c, k)(self.X, 0.4)
 
@@ -214,8 +206,8 @@ class TestNetField:
         batch = generate(net, toy_table(), meta(conditioning),
                          SampleConfig(count=5, guidance_scale=w), 1, 2)
         x0 = stream(2, "sample.noise").standard_normal((5, 2))
-        c = None if conditioning == "uncond" else 1
-        field = net_field(net, c, batch.submode_ids, w, h=1.0)
+        c = net.config.null_class if conditioning == "uncond" else 1
+        field = net_field(net, np.full(5, c), batch.submode_ids, w, h=1.0)
         assert np.array_equal(batch.xs, x0 + field(x0, 0.0))
 
 

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from subflow import clustering, io, net, pipeline
+from subflow import clustering, io, mixture, net, pipeline
 from subflow.config import load_config
 
 from support import ROOT, TINY_CONFIG
@@ -137,3 +137,20 @@ def test_clustering_digest_reads_the_reference_lloyd(digests, monkeypatch):
                         lambda points, k, rng: reference_lloyd(points, k,
                                                                rng)[:2])
     assert digests.clustering_digest() == line and len(line) == 16
+
+
+def test_oracle_digest_is_the_per_context_calls(digests):
+    """The oracle line of scripts/train_digests.py digests one call over
+    every context of toy_spec (the null class, 2 classes, 4 sub-modes)
+    with the bits of one call per context, stacked in the same order."""
+    spec = mixture.toy_spec()
+    points = digests.oracle_points(spec)
+    contexts = digests.oracle_contexts(spec)
+    assert len(contexts) == 7 and len(points) == 41 * 41 + 3
+    n = len(points)
+    per_context = [np.concatenate([
+        mixture.oracle_velocity_batch(spec, points, t, np.full(n, c),
+                                      np.full(n, k))
+        for c, k in contexts]) for t in digests.ORACLE_TIMES]
+    line = digests.oracle_digest()
+    assert line == digests._sha(per_context) and len(line) == 16
