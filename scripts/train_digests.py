@@ -43,6 +43,14 @@ set, then every `evaluate_all` field of each generation above, scored
 against that real set with those radii, so two trees that sample alike
 also score alike where that line is equal.
 
+Before those lines, the output names the build the bits were made on, one
+`# key value` line each: `numpy`, `blas` and `machine` (the build), then
+`OPENBLAS_NUM_THREADS`.  `tests/digests.txt` holds this output at one BLAS
+thread, and a Tier-1 test compares it line by line.  To re-pin it after a
+change that moves bits on purpose:
+
+    OPENBLAS_NUM_THREADS=1 python3 scripts/train_digests.py > tests/digests.txt
+
 Usage:
     python scripts/train_digests.py
 """
@@ -77,6 +85,7 @@ RING_K = (2, 6, 12)  # Lloyd's K on the ring
 ORACLE_TIMES = (0.0, 0.25, 0.5, 0.75, 0.99)
 # rows far off the grid: one resolved, two whose densities underflow
 FAR_ROWS = ((1e9, 1e9), (1e200, 1e200), (1e160, -1e160))
+BUILD_KEYS = ("numpy", "blas", "machine")  # `pipeline.environment` keys
 
 
 def _sha(arrays) -> str:
@@ -228,7 +237,16 @@ def digest(key: str) -> str:
     return train_digest(*train(key)[:2])
 
 
+def header() -> list:
+    """The `# key value` lines that name the build and the BLAS thread
+    setting: the build is every line but the last."""
+    env = pipeline.environment()
+    return [f"# {key} {env[key]}"
+            for key in (*BUILD_KEYS, "OPENBLAS_NUM_THREADS")]
+
+
 def main():
+    print(*header(), sep="\n")
     scored, states = [], []
     for key in KEYS:
         state, losses, table = train(key)

@@ -126,6 +126,9 @@ _MANIFEST_KEYS = {"run_id": ("run_id", str), "config": ("config_text", str),
                   "seed": ("seed", int), "files": ("files", dict),
                   "checksums": ("checksums", dict),
                   "duration_s": ("duration_s", (int, float))}
+# keys that older manifests lack -> (RunManifest field, type of each value)
+_LATER_KEYS = {"stages_s": ("stages_s", (int, float)),
+               "environment": ("environment", (str, int, type(None)))}
 
 
 @dataclass
@@ -136,6 +139,10 @@ class RunManifest:
     files: dict[str, str] = field(default_factory=dict)
     checksums: dict[str, str] = field(default_factory=dict)
     duration_s: float = 0.0
+    # wall seconds of each stage of the run, by stage name
+    stages_s: dict[str, float] = field(default_factory=dict)
+    # the build and threads the run ran on (`pipeline.environment`)
+    environment: dict = field(default_factory=dict)
 
     def add_file(self, label: str, path) -> None:
         path = Path(path)
@@ -146,8 +153,8 @@ class RunManifest:
 
     def write(self, path) -> None:
         """Files beside the manifest go by name, so a run directory moves."""
-        payload = {key: getattr(self, name)
-                   for key, (name, _) in _MANIFEST_KEYS.items()}
+        payload = {key: getattr(self, name) for key, (name, _)
+                   in [*_MANIFEST_KEYS.items(), *_LATER_KEYS.items()]}
         here = Path(path).parent
         payload["files"] = {label: Path(p).name if Path(p).parent == here
                             else p for label, p in self.files.items()}
@@ -159,9 +166,11 @@ class RunManifest:
         """A directory, a file that is not a JSON object, or one that lacks
         a key or holds a value of the wrong type raises ValueError naming
         it.  run_id and config are strings, seed an integer, duration_s a
-        number, and files and checksums map the same labels to strings;
-        other keys are ignored.  A relative file entry names a path in the
-        manifest's directory."""
+        number, and files and checksums map the same labels to strings.
+        stages_s, when present, maps names to numbers, and environment
+        names to strings, integers or null; a manifest written before
+        they existed reads with both empty.  Other keys are ignored.  A
+        relative file entry names a path in the manifest's directory."""
         try:
             with open(path) as fh:
                 payload = json.load(fh)
@@ -169,6 +178,13 @@ class RunManifest:
             for key, (name, kinds) in _MANIFEST_KEYS.items():
                 value = payload[key]
                 if isinstance(value, bool) or not isinstance(value, kinds):
+                    raise TypeError(f"{key} is {value!r}")
+                values[name] = value
+            for key, (name, kinds) in _LATER_KEYS.items():
+                value = payload.get(key, {})
+                if not (isinstance(value, dict) and all(
+                        not isinstance(v, bool) and isinstance(v, kinds)
+                        for v in value.values())):
                     raise TypeError(f"{key} is {value!r}")
                 values[name] = value
             files, checksums = values["files"], values["checksums"]

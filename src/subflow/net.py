@@ -123,7 +123,12 @@ def _layout(cfg: NetConfig) -> list[tuple[str, tuple[int, ...]]]:
 
 
 class VelocityNet:
-    """Flat-parameter MLP; views into the flat array are exposed by name."""
+    """Flat-parameter MLP; views into the flat array are exposed by name.
+
+    `params` is the array the net was built over (shared, not copied, when
+    it is already float64) and cannot be rebound: every update writes it in
+    place, so the named views, bound once, always see the current values.
+    """
 
     def __init__(self, config: NetConfig, params: np.ndarray | None = None):
         self.config = config
@@ -143,14 +148,34 @@ class VelocityNet:
             if params.shape != (self.num_params,):
                 raise ValueError(
                     f"expected {self.num_params} parameters, got {params.shape}")
-        self.params = params
+        self._params = params
+        self._views = {name: self.view(name, params) for name in self._blocks}
+        # (w, b) of each hidden layer after the first
+        self._hidden = [(self._views[f"w{layer}"], self._views[f"b{layer}"])
+                        for layer in range(1, config.hidden_layers)]
         self._freqs = np.geomspace(FREQ_MIN, FREQ_MAX, N_FREQS)
+
+    @property
+    def params(self) -> np.ndarray:
+        return self._params
+
+    @params.setter
+    def params(self, value) -> None:
+        # `net.params -= update` writes in place, then sets the same array
+        if value is not self._params:
+            raise AttributeError("params are written in place; build a new "
+                                 "VelocityNet over other parameters")
+
+    def __reduce__(self):
+        # a copy rebuilds its views over its own params
+        return VelocityNet, (self.config, self._params)
 
     def view(self, name: str, params: np.ndarray | None = None) -> np.ndarray:
         """Reshaped view of one parameter block (of self.params by default)."""
-        flat = self.params if params is None else params
+        if params is None:
+            return self._views[name]
         start, stop, shape = self._blocks[name]
-        return flat[start:stop].reshape(shape)
+        return params[start:stop].reshape(shape)
 
     @staticmethod
     def initialized(config: NetConfig, seed: int) -> "VelocityNet":
@@ -169,21 +194,43 @@ class VelocityNet:
 
     # ---- feature construction -------------------------------------------
 
-    def _time_enc(self, t: np.ndarray) -> np.ndarray:
-        phase = t[:, None] * self._freqs[None, :]
-        return np.concatenate([t[:, None], np.sin(phase), np.cos(phase)], axis=1)
+    def _encode(self, t: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write the encoding [t, sin(t f), cos(t f)] of the times t into
+        the (n, TIME_ENC_DIM) array `out`, such as a cache's columns."""
+        out[:, 0] = t
+        phase = t[:, None] * self._freqs
+        np.sin(phase, out=out[:, 1:1 + N_FREQS])
+        np.cos(phase, out=out[:, 1 + N_FREQS:])
+        return out
 
-    def _check_inputs(self, r, c, k) -> None:
+    def _time_enc(self, t: np.ndarray) -> np.ndarray:
+        return self._encode(t, np.empty((len(t), TIME_ENC_DIM)))
+
+    def _inputs(self, x, t, r, c, k):
+        """x, t, r, c, k as float64 and int64 arrays, checked: r is given
+        exactly when the net uses an interval, every index is in range, x
+        is (n, 2) and the others (n,).  Each pass converts its inputs here
+        once; `_sweep` takes them as returned."""
+        x = np.asarray(x, dtype=np.float64)
+        t = np.asarray(t, dtype=np.float64)
+        r = None if r is None else np.asarray(r, dtype=np.float64)
+        c = np.asarray(c, dtype=np.int64)
+        k = np.asarray(k, dtype=np.int64)
         cfg = self.config
         if cfg.uses_interval:
             if r is None:
                 raise ValueError("net uses_interval: r is required")
         elif r is not None:
             raise ValueError("net does not use an interval: r must be None")
-        if np.any(c < 0) or np.any(c > cfg.null_class):
+        if (c < 0).any() or (c > cfg.null_class).any():
             raise IndexError("class index out of range")
-        if np.any(k < -1) or np.any(k >= cfg.num_submodes):
+        if (k < -1).any() or (k >= cfg.num_submodes).any():
             raise IndexError("submode index out of range")
+        n = len(x)
+        if x.shape != (n, 2) or {a.shape for a in (t, r, c, k)
+                                 if a is not None} != {(n,)}:
+            raise ValueError("x must have shape (n, 2) and t, r, c, k (n,)")
+        return x, t, r, c, k
 
     @property
     def _plain_dim(self) -> int:
@@ -202,10 +249,11 @@ class VelocityNet:
         submode_emb[k] W_k^T when k >= 0."""
         cfg = self.config
         d, col = cfg.embed_dim, self._plain_dim
-        w0 = self.view("w0")
-        base = self.view("class_emb") @ w0[:, col:col + d].T
-        base += self.view("b0")
-        sub = self.view("submode_emb") @ w0[:, col + d:].T
+        views = self._views
+        w0 = views["w0"]
+        base = views["class_emb"] @ w0[:, col:col + d].T
+        base += views["b0"]
+        sub = views["submode_emb"] @ w0[:, col + d:].T
         table = np.empty((cfg.num_classes + 1, cfg.num_submodes + 1,
                           cfg.hidden_width))
         table[:, 0] = base
@@ -215,8 +263,9 @@ class VelocityNet:
     # ---- forward / reverse / forward-mode -------------------------------
 
     def _sweep(self, x, t, r, c, k, cache: bool):
-        """The primal pass: (n,2) output and, when `cache`, the (hs, ds, c, k)
-        activation cache of the n rows (None otherwise).
+        """The primal pass over inputs as `_inputs` returns them: (n,2)
+        output and, when `cache`, the (hs, ds, c, k) activation cache of the
+        n rows (None otherwise).
 
         hs holds the input of every layer and the last hidden state; ds holds
         each hidden layer's SiLU derivative, sig (1 + z - h) with h its
@@ -234,102 +283,104 @@ class VelocityNet:
         hs[0] holds only x.  Both paths add in the same order, so a row's
         bits do not depend on whether its time is shared.
 
-        Rows run in blocks of BLOCK_ROWS, read in place; the last block
-        reads a copy of its rows, padded when short with rows whose results
-        are dropped.  Up to SWEEP_WORKERS workers run the blocks: the calling
+        Rows run in blocks of BLOCK_ROWS, read in place; a short last
+        block reads a copy of its rows, padded with rows whose results are
+        dropped.  Up to SWEEP_WORKERS workers run the blocks: the calling
         thread and helper threads, each claiming the next block (its first
-        row and input rows) when free.  Each worker reuses one block-sized
+        row and input rows) when free; a pass with one worker submits
+        nothing to the helpers.  Each worker reuses one block-sized
         set of scratch buffers, and without a cache also of hs, whose hidden
         layers then alternate between two buffers.
         """
-        x = np.asarray(x, dtype=np.float64)
-        t = np.asarray(t, dtype=np.float64)
-        r = None if r is None else np.asarray(r, dtype=np.float64)
-        c = np.asarray(c, dtype=np.int64)
-        k = np.asarray(k, dtype=np.int64)
-        self._check_inputs(r, c, k)
         n = len(x)
-        if x.shape != (n, 2) or any(a is not None and a.shape != (n,)
-                                    for a in (t, r, c, k)):
-            raise ValueError("x must have shape (n, 2) and t, r, c, k (n,)")
-        times = [s for s in (t, r) if s is not None]
+        times = [t] if r is None else [t, r]
         # a time every row holds bit for bit (an Euler step, a field pass)
         # is encoded once for the whole pass
-        encs = [self._time_enc(s[:1]) if n and np.all(
-                    s.view(np.int64) == s[:1].view(np.int64)) else None
+        encs = [self._time_enc(s[:1]) if n and (
+                    s.view(np.int64) == s.view(np.int64)[0]).all() else None
                 for s in times]
         shared = all(enc is not None for enc in encs)
         pad = -n % BLOCK_ROWS
-        rows = [x, self._contexts(c, k), *times]
         total = n + pad
+        rows = [x, self._contexts(c, k), *times]
         # the last block's rows, padded to a full block; all-zero rows are
         # valid inputs: context 0 is class 0, k -1
         last = total - BLOCK_ROWS
         tail = [np.concatenate([a[last:], np.zeros((pad, *a.shape[1:]),
                                                    dtype=a.dtype)])
-                for a in rows]
-        starts = range(0, total, BLOCK_ROWS)
+                for a in rows] if pad else None
         # at least the calling thread, which finds no block in an empty batch
-        workers = max(1, min(SWEEP_WORKERS, len(starts)))
+        workers = max(1, min(SWEEP_WORKERS, total // BLOCK_ROWS))
         depth = self.config.hidden_layers
-        width = self.config.hidden_width
         held = total if cache else BLOCK_ROWS * workers
         # layer 0's terms, negated so that a block forms -z
-        w0 = self.view("w0")
+        w0 = self._views["w0"]
         w_x, w_t = -w0[:, :2].T, -w0[:, 2:self._plain_dim].T
         table = -self._context_table()
         if shared:
             block = np.repeat(np.concatenate(encs, axis=1), BLOCK_ROWS, axis=0)
             table += (block @ w_t)[0]
             w_t = None
-        # Every array of the pass is a view of one allocation: hs, then with
-        # a cache ds, then each worker's block of (-z, s).  Once a
-        # block that large is freed, glibc raises its dynamic mmap and trim
-        # thresholds, so later passes (each training step) reuse heap pages
-        # instead of faulting in fresh ones.
-        shapes = ([(held, self._plain_dim if cache or not shared else 2)]
-                  + [(held, width)] * (2 * depth if cache else min(depth, 2))
-                  + [(BLOCK_ROWS * workers, width)] * 2)
-        sizes = [a * b for a, b in shapes]
-        work = np.empty(sum(sizes))
-        arrays = [a.reshape(shape) for a, shape
-                  in zip(np.split(work, np.cumsum(sizes)[:-1]), shapes)]
-        hidden, scratch = arrays[1:-2], arrays[-2:]
+        # Every array of the pass is a view of one allocation: hs[0], then
+        # the hidden layers' hs and with a cache ds, then each worker's
+        # block of (-z, s).  Once an allocation that large is freed, glibc
+        # raises its dynamic mmap and trim thresholds, so later passes
+        # reuse heap pages instead of faulting in fresh ones.  This is for
+        # generation, not training: on 2 vCPU at 1 BLAS thread, NFE-25
+        # generation of 10k rows at 2 workers faulted 0-5 pages per call
+        # after the first, against about 14,000 with one np.empty per
+        # array, and took 405 ms against 426-437 ms in one measurement
+        # (within noise in another); a training step faults 4-6 pages
+        # either way.
+        in_cols = self._plain_dim if cache or not shared else 2
+        hidden = 2 * depth if cache else min(depth, 2)
+        scratch_rows = BLOCK_ROWS * workers
+        width = self.config.hidden_width
+        at = held * in_cols
+        work = np.empty(at + (hidden * held + 2 * scratch_rows) * width)
+        layer_out = work[at:at + hidden * held * width].reshape(
+            hidden, held, width)
+        scratch = work[at + hidden * held * width:].reshape(
+            2, scratch_rows, width)
+        hs = [work[:at].reshape(held, in_cols)]
         if cache:
-            hs, ds = arrays[:1] + hidden[:depth], hidden[depth:]
+            hs, ds = hs + list(layer_out[:depth]), list(layer_out[depth:])
         else:  # the layers alternate between two buffers
-            hs, ds = arrays[:1] + [hidden[i % 2] for i in range(depth)], []
+            hs, ds = hs + [layer_out[i % 2] for i in range(depth)], []
         out = np.empty((total, 2))
-        layers = [(-self.view(f"w{layer}").T, self.view(f"b{layer}"))
-                  for layer in range(1, depth)]
+        layers = [(-w.T, b) for w, b in self._hidden]
         # workers claim the next block as they become free, so one that the
         # OS deschedules does not hold back the others
         claim = threading.Lock()
-        todo = iter(starts)
+        todo = iter(range(0, total, BLOCK_ROWS))
 
         def next_block():
             with claim:
                 lo = next(todo, None)
             if lo is None:
                 return None
-            return lo, tail if lo == last else [a[lo:lo + BLOCK_ROWS]
-                                                for a in rows]
+            if tail is not None and lo == last:
+                return lo, tail
+            return lo, [a[lo:lo + BLOCK_ROWS] for a in rows]
 
         args = (encs, (w_x, w_t, table), layers, hs, ds, scratch, out,
                 next_block)
-        slots = [slice(j * BLOCK_ROWS, (j + 1) * BLOCK_ROWS)
-                 for j in range(workers)]
-        futures = [_executor().submit(self._run_blocks, *args, slot)
-                   for slot in slots[1:]]
+        futures = [_executor().submit(self._run_blocks, *args,
+                                      slice(j * BLOCK_ROWS,
+                                            (j + 1) * BLOCK_ROWS))
+                   for j in range(1, workers)]
         try:
-            self._run_blocks(*args, slots[0])
+            self._run_blocks(*args, slice(0, BLOCK_ROWS))
         finally:
-            wait(futures)
+            if futures:
+                wait(futures)
         for future in futures:
             future.result()
         if not cache:
             return out[:n], None
-        return out[:n], ([h[:n] for h in hs], [d[:n] for d in ds], c, k)
+        if pad:
+            out, hs, ds = out[:n], [h[:n] for h in hs], [d[:n] for d in ds]
+        return out, (hs, ds, c, k)
 
     def _run_blocks(self, encs, layer0, layers, hs, ds, scratch, out,
                     next_block, slot):
@@ -343,9 +394,9 @@ class VelocityNet:
         forms -z, subtracting b, and takes its SiLU (and with a cache its
         derivative) from -z by `_silu`.  Calls nothing traced, so it can run
         on a helper thread."""
-        neg_z, s = (a[slot] for a in scratch)
+        neg_z, s = scratch[:, slot]
         w_x, w_t, table = layer0
-        w_out_t, b_out = self.view("w_out").T, self.view("b_out")
+        w_out_t, b_out = self._views["w_out"].T, self._views["b_out"]
         while (claimed := next_block()) is not None:
             lo, (x, contexts, *times) = claimed
             block = slice(lo, lo + BLOCK_ROWS)
@@ -353,18 +404,17 @@ class VelocityNet:
             h = hs[0][at]
             h[:, :2] = x
             if h.shape[1] > 2:  # the time columns: per-row times, or a cache
-                t_bits = times[0].view(np.int64)
                 for i, (t, enc) in enumerate(zip(times, encs)):
                     col = 2 + i * TIME_ENC_DIM
                     cols = h[:, col:col + TIME_ENC_DIM]
                     if enc is not None:
                         cols[:] = enc
                     elif i:  # r copies t's encoding where it holds t's bits
-                        fresh = t.view(np.int64) != t_bits
+                        fresh = t.view(np.int64) != times[0].view(np.int64)
                         cols[:] = h[:, 2:2 + TIME_ENC_DIM]
                         cols[fresh] = self._time_enc(t[fresh])
                     else:
-                        cols[:] = self._time_enc(t)
+                        self._encode(t, cols)
             # -z = x (-W_x^T) + (T (-W_t^T) + (-table)[context]), s as
             # scratch; the contexts are checked, and mode="clip" lets take
             # fill its out unbuffered
@@ -394,7 +444,7 @@ class VelocityNet:
         Returns the (n,2) output, plus the activation cache when requested,
         which `backward(cotangents, cache)` consumes without a second pass.
         """
-        out, act = self._sweep(x, t, r, c, k, cache)
+        out, act = self._sweep(*self._inputs(x, t, r, c, k), cache)
         return (out, act) if cache else out
 
     def backward(self, cotangents: np.ndarray, cache) -> np.ndarray:
@@ -409,35 +459,36 @@ class VelocityNet:
         hs, ds, c_arr, k_arr = cache
         if cotangents.shape != (len(hs[0]), 2):
             raise ValueError("cotangent shape mismatch")
-        cfg = self.config
+        cfg, views = self.config, self._views
         # every block of the gradient is written exactly once, by out=
         grad = np.empty_like(self.params)
         g = cotangents
         np.matmul(g.T, hs[-1], out=self.view("w_out", grad))
-        np.sum(g, axis=0, out=self.view("b_out", grad))
-        gh = g @ self.view("w_out")
+        g.sum(axis=0, out=self.view("b_out", grad))
+        gh = g @ views["w_out"]
         for layer in reversed(range(1, cfg.hidden_layers)):
             gh *= ds[layer]  # gz, in place
             np.matmul(gh.T, hs[layer], out=self.view(f"w{layer}", grad))
-            np.sum(gh, axis=0, out=self.view(f"b{layer}", grad))
-            gh = gh @ self.view(f"w{layer}")
+            gh.sum(axis=0, out=self.view(f"b{layer}", grad))
+            gh = gh @ views[f"w{layer}"]
         gh *= ds[0]
         # layer 0: the plain columns read hs[0]; b0, the embedding columns
         # and the tables read the sums of gz over each context's rows (one
         # one-hot product), split into a class's rows and a sub-mode's (k >= 0)
         d, col, g_w0 = cfg.embed_dim, self._plain_dim, self.view("w0", grad)
-        w_c, w_k = np.split(self.view("w0")[:, col:], [d], axis=1)
         np.matmul(gh.T, hs[0], out=g_w0[:, :col])
         shape = (cfg.num_classes + 1, cfg.num_submodes + 1)
-        onehot = np.equal.outer(np.arange(np.prod(shape)),
+        onehot = np.equal.outer(np.arange(shape[0] * shape[1]),
                                 self._contexts(c_arr, k_arr))
         sums = (onehot.astype(np.float64) @ gh).reshape(*shape, -1)
         g_class, g_sub = sums.sum(axis=1), sums[:, 1:].sum(axis=0)
-        np.sum(g_class, axis=0, out=self.view("b0", grad))
-        np.matmul(g_class.T, self.view("class_emb"), out=g_w0[:, col:col + d])
-        np.matmul(g_sub.T, self.view("submode_emb"), out=g_w0[:, col + d:])
-        np.matmul(g_class, w_c, out=self.view("class_emb", grad))
-        np.matmul(g_sub, w_k, out=self.view("submode_emb", grad))
+        g_class.sum(axis=0, out=self.view("b0", grad))
+        np.matmul(g_class.T, views["class_emb"], out=g_w0[:, col:col + d])
+        np.matmul(g_sub.T, views["submode_emb"], out=g_w0[:, col + d:])
+        np.matmul(g_class, views["w0"][:, col:col + d],
+                  out=self.view("class_emb", grad))
+        np.matmul(g_sub, views["w0"][:, col + d:],
+                  out=self.view("submode_emb", grad))
         return grad
 
     def jvp_batch(self, x, t, r, c, k, dx, dt, dr=None, *, rows=None,
@@ -451,6 +502,7 @@ class VelocityNet:
         pass, then the tangent through each layer's cached SiLU derivative,
         unblocked, so its bits can depend on how many rows it runs on.
         """
+        x, t, r, c, k = self._inputs(x, t, r, c, k)
         n = len(x)
         dx = np.asarray(dx, dtype=np.float64)
         times = [np.asarray(dt, dtype=np.float64)]
@@ -459,12 +511,11 @@ class VelocityNet:
                          else np.asarray(dr, dtype=np.float64))
         elif dr is not None:
             raise ValueError("net does not use an interval: dr must be None")
-        if dx.shape != np.shape(x) or any(u.shape != np.shape(t)
-                                          for u in times):
+        if dx.shape != x.shape or {u.shape for u in times} != {t.shape}:
             raise ValueError("tangent shape mismatch")
         sel = slice(None) if rows is None else np.asarray(rows)
         if rows is not None and (sel.ndim != 1 or sel.dtype.kind not in "iu"
-                                 or np.any((sel < 0) | (sel >= n))):
+                                 or ((sel < 0) | (sel >= n)).any()):
             raise ValueError("rows must be 1-D integer indices in [0, n)")
         out, act = self._sweep(x, t, r, c, k, cache=True)
         hs, ds = act[:2]
@@ -472,21 +523,31 @@ class VelocityNet:
         # by u * [1, f cos(s f), -f sin(s f)]; sin and cos are read from the
         # cached features.  The first product skips the columns of the
         # embeddings and of a time whose tangent is zero on every row.
-        parts, cols = [dx[sel]], [np.arange(2)]
-        for i, u in enumerate(times):
-            u = u[sel]
-            if not u.any():
-                continue
+        moving = [(i, u) for i, u in enumerate(u[sel] for u in times)
+                  if u.any()]
+        dx = dx[sel]
+        dh = np.empty((len(dx), 2 + TIME_ENC_DIM * len(moving)))
+        dh[:, :2] = dx
+        # the rows of W_0^T that the tangent's columns meet, C-ordered
+        w0_t = self._views["w0"].T
+        w_in_t = np.empty((dh.shape[1], self.config.hidden_width))
+        w_in_t[:2] = w0_t[:2]
+        for j, (i, u) in enumerate(moving):
             col = 2 + i * TIME_ENC_DIM
-            sin = hs[0][sel, col + 1:col + 1 + N_FREQS]
-            cos = hs[0][sel, col + 1 + N_FREQS:col + TIME_ENC_DIM]
-            dphase = u[:, None] * self._freqs[None, :]
-            parts += [u[:, None], cos * dphase, -sin * dphase]
-            cols.append(np.arange(col, col + TIME_ENC_DIM))
-        dh = np.concatenate(parts, axis=1)
-        w_in = self.view("w0")[:, np.concatenate(cols)]
-        for layer in range(self.config.hidden_layers):
-            w = self.view(f"w{layer}") if layer else w_in
-            dh = (dh @ w.T) * ds[layer][sel]
-        tangent = dh @ self.view("w_out").T
+            at = slice(2 + j * TIME_ENC_DIM, 2 + (j + 1) * TIME_ENC_DIM)
+            w_in_t[at] = w0_t[col:col + TIME_ENC_DIM]
+            part = dh[:, at]
+            dphase = u[:, None] * self._freqs
+            part[:, 0] = u
+            np.multiply(hs[0][sel, col + 1 + N_FREQS:col + TIME_ENC_DIM],
+                        dphase, out=part[:, 1:1 + N_FREQS])
+            np.negative(hs[0][sel, col + 1:col + 1 + N_FREQS],
+                        out=part[:, 1 + N_FREQS:])
+            part[:, 1 + N_FREQS:] *= dphase
+        dh = dh @ w_in_t
+        dh *= ds[0][sel]
+        for (w, _), d in zip(self._hidden, ds[1:]):
+            dh = dh @ w.T
+            dh *= d[sel]
+        tangent = dh @ self._views["w_out"].T
         return (out, tangent, act) if cache else tangent

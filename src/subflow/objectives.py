@@ -18,6 +18,8 @@ of the parameters, deterministic for a fixed seed.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -101,7 +103,7 @@ def _condition_inputs(net: VelocityNet, c: np.ndarray, k: np.ndarray,
     c_in = np.where(drop, null, c)
     if cfg.conditioning == "class":
         return c_in, np.full(n, -1, dtype=np.int64)
-    if np.any(k < 0):
+    if (k < 0).any():
         raise ValueError("subflow conditioning needs submode labels on every sample")
     k_in = k
     if cfg.p_drop_submode > 0.0:
@@ -119,9 +121,9 @@ def _regression(net: VelocityNet, x0, x1, r, t, net_pass):
     s = t if r is None else np.asarray(r, dtype=np.float64)
     if len(x0) == 0:
         raise ValueError("batch must be nonempty")
-    if np.any(s > t):
+    if (s > t).any():
         raise ValueError("r must not exceed t")
-    if not np.all((s >= 0.0) & (t <= 1.0)):  # NaN fails too
+    if not ((s >= 0.0) & (t <= 1.0)).all():  # NaN fails too
         raise ValueError("times must be in [0,1]")
     x_s = (1.0 - s)[:, None] * x0 + s[:, None] * x1
     v = x1 - x0
@@ -129,7 +131,7 @@ def _regression(net: VelocityNet, x0, x1, r, t, net_pass):
     r_in = s if net.config.uses_interval else None
     pred, target, cache = net_pass(x_s, t, r_in, v)
     resid = pred - target
-    loss = float(np.mean(np.sum(resid ** 2, axis=1)))
+    loss = float((resid ** 2).sum(axis=1).mean())
     grad = net.backward(2.0 * resid / len(x0), cache)
     return loss, grad
 
@@ -160,12 +162,22 @@ def meanflow_loss(net: VelocityNet, x0, x1, c, k, r, t):
 
     def net_pass(x_r, t, r, v):
         rows = np.flatnonzero(r < t)
-        u, dudr, cache = net.jvp_batch(x_r, t, r, c, k, v, np.zeros_like(t),
-                                       np.ones_like(r), rows=rows, cache=True)
+        u, dudr, cache = net.jvp_batch(
+            x_r, t, r, c, k, v, _constant(len(t), 0.0),
+            _constant(len(r), 1.0), rows=rows, cache=True)
         target = v.copy()
         target[rows] += (t - r)[rows, None] * dudr
         return u, target, cache
     return _regression(net, x0, x1, r, t, net_pass)
+
+
+@functools.lru_cache(maxsize=4)
+def _constant(n: int, value: float) -> np.ndarray:
+    """A read-only array of n `value`s: meanflow's time tangents, built
+    once per batch size."""
+    constant = np.full(n, value)
+    constant.flags.writeable = False
+    return constant
 
 
 def draw_times(n: int, rt_equal_fraction: float, rng: np.random.Generator):
@@ -235,7 +247,7 @@ def train(dataset: Dataset, spec: MixtureSpec, cfg: TrainConfig,
             r, t = None, rng.random(cfg.batch_size)
         c, k = _condition_inputs(net, cs[idx], ks[idx], cfg, rng)
         loss, grad = loss_fn(net, x0, xs[idx], c, k, r, t)
-        if not np.isfinite(loss):
+        if not math.isfinite(loss):
             raise RuntimeError(
                 f"non-finite loss at step {step} "
                 f"(parameter norm {np.linalg.norm(net.params):.3e})")

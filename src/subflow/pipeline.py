@@ -8,14 +8,32 @@ are reproducible byte for byte.
 from __future__ import annotations
 
 import dataclasses
+import os
+import platform
 import time
 from pathlib import Path
 
 import numpy as np
 
 from . import clustering, io, metrics, mixture, objectives, sampler
+from . import net as net_module
 from .config import (ConfigError, ExperimentConfig, emit_config,
                      parse_config)
+
+
+def environment() -> dict:
+    """The build and threads a run's bits and times depend on: the numpy
+    version, the BLAS numpy was built with, the machine, the BLAS thread
+    variables, the CPU count and `net.SWEEP_WORKERS`."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get(
+        "blas", {})
+    return {"numpy": np.__version__,
+            "blas": f"{blas.get('name')} {blas.get('version')}",
+            "machine": platform.machine(),
+            **{var: os.environ.get(var)
+               for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
+            "cpu_count": os.cpu_count(),
+            "sweep_workers": net_module.SWEEP_WORKERS}
 
 
 def build_dataset(cfg: ExperimentConfig):
@@ -63,16 +81,23 @@ def cluster_dataset(cfg: ExperimentConfig, dataset):
 
 def train_run(cfg: ExperimentConfig, out_dir,
               run_prefix: str = "train") -> io.RunManifest:
-    """Cluster, train, and persist all artifacts of the run `cfg` records."""
+    """Cluster, train, and persist all artifacts of the run `cfg` records.
+
+    The manifest records the run's `environment()` and the wall seconds of
+    each stage: dataset, cluster, train, and save (the checkpoint and the
+    CSVs)."""
     out_dir = Path(out_dir)
     config_text = emit_config(cfg)
     run_id = io.new_run_id(run_prefix, config_text, cfg.train.seed)
-    started = time.monotonic()
+    marks = [time.monotonic()]  # when each stage ends, after the start
 
     dataset = build_dataset(cfg)
+    marks.append(time.monotonic())
     table, labels = cluster_dataset(cfg, dataset)
+    marks.append(time.monotonic())
     out_dir.mkdir(parents=True, exist_ok=True)  # once the dataset is checked
     state, losses = objectives.train(dataset, cfg.mixture, cfg.train, table)
+    marks.append(time.monotonic())
 
     ckpt_path = out_dir / f"{run_id}.checkpoint.bin"
     meta = {
@@ -86,13 +111,17 @@ def train_run(cfg: ExperimentConfig, out_dir,
     io.write_loss_csv(loss_path, losses)
     assign_path = out_dir / f"{run_id}.assignments.csv"
     io.write_assignments_csv(assign_path, labels)
+    marks.append(time.monotonic())
 
-    manifest = io.RunManifest(run_id=run_id, config_text=config_text,
-                              seed=cfg.train.seed)
+    manifest = io.RunManifest(
+        run_id=run_id, config_text=config_text, seed=cfg.train.seed,
+        stages_s=dict(zip(("dataset", "cluster", "train", "save"),
+                          np.diff(marks).tolist())),
+        environment=environment())
     manifest.add_file("checkpoint", ckpt_path)
     manifest.add_file("loss_curve", loss_path)
     manifest.add_file("assignments", assign_path)
-    manifest.duration_s = time.monotonic() - started
+    manifest.duration_s = time.monotonic() - marks[0]
     manifest.write(out_dir / f"{run_id}.manifest.json")
     return manifest
 

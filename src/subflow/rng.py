@@ -12,11 +12,13 @@ build per sample.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
 
 
+@functools.lru_cache(maxsize=None)  # the purposes are a few literals
 def _purpose_key(purpose: str) -> int:
     digest = hashlib.blake2b(purpose.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "little")

@@ -126,6 +126,31 @@ class TestRunManifest:
         mp.write_text(json.dumps({**payload, "extra": {}}))
         assert io.RunManifest.read(mp) == m
 
+    def test_manifest_without_stages_or_environment_read(self, tmp_path):
+        """A manifest records the run's stage times and environment; one
+        written before they were recorded still reads, with both empty."""
+        m = io.RunManifest(run_id="r6", config_text="", seed=1,
+                           stages_s={"train": 1.5, "save": 0},
+                           environment={"numpy": "2.4.6", "cpu_count": 2,
+                                        "OMP_NUM_THREADS": None})
+        mp = tmp_path / "m.json"
+        m.write(mp)
+        assert io.RunManifest.read(mp) == m
+        payload = json.loads(mp.read_text())
+        del payload["stages_s"], payload["environment"]
+        mp.write_text(json.dumps(payload))
+        assert io.RunManifest.read(mp) == dataclasses.replace(
+            m, stages_s={}, environment={})
+
+    def test_train_run_records_stages_and_environment(self, trained_dir):
+        m = io.RunManifest.read(trained_dir[2])
+        assert sorted(m.stages_s) == ["cluster", "dataset", "save", "train"]
+        assert all(s >= 0 for s in m.stages_s.values())
+        assert sum(m.stages_s.values()) <= m.duration_s
+        assert m.environment.keys() == pipeline.environment().keys()
+        assert m.environment["numpy"] == np.__version__
+        assert m.environment["sweep_workers"] >= 1
+
     def test_detects_stale_file(self, tmp_path):
         f = tmp_path / "artifact.csv"
         f.write_text("original")
@@ -567,9 +592,13 @@ class TestDamagedInputs:
         lambda p: p.update(run_id=5),
         lambda p: p.update(config=None),
         lambda p: p.update(duration_s="long"),
+        lambda p: p.update(stages_s="fast"),
+        lambda p: p["stages_s"].update(train=True),
+        lambda p: p["environment"].update(numpy=[2, 4]),
     ], ids=["files_a_list", "checksums_empty", "file_not_a_string",
             "seed_text", "seed_float", "run_id_number", "config_null",
-            "duration_text"])
+            "duration_text", "stages_text", "stage_bool",
+            "environment_list"])
     def test_manifest_value(self, trained_dir, tmp_path, capsys, change):
         """A manifest value of the wrong type, or files and checksums that
         do not map the same labels to strings, fail every reader and check

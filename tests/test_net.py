@@ -7,6 +7,7 @@ net is checked against an independent matrix-arithmetic transcription.
 
 import multiprocessing
 import os
+import pickle
 import sys
 import warnings
 from decimal import Decimal, localcontext
@@ -15,7 +16,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from subflow import io, objectives
 from subflow import net as net_module
+from subflow.clustering import SubmodeTable
 from subflow.net import (BLOCK_ROWS, FREQ_MAX, FREQ_MIN, N_FREQS, TIME_ENC_DIM,
                          NetConfig, VelocityNet, _silu)
 
@@ -716,3 +719,94 @@ class TestLayoutAndViews:
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             NetConfig(num_classes=0, num_submodes=1)
+
+
+class TestBoundViews:
+    """A net binds its named views of `params` once; every update writes
+    `params` in place, so no pass reads a stale value."""
+
+    @staticmethod
+    def net_and_rows(uses_interval=True, n=300):
+        cfg = NetConfig(num_classes=2, num_submodes=3, hidden_width=16,
+                        uses_interval=uses_interval)
+        rng = np.random.default_rng(21)
+        t = rng.random(n)
+        rows = (rng.standard_normal((n, 2)), t,
+                t * rng.random(n) if uses_interval else None,
+                rng.integers(0, cfg.null_class + 1, n),
+                rng.integers(-1, cfg.num_submodes, n))
+        return random_net(cfg, seed=22), rows
+
+    @staticmethod
+    def assert_current(net, rows, before):
+        """The net's outputs moved from `before` and equal those of a
+        fresh net over a copy of its parameters, bit for bit."""
+        fresh = VelocityNet(net.config, net.params.copy())
+        out = net.forward_batch(*rows)
+        assert not np.array_equal(out, before)
+        assert np.array_equal(out, fresh.forward_batch(*rows))
+        tangents = (rows[0], rows[1], rows[1])
+        got, want = (m.jvp_batch(*rows, *tangents, cache=True)
+                     for m in (net, fresh))
+        assert all(np.array_equal(a, b) for a, b in zip(got[:2], want[:2]))
+        assert np.array_equal(net.backward(got[0], got[2]),
+                              fresh.backward(want[0], want[2]))
+
+    def test_adam_step(self):
+        net, rows = self.net_and_rows()
+        before = net.forward_batch(*rows)
+        state = objectives.TrainState.fresh(net)
+        x0 = np.zeros((len(rows[0]), 2))
+        _, grad = objectives.meanflow_loss(net, x0, rows[0], rows[3],
+                                           rows[4], rows[2], rows[1])
+        objectives.adam_update(state, grad, objectives.TrainConfig())
+        self.assert_current(net, rows, before)
+
+    def test_slice_assignment(self):
+        net, rows = self.net_and_rows()
+        before = net.forward_batch(*rows)
+        net.params[:] = 0.3 * np.random.default_rng(5).standard_normal(
+            net.num_params)
+        self.assert_current(net, rows, before)
+
+    def test_loaded_checkpoint(self, tmp_path):
+        """load_checkpoint builds its net, then writes the file's
+        parameters into it: the net computes with those parameters."""
+        net, rows = self.net_and_rows()
+        path = tmp_path / "run.checkpoint.bin"
+        table = SubmodeTable.from_counts({0: [3, 2, 1], 1: [1, 1, 1]})
+        io.save_checkpoint(path, net, net.params, 0,
+                           {"objective": "meanflow", "conditioning": "subflow",
+                            "source_std": 0.1}, table)
+        loaded = io.load_checkpoint(path)[0]
+        self.assert_current(loaded, rows,
+                            VelocityNet(net.config).forward_batch(*rows))
+        assert np.array_equal(loaded.forward_batch(*rows),
+                              net.forward_batch(*rows))
+
+    def test_shares_the_callers_array(self):
+        """A net built over a float64 array computes with that array, as
+        pipeline.load_run's EMA net does; params cannot be rebound, but an
+        in-place operator on them still works."""
+        net, rows = self.net_and_rows()
+        params = net.params.copy()
+        shared = VelocityNet(net.config, params)
+        assert shared.params is params
+        before = shared.forward_batch(*rows)
+        params *= 1.5
+        self.assert_current(shared, rows, before)
+        shared.params -= 0.01
+        assert shared.params is params
+        with pytest.raises(AttributeError, match="in place"):
+            shared.params = params.copy()
+
+    def test_pickled_copy_binds_its_own_params(self):
+        net, rows = self.net_and_rows()
+        before = net.forward_batch(*rows)
+        copy = pickle.loads(pickle.dumps(net))
+        assert np.array_equal(copy.forward_batch(*rows), before)
+        assert not np.shares_memory(copy.params, net.params)
+        copy.params[:] = 0.3 * np.random.default_rng(6).standard_normal(
+            copy.num_params)
+        self.assert_current(copy, rows, before)
+        assert np.array_equal(net.forward_batch(*rows), before)

@@ -1,9 +1,12 @@
 """Smoke tests for scripts/: each experiment script runs as its own process
 on a tiny config and writes its CSVs, one row per panel, NFE or model;
-train_digests.py is imported and checked for its invariants."""
+train_digests.py is imported and checked for its invariants, and run
+against the pinned tests/digests.txt."""
 
 import dataclasses
 import importlib.util
+import itertools
+import os
 import subprocess
 import sys
 
@@ -78,6 +81,28 @@ def digests():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_digests_match_the_pinned_table(digests):
+    """scripts/train_digests.py at one BLAS thread prints tests/digests.txt
+    line for line, so a change that moves any training, generation,
+    clustering, oracle or scoring bit fails here, naming each line it moved.
+    On a build other than the one the table names the bits may differ, and
+    the test skips, naming both builds."""
+    pinned = (ROOT / "tests" / "digests.txt").read_text().splitlines()
+    build = len(digests.BUILD_KEYS)
+    if pinned[:build] != digests.header()[:build]:
+        pytest.skip(f"tests/digests.txt was pinned on {pinned[:build]}; "
+                    f"this build is {digests.header()[:build]}")
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "train_digests.py")],
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    moved = [f"pinned {old!r}, now {new!r}" for old, new
+             in itertools.zip_longest(pinned, done.stdout.splitlines())
+             if old != new]
+    assert not moved, "digest lines moved:\n" + "\n".join(moved)
 
 
 def test_train_digests_ignore_submode_dropout_without_subflow(digests):
