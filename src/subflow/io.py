@@ -58,12 +58,12 @@ def load_checkpoint(path):
 
     A directory, or a file that is not exactly one checkpoint (bad magic
     or version, a header or array cut short, bytes after the EMA array, a
-    descriptor that is not UTF-8 JSON with every key and a valid net, run
-    metadata without a known objective and conditioning and a finite
-    positive source_std, submode_counts not one list per class of 1..K
-    integers >= 0 with a positive sum, or parameters or EMA that are not
-    all finite) raises ValueError naming the path.
-    """
+    descriptor that is not UTF-8 JSON with every key and a valid net, a
+    step not an integer >= 0, run metadata without a known objective and
+    conditioning and a finite positive number as source_std, submode_counts
+    not one list per class of 1..K integers >= 0 with a positive sum, or
+    parameters or EMA not all finite; true and false are not numbers)
+    raises ValueError naming the path."""
     try:
         data = Path(path).read_bytes()
     except IsADirectoryError as exc:
@@ -83,12 +83,15 @@ def load_checkpoint(path):
         net = VelocityNet(NetConfig(**descriptor["net"]))
         n, layout = descriptor["num_params"], descriptor["layout"]
         step, meta = descriptor["step"], descriptor["meta"]
+        # bool is an int, and int64 truncates a float
+        if not (type(step) is int and step >= 0):
+            raise ValueError(f"step {step!r}: not an integer >= 0")
         if not (meta["objective"] in OBJECTIVES
                 and meta["conditioning"] in CONDITIONINGS
+                and not isinstance(meta["source_std"], bool)
                 and 0.0 < meta["source_std"] < math.inf):
             raise ValueError(f"bad run metadata {meta!r}")
         counts, k = descriptor["submode_counts"], net.config.num_submodes
-        # bool is an int, and int64 truncates a float
         if not (type(counts) is list and len(counts) == net.config.num_classes
                 and all(type(row) is list and 0 < len(row) <= k and all(
                     type(x) is int for x in row) for row in counts)):
@@ -210,12 +213,18 @@ class RunManifest:
 
 def write_csv(path, header: list, rows, append: bool = False) -> None:
     """The one CSV writer: `header`, then `rows`.  With `append`, the rows
-    go at the end of an existing file, and the header only starts a new
-    one."""
-    new = not (append and Path(path).exists())
+    go at the end of an existing file, whose header must be `header` (a
+    ValueError names the path and both headers otherwise), and the header
+    only starts a new or empty one."""
+    found = None
+    if append and Path(path).exists():
+        with open(path, newline="") as fh:
+            found = next(csv.reader(fh), None)
+    if found not in (None, header):
+        raise ValueError(f"{path}: header {found} differs from {header}")
     with open(path, "a" if append else "w", newline="") as fh:
         writer = csv.writer(fh)
-        if new:
+        if found is None:
             writer.writerow(header)
         writer.writerows(rows)
 

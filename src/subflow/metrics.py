@@ -33,7 +33,7 @@ class MetricReport:
 KNN_K = 3  # the k of the k-NN manifolds behind precision and recall
 
 # Upper bound on the padded (query, candidate) pairs of one batch; the
-# precision and recall lanes (see two_lanes) together hold two batches.
+# precision and recall lanes of knn_precision_recall hold two at once.
 _PAIR_BUDGET = 1 << 14
 
 
@@ -229,31 +229,14 @@ def _in_manifold(queries: np.ndarray, support: np.ndarray,
     return hits
 
 
-def two_lanes(side: Callable, main: Callable) -> tuple:
-    """(side(), main()): side on the k-NN helper thread while the caller
-    runs main where net.SWEEP_WORKERS > 1 (read at call time), else both
-    inline, side first; side's exception wins over main's either way.  The
-    helper is not in the sweep's pool, so main's net passes never queue
-    behind it.  side must call nothing perfbench traces (its tracer keeps
-    one stack of spans) and no two_lanes (the helper would wait on itself).
-    """
-    if net.SWEEP_WORKERS < 2:
-        return side(), main()
-    future = net._executor("knn").submit(side)
-    try:
-        main_result = main()
-    finally:
-        side_result = future.result()
-    return side_result, main_result
-
-
 def knn_precision_recall(real: np.ndarray, gen: np.ndarray, k: int = KNN_K,
                          real_radii_sq=None) -> tuple[float, float]:
     """k-NN manifold precision and recall between two point sets.
 
     `real_radii_sq` is `knn_radii_sq(real, k)` when the caller already has
     it, as a sweep scoring many generated sets against one real set does.
-    Precision and recall share nothing, so they run as two lanes.
+    Precision and recall share nothing, so they run as two `net.lanes`,
+    recall on the caller; both call only untraced functions.
     """
     real = _check_points("real", real)
     gen = _check_points("gen", gen)
@@ -273,8 +256,9 @@ def knn_precision_recall(real: np.ndarray, gen: np.ndarray, k: int = KNN_K,
         radii = knn_radii_sq(support, k) if radii is None else radii
         return float(np.mean(_in_manifold(queries, support, radii, frame)))
 
-    return two_lanes(lambda: share(gen, real, real_radii_sq),
-                     lambda: share(real, gen, None))
+    recall, precision = net.lanes(lambda: share(real, gen, None),
+                                  lambda: share(gen, real, real_radii_sq))
+    return precision, recall
 
 
 def _moments(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

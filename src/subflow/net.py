@@ -19,6 +19,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -52,9 +53,9 @@ elif hasattr(os, "sched_getaffinity"):  # not on macOS or Windows
 else:
     SWEEP_WORKERS = os.cpu_count() or 1
 
-# name -> (pid, executor): helper threads, created on first use and again
-# in a forked child, which inherits the executor but not its threads
-_pools = {}
+# (pid, executor): the helper threads of `lanes`, created on first use and
+# again in a forked child, which inherits the executor but not its threads
+_pool = None
 _pool_lock = threading.Lock()
 
 
@@ -72,15 +73,27 @@ def _silu(neg_z, h, s, d=None) -> None:
         d /= s
 
 
-def _executor(name: str = "sweep") -> ThreadPoolExecutor:
-    """The process's helper pool `name`: it starts a thread only when no
-    idle one is free, so one pool serves passes of any worker count."""
+def lanes(*calls) -> list:
+    """[call() for call in calls]: the first call on the calling thread
+    and, where SWEEP_WORKERS > 1 (read at call time), the others on the
+    process's one helper pool; otherwise inline, in order, until one
+    fails.  Returns once every call has finished, raising the exception of
+    the earliest failing call in argument order.  The pool starts a thread
+    whenever none is idle, so lanes may nest.  Only the first call may
+    reach traced code: perfbench's tracer keeps one stack of spans."""
+    if SWEEP_WORKERS < 2 or len(calls) < 2:
+        return [call() for call in calls]
+    global _pool
     with _pool_lock:
-        pool = _pools.get(name)
-        if pool is None or pool[0] != os.getpid():
-            pool = _pools[name] = (os.getpid(), ThreadPoolExecutor(
-                thread_name_prefix=f"subflow-{name}"))
-        return pool[1]
+        if _pool is None or _pool[0] != os.getpid():
+            _pool = (os.getpid(),
+                     ThreadPoolExecutor(thread_name_prefix="subflow-lane"))
+        futures = [_pool[1].submit(call) for call in calls[1:]]
+    try:
+        first = calls[0]()
+    finally:
+        wait(futures)
+    return [first, *(future.result() for future in futures)]
 
 
 @dataclass(frozen=True)
@@ -285,10 +298,10 @@ class VelocityNet:
 
         Rows run in blocks of BLOCK_ROWS, read in place; a short last
         block reads a copy of its rows, padded with rows whose results are
-        dropped.  Up to SWEEP_WORKERS workers run the blocks: the calling
-        thread and helper threads, each claiming the next block (its first
-        row and input rows) when free; a pass with one worker submits
-        nothing to the helpers.  Each worker reuses one block-sized
+        dropped.  Up to SWEEP_WORKERS workers run the blocks as `lanes`:
+        the calling thread and helper threads, each claiming the next block
+        (its first row and input rows) when free; a pass of one block runs
+        inline on the caller.  Each worker reuses one block-sized
         set of scratch buffers, and without a cache also of hs, whose hidden
         layers then alternate between two buffers.
         """
@@ -365,17 +378,9 @@ class VelocityNet:
 
         args = (encs, (w_x, w_t, table), layers, hs, ds, scratch, out,
                 next_block)
-        futures = [_executor().submit(self._run_blocks, *args,
-                                      slice(j * BLOCK_ROWS,
-                                            (j + 1) * BLOCK_ROWS))
-                   for j in range(1, workers)]
-        try:
-            self._run_blocks(*args, slice(0, BLOCK_ROWS))
-        finally:
-            if futures:
-                wait(futures)
-        for future in futures:
-            future.result()
+        lanes(*(partial(self._run_blocks, *args,
+                        slice(j * BLOCK_ROWS, (j + 1) * BLOCK_ROWS))
+                for j in range(workers)))
         if not cache:
             return out[:n], None
         if pad:

@@ -236,16 +236,17 @@ def sweep_nfe(manifest_path, cfg: ExperimentConfig, out_csv,
     """One report (and CSV row) per NFE, with the sampling settings of
     `cfg`.  The run, the real set, the real set's k-NN radii and the field
     RMSE do not depend on the NFE, so they are computed once per call.  The
-    radii and the RMSE run as `metrics.two_lanes`, as each NFE's precision
-    and recall do; the k-NN pair budget bounds both lanes together."""
+    RMSE (on the caller: its net passes are traced) and the radii run as
+    two `net.lanes`, as each NFE's recall and precision do; the k-NN pair
+    budget bounds both lanes together."""
     # the sampling settings are checked before the run loads
     samples = _scored_samples(cfg.sample, nfe_list)
     run_id = checked_manifest(manifest_path, cfg).run_id
     net, table, meta = load_run(manifest_path)
     real = real_set(cfg)
-    real_radii_sq, rmse = metrics.two_lanes(
-        lambda: metrics.knn_radii_sq(real.xs),
-        lambda: model_field_rmse(net, meta, cfg))
+    rmse, real_radii_sq = net_module.lanes(
+        lambda: model_field_rmse(net, meta, cfg),
+        lambda: metrics.knn_radii_sq(real.xs))
     reports = []
     for sample in samples:
         batch = generate_all_classes(net, table, meta, cfg, sample.count,

@@ -543,6 +543,10 @@ class TestDamagedInputs:
         _descriptor_changed(lambda d: d["meta"].update(objective="ddpm")),
         _descriptor_changed(lambda d: d["meta"].update(source_std=0.0)),
         _descriptor_changed(lambda d: d["meta"].update(source_std="wide")),
+        _descriptor_changed(lambda d: d["meta"].update(source_std=True)),
+        _descriptor_changed(lambda d: d.update(step="soon")),
+        _descriptor_changed(lambda d: d.update(step=-3)),
+        _descriptor_changed(lambda d: d.update(step=True)),
         _descriptor_changed(lambda d: d.pop("submode_counts")),
         _descriptor_changed(lambda d: d["submode_counts"].pop()),
         _descriptor_changed(lambda d: d["submode_counts"].append([5, 5])),
@@ -563,7 +567,8 @@ class TestDamagedInputs:
             "net_rejected", "net_unknown_key", "nan_ema", "nan_params",
             "meta_empty", "meta_missing", "meta_bad_conditioning",
             "meta_bad_objective", "meta_zero_source_std",
-            "meta_text_source_std", "submode_counts_missing",
+            "meta_text_source_std", "meta_bool_source_std", "step_text",
+            "step_negative", "step_bool", "submode_counts_missing",
             "class_missing", "extra_class", "more_submodes_than_net",
             "zero_counts", "negative_count", "float_count", "bool_count",
             "string_count", "submode_counts_not_a_list", "class_empty"])
@@ -713,6 +718,21 @@ class TestCli:
         for field in ("frechet", "precision", "recall", "mode_tv",
                       "field_rmse"):
             float(row[field])
+
+    def test_evaluate_refuses_a_csv_with_other_columns(self, trained_dir,
+                                                      tmp_path, capsys):
+        """A metrics.csv written with other columns gets no misaligned row:
+        evaluate exits 1 naming it."""
+        cfg_path, _, manifest = trained_dir
+        out = tmp_path / "eval"
+        out.mkdir()
+        (out / "metrics.csv").write_text("run_id,nfe,w,frechet\n")
+        assert main(["evaluate", "--config", str(cfg_path), "--out", str(out),
+                     "--manifest", str(manifest), "--count", "200"]
+                    ) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(
+            f"error: {out / 'metrics.csv'}: header")
+        assert (out / "metrics.csv").read_text() == "run_id,nfe,w,frechet\n"
 
     def test_field_rmse_empty_when_cluster_k_differs(self, tmp_path):
         """With one cluster per class, a subflow net's cluster ids cannot be

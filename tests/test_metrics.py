@@ -89,7 +89,7 @@ def lanes_agree(monkeypatch, *args, **kwargs):
             for name in ("knn_radii_sq", "_in_manifold"):
                 m.setattr(metrics, name, recorded(getattr(metrics, name)))
             result = knn_precision_recall(*args, **kwargs)
-        helper = any(t.startswith("subflow-knn") for t in threads)
+        helper = any(t.startswith("subflow-lane") for t in threads)
         assert helper == (workers == 2), threads
         runs.append((result, sorted(outputs)))
     assert runs[0] == runs[1]
@@ -404,11 +404,11 @@ class TestGridSearchDegenerateSets:
 
 def _pr_in_child(conn, real, gen):
     result = knn_precision_recall(real, gen)
-    conn.send((result, net._pools["knn"][0] == os.getpid()))
+    conn.send((result, net._pool[0] == os.getpid()))
 
 
 class TestKnnLanes:
-    """Precision runs on the k-NN helper thread where the net puts a second
+    """Precision runs on a lane helper thread where the net puts a second
     worker; nothing else about the call changes."""
 
     def test_helper_exception_reaches_the_caller(self, monkeypatch):
@@ -429,7 +429,28 @@ class TestKnnLanes:
         monkeypatch.setattr(metrics, "_in_manifold", failing)
         with pytest.raises(KeyError, match="precision lane failed"):
             knn_precision_recall(real, gen)
-        assert failed_on[0].startswith("subflow-knn")
+        assert failed_on[0].startswith("subflow-lane")
+
+    def test_one_pool_for_net_passes_and_knn(self, monkeypatch):
+        """Net passes and k-NN calls, alternating, all run their helper
+        lanes on one pool."""
+        monkeypatch.setattr(net, "SWEEP_WORKERS", 2)
+        vnet = net.VelocityNet.initialized(
+            net.NetConfig(num_classes=2, num_submodes=2, hidden_width=8),
+            seed=0)
+        n = 2 * net.BLOCK_ROWS
+        rows = (np.zeros((n, 2)), np.full(n, 0.5), None,
+                np.zeros(n, dtype=int), np.zeros(n, dtype=int))
+        rng = np.random.default_rng(18)
+        real, gen = rng.standard_normal((200, 2)), rng.standard_normal((150, 2))
+        pools = []
+        for _ in range(2):
+            vnet.forward_batch(*rows)
+            pools.append(net._pool)
+            knn_precision_recall(real, gen)
+            pools.append(net._pool)
+        assert all(pool is pools[0] for pool in pools)
+        assert pools[0][0] == os.getpid()
 
     def test_forked_child_gets_parent_bits(self, monkeypatch):
         """A child forked after the parent used its helper thread builds
@@ -439,7 +460,7 @@ class TestKnnLanes:
         real = sample_dataset(spec, 2000, seed=16).xs
         gen = sample_dataset(spec, 1500, seed=17).xs * 1.1
         expected = knn_precision_recall(real, gen)
-        assert net._pools["knn"][0] == os.getpid()
+        assert net._pool[0] == os.getpid()
         ctx = multiprocessing.get_context("fork")
         receive, send = ctx.Pipe(duplex=False)
         child = ctx.Process(target=_pr_in_child, args=(send, real, gen))
@@ -644,3 +665,25 @@ class TestEvaluateAll:
         assert lines[0] == ",".join(["run_id", "nfe", "w",
                                      *io.REPORT_FIELDS])
         assert len(lines) == 3
+
+    def test_csv_append_checks_the_header(self, tmp_path):
+        """Rows append only under their own header: another one raises a
+        ValueError naming the file and both headers and leaves the file
+        as it was; an empty file gets the header first."""
+        header = ["run_id", "nfe", "w", *io.REPORT_FIELDS]
+        report = metrics.MetricReport(frechet=0.5, precision=0.9, recall=0.8,
+                                      mode_shares=np.array([1.0]), mode_tv=0.1,
+                                      coverage_count=3, field_rmse=0.2)
+        other = tmp_path / "other.csv"
+        other.write_text("run_id,nfe,w,frechet\nrun-y,1,1.0,0.5\n")
+        with pytest.raises(ValueError) as err:
+            io.append_report_csv(other, report, "run-x", 4, 1.0)
+        assert str(other) in str(err.value)
+        assert str(["run_id", "nfe", "w", "frechet"]) in str(err.value)
+        assert str(header) in str(err.value)
+        assert other.read_text() == "run_id,nfe,w,frechet\nrun-y,1,1.0,0.5\n"
+        empty = tmp_path / "empty.csv"
+        empty.touch()
+        io.append_report_csv(empty, report, "run-x", 4, 1.0)
+        lines = empty.read_text().strip().splitlines()
+        assert lines[0] == ",".join(header) and len(lines) == 2

@@ -9,6 +9,8 @@ import multiprocessing
 import os
 import pickle
 import sys
+import threading
+import time
 import warnings
 from decimal import Decimal, localcontext
 
@@ -359,7 +361,7 @@ class TestContextTable:
 
 def _forward_in_child(conn, net, rows):
     out = net.forward_batch(*rows)
-    conn.send((out, net_module._pools["sweep"][0] == os.getpid()))
+    conn.send((out, net_module._pool[0] == os.getpid()))
 
 
 class TestParallelSweep:
@@ -400,14 +402,15 @@ class TestParallelSweep:
 
     def test_one_pool_serves_any_worker_count(self, monkeypatch):
         """Passes of 2 and 3 blocks take 1 and 2 helper threads, all from
-        one pool: a pass of another worker count builds no new one."""
+        the one lane pool: a pass of another worker count builds no new
+        one."""
         monkeypatch.setattr(net_module, "SWEEP_WORKERS", 3)
         net, rows = TestBatchInvariance.wide_net_and_rows(False)
         pools = []
         for blocks in (2, 3, 2, 3, 2):
             n = blocks * BLOCK_ROWS
             net.forward_batch(*(None if a is None else a[:n] for a in rows))
-            pools.append(net_module._pools["sweep"][-1])
+            pools.append(net_module._pool[-1])
         assert all(pool is pools[0] for pool in pools)
 
     def test_forked_child_gets_parent_bits(self, monkeypatch):
@@ -416,7 +419,7 @@ class TestParallelSweep:
         monkeypatch.setattr(net_module, "SWEEP_WORKERS", 2)
         net, rows = TestBatchInvariance.wide_net_and_rows(True)
         expected = net.forward_batch(*rows)
-        assert net_module._pools["sweep"][0] == os.getpid()
+        assert net_module._pool[0] == os.getpid()
         ctx = multiprocessing.get_context("fork")
         receive, send = ctx.Pipe(duplex=False)
         child = ctx.Process(target=_forward_in_child, args=(send, net, rows))
@@ -432,6 +435,137 @@ class TestParallelSweep:
         assert not child.is_alive() and child.exitcode == 0
         assert own_pool
         assert np.array_equal(out, expected)
+
+
+def _lanes_in_child(conn):
+    names = net_module.lanes(*[lambda: threading.current_thread().name] * 2)
+    conn.send((names, net_module._pool[0] == os.getpid()))
+
+
+def _run_bounded(fn, timeout=60):
+    """fn() on a daemon thread, joined within `timeout` seconds, so a lane
+    that waits on itself fails the test instead of hanging it."""
+    box = []
+    runner = threading.Thread(target=lambda: box.append(fn()), daemon=True)
+    runner.start()
+    runner.join(timeout)
+    assert not runner.is_alive(), f"lanes did not return within {timeout} s"
+    return box[0]
+
+
+def _fail(exc):
+    def call():
+        raise exc
+    return call
+
+
+class TestLanes:
+    """`net.lanes`, the one helper-thread primitive: the first call on the
+    caller, the others on one pool where SWEEP_WORKERS > 1."""
+
+    def test_results_in_argument_order(self, monkeypatch):
+        """Later calls that finish first still return in argument order;
+        the first runs on the caller, the others on the pool's threads."""
+        monkeypatch.setattr(net_module, "SWEEP_WORKERS", 3)
+
+        def call(i, delay):
+            def run():
+                time.sleep(delay)
+                return i, threading.current_thread().name
+            return run
+
+        results = net_module.lanes(*(call(i, 0.05 * (4 - i))
+                                     for i in range(4)))
+        assert [i for i, _ in results] == [0, 1, 2, 3]
+        assert results[0][1] == threading.current_thread().name
+        assert all(name.startswith("subflow-lane") for _, name in results[1:])
+
+    @pytest.mark.parametrize("workers, n_calls", [(1, 3), (3, 1)])
+    def test_inline_without_a_pool(self, workers, n_calls, monkeypatch):
+        """At one worker, or with one call, every call runs on the caller,
+        in order, and no pool is built."""
+        monkeypatch.setattr(net_module, "SWEEP_WORKERS", workers)
+        monkeypatch.setattr(net_module, "_pool", None)
+        ran = []
+
+        def call(i):
+            def run():
+                ran.append((i, threading.current_thread().name))
+                return i
+            return run
+
+        assert net_module.lanes(*map(call, range(n_calls))) == list(
+            range(n_calls))
+        here = threading.current_thread().name
+        assert ran == [(i, here) for i in range(n_calls)]
+        assert net_module._pool is None
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_earliest_exception_wins(self, workers, monkeypatch):
+        """Of several failing calls, the earliest in argument order raises,
+        even when a later one fails sooner; threaded, every call finishes
+        before it does."""
+        monkeypatch.setattr(net_module, "SWEEP_WORKERS", workers)
+        with pytest.raises(KeyError, match="first"):
+            net_module.lanes(_fail(KeyError("first")),
+                             _fail(ValueError("second")))
+        finished = []
+
+        def slow_failure():
+            time.sleep(0.1)
+            finished.append(True)
+            raise KeyError("second")
+
+        with pytest.raises(KeyError, match="second"):
+            net_module.lanes(lambda: 0, slow_failure,
+                             _fail(ValueError("third")))
+        assert finished == [True]
+
+    def test_nested_lanes(self, monkeypatch):
+        """A lane that calls `lanes` runs its own first call where it runs,
+        from the calling thread and from a helper, and returns in order."""
+        monkeypatch.setattr(net_module, "SWEEP_WORKERS", 2)
+
+        def name():
+            return threading.current_thread().name
+
+        def inner(tag):
+            return lambda: [name(), *net_module.lanes(
+                lambda: (tag, 0, name()), lambda: (tag, 1, name()))]
+
+        outer, helper = _run_bounded(lambda: net_module.lanes(inner("a"),
+                                                              inner("b")))
+        assert [r[:2] for r in outer[1:]] == [("a", 0), ("a", 1)]
+        assert [r[:2] for r in helper[1:]] == [("b", 0), ("b", 1)]
+        # each inner first call runs on the thread that ran its lane
+        assert outer[1][2] == outer[0]
+        assert helper[0].startswith("subflow-lane")
+        assert helper[1][2] == helper[0]
+        assert outer[2][2].startswith("subflow-lane")
+        assert helper[2][2].startswith("subflow-lane")
+        assert helper[2][2] != helper[0]
+
+    def test_forked_child_builds_its_own_pool(self, monkeypatch):
+        """A child forked after the parent built the pool builds its own,
+        whose threads run its lanes."""
+        monkeypatch.setattr(net_module, "SWEEP_WORKERS", 2)
+        net_module.lanes(lambda: None, lambda: None)
+        assert net_module._pool[0] == os.getpid()
+        ctx = multiprocessing.get_context("fork")
+        receive, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_lanes_in_child, args=(send,))
+        child.start()
+        try:
+            assert receive.poll(60), "child returned nothing within 60 s"
+            names, own_pool = receive.recv()
+        finally:
+            child.join(10)
+            if child.is_alive():
+                child.terminate()
+                child.join(10)
+        assert not child.is_alive() and child.exitcode == 0
+        assert own_pool
+        assert names[1].startswith("subflow-lane") and names[0] != names[1]
 
 
 class TestBackward:
